@@ -19,7 +19,14 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .core import AnnotationRecord, Finding, InstructionInstance, NormBox, clamp_box
+from .core import (
+    AnnotationRecord,
+    Finding,
+    InstructionInstance,
+    NormBox,
+    clamp_box,
+    config_from_json,
+)
 from .errors import EmptyAfterClamp, GridTooFine
 from .taskgen import TemplateSet, DEFAULT_TEMPLATES, render_instruction
 
@@ -91,12 +98,9 @@ class AugPolicy:
                 raise ValueError(f"{name} must be a probability, got {value}")
 
     @classmethod
-    def from_json(cls, obj: Mapping[str, Any]) -> "AugPolicy":
-        kwargs: dict[str, Any] = dict(obj)
-        for key in ("clahe_clip_range", "crop_scale_range", "crop_aspect_range", "clahe_grid"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+    def from_json(cls, obj: Any) -> "AugPolicy":
+        pairs = ("clahe_clip_range", "crop_scale_range", "crop_aspect_range", "clahe_grid")
+        return config_from_json(cls, obj, "policy", **dict.fromkeys(pairs, tuple))
 
 
 DEFAULT_POLICY = AugPolicy()

@@ -18,12 +18,10 @@ import datetime as _dt
 import hashlib
 import json
 import logging
-import os
 import sys
-import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -37,10 +35,13 @@ from .augment import (
     preprocess_eval,
 )
 from .core import (
-    AnnotationRecord,
     Task,
+    atomic_write,
+    config_from_json,
     instance_to_json,
     iter_jsonl,
+    jsonl_text,
+    load_json,
     load_records_jsonl,
     record_to_json,
 )
@@ -88,49 +89,25 @@ class ToolConfig:
     endpoint: EndpointConfig | None = None
 
     @classmethod
-    def from_json(cls, obj: Mapping[str, Any]) -> "ToolConfig":
-        known = {"version", "seed", "parse_mode", "curriculum", "policy", "endpoint"}
-        unknown = set(obj) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(
-            version=int(obj.get("version", 1)),
-            seed=obj.get("seed"),
-            parse_mode=str(obj.get("parse_mode", "strict")),
-            curriculum=(
-                CurriculumConfig.from_json(obj["curriculum"])
-                if obj.get("curriculum")
-                else None
-            ),
-            policy=AugPolicy.from_json(obj["policy"]) if obj.get("policy") else None,
-            endpoint=(
-                EndpointConfig.from_json(obj["endpoint"]) if obj.get("endpoint") else None
-            ),
+    def from_json(cls, obj: Any) -> "ToolConfig":
+        def section(from_json):
+            return lambda value: from_json(value) if value else None
+
+        return config_from_json(
+            cls,
+            obj,
+            "config",
+            version=int,
+            seed=lambda value: None if value is None else int(value),
+            parse_mode=str,
+            curriculum=section(CurriculumConfig.from_json),
+            policy=section(AugPolicy.from_json),
+            endpoint=section(EndpointConfig.from_json),
         )
 
 
 # ---------------------------------------------------------------------------
 # Output plumbing
-
-
-def _atomic_write(path: str | Path, text: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def _jsonl(objs: Sequence[Mapping[str, Any]]) -> str:
-    return "".join(json.dumps(o, ensure_ascii=False) + "\n" for o in objs)
 
 
 def _json_doc(obj: Mapping[str, Any]) -> str:
@@ -164,7 +141,7 @@ def _write_manifest(
         "config_hash": _config_hash(args, config_doc),
         "created_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
     }
-    _atomic_write(f"{out_path}.manifest.json", _json_doc(manifest))
+    atomic_write(f"{out_path}.manifest.json", _json_doc(manifest))
 
 
 def _emit(
@@ -173,7 +150,7 @@ def _emit(
     args: argparse.Namespace,
     config_doc: Mapping[str, Any] | None,
 ) -> None:
-    _atomic_write(out_path, text)
+    atomic_write(out_path, text)
     _write_manifest(out_path, args, config_doc)
     log.info("wrote %s", out_path)
 
@@ -192,7 +169,7 @@ def _require_seed(args: argparse.Namespace, config: ToolConfig) -> int:
 
 def _cmd_ingest(args, config, config_doc) -> None:
     records = load_records(args.in_path, args.format)
-    _emit(args.out, _jsonl([record_to_json(r) for r in records]), args, config_doc)
+    _emit(args.out, jsonl_text([record_to_json(r) for r in records]), args, config_doc)
 
 
 def _cmd_gen_tasks(args, config, config_doc) -> None:
@@ -200,31 +177,30 @@ def _cmd_gen_tasks(args, config, config_doc) -> None:
     if args.expand_labels:
         records = expand_padchest_labels(records)
     instances = [render_instruction(rec) for rec in records]
-    _emit(args.out, _jsonl([instance_to_json(i) for i in instances]), args, config_doc)
+    _emit(args.out, jsonl_text([instance_to_json(i) for i in instances]), args, config_doc)
 
 
 def _cmd_augment(args, config, config_doc) -> None:
     seed = _require_seed(args, config)
     policy = config.policy or DEFAULT_POLICY
     if args.policy:
-        with open(args.policy, "r", encoding="utf-8") as fh:
-            policy = AugPolicy.from_json(json.load(fh))
+        policy = load_json(args.policy, AugPolicy.from_json)
     records = load_records_jsonl(args.records)
     rows = []
     for index, rec in enumerate(records):
         inst = render_instruction(rec)
         out = augment_instance(inst, policy, instance_seed(seed, rec.image_id, index))
         rows.append(instance_to_json(out))
-    _emit(args.out, _jsonl(rows), args, config_doc)
+    _emit(args.out, jsonl_text(rows), args, config_doc)
 
 
-def _load_metrics(path: str | Path) -> dict[str, SourceMetrics]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+def _metrics_from_json(doc: Any) -> dict[str, SourceMetrics]:
     if not isinstance(doc, list):
         raise FormatError(0, "a metrics file holds a JSON array of source metrics")
     metrics = {}
-    for obj in doc:
+    for index, obj in enumerate(doc):
+        if not isinstance(obj, dict):
+            raise FormatError(0, f"metrics entry {index} must be an object")
         m = SourceMetrics.from_json(obj)
         metrics[m.source.key] = m
     return metrics
@@ -241,22 +217,7 @@ def _curriculum_config(args, config: ToolConfig) -> CurriculumConfig:
         value = getattr(args, name.replace("_strategy", ""), None)
         if value is not None:
             overrides[name] = Strategy(value)
-    if overrides:
-        cfg = CurriculumConfig(**{**_curriculum_to_kwargs(cfg), **overrides})
-    return cfg
-
-
-def _curriculum_to_kwargs(cfg: CurriculumConfig) -> dict[str, Any]:
-    return {
-        "alpha": cfg.alpha,
-        "warmup_steps": cfg.warmup_steps,
-        "reweight_interval": cfg.reweight_interval,
-        "total_steps": cfg.total_steps,
-        "inter_strategy": cfg.inter_strategy,
-        "intra_strategy": cfg.intra_strategy,
-        "min_prob": cfg.min_prob,
-        "eval_subset_sizes": cfg.eval_subset_sizes,
-    }
+    return replace(cfg, **overrides)
 
 
 def _cmd_plan(args, config, config_doc) -> None:
@@ -264,7 +225,7 @@ def _cmd_plan(args, config, config_doc) -> None:
     cfg = _curriculum_config(args, config)
     state = initial_state(pool)
     if args.metrics:
-        state = advance_stage(cfg, state, _load_metrics(args.metrics))
+        state = advance_stage(cfg, state, load_json(args.metrics, _metrics_from_json))
     doc = {"schema_version": 1, "state": state.to_json()}
     _emit(args.out, _json_doc(doc), args, config_doc)
 
@@ -272,9 +233,7 @@ def _cmd_plan(args, config, config_doc) -> None:
 def _cmd_sample(args, config, config_doc) -> None:
     seed = _require_seed(args, config)
     pool = SamplingPool.from_records(load_records_jsonl(args.records))
-    with open(args.plan, "r", encoding="utf-8") as fh:
-        plan = json.load(fh)
-    state = CurriculumState.from_json(plan["state"])
+    state = load_json(args.plan, lambda doc: CurriculumState.from_json(doc["state"]))
     rng = np.random.default_rng(seed)
     rows = [
         {
@@ -285,7 +244,7 @@ def _cmd_sample(args, config, config_doc) -> None:
         }
         for rec in draw_samples(state, pool, args.n, rng)
     ]
-    _emit(args.out, _jsonl(rows), args, config_doc)
+    _emit(args.out, jsonl_text(rows), args, config_doc)
 
 
 def _cmd_simulate(args, config, config_doc) -> None:
@@ -310,15 +269,14 @@ def _cmd_simulate(args, config, config_doc) -> None:
 def _load_predictions(path: str | Path) -> dict[str, str]:
     preds: dict[str, str] = {}
     for line_no, obj in iter_jsonl(path):
-        if not isinstance(obj, dict):
-            raise FormatError(line_no, "each prediction line must hold an object")
         pid = obj.get("image_id") or obj.get("id")
         text = obj.get("output") if obj.get("output") is not None else obj.get("text")
         if not pid or text is None:
             raise FormatError(line_no, "prediction rows need image_id and output fields")
+        pid = str(pid)
         if pid in preds:
             raise FormatError(line_no, f"duplicate prediction id {pid!r}")
-        preds[str(pid)] = str(text)
+        preds[pid] = str(text)
     return preds
 
 
@@ -332,8 +290,7 @@ def _cmd_eval(args, config, config_doc) -> None:
 
 def _endpoint_config(args, config: ToolConfig) -> EndpointConfig:
     if args.endpoint:
-        with open(args.endpoint, "r", encoding="utf-8") as fh:
-            return EndpointConfig.from_json(json.load(fh))
+        return load_json(args.endpoint, EndpointConfig.from_json)
     if config.endpoint is not None:
         return config.endpoint
     raise ConfigError("the judge command needs --endpoint (or a config endpoint)")
@@ -356,7 +313,7 @@ def _cmd_judge(args, config, config_doc) -> None:
         text = obj.get("text")
         if not image_id or not anatomy or text is None:
             raise FormatError(line_no, "pred rows need image_id, anatomy and text fields")
-        if image_id not in gold:
+        if str(image_id) not in gold:
             raise FormatError(line_no, f"no gold report for image {image_id!r}")
         prompt = build_judge_prompt(str(text), gold[str(image_id)])
         raw = call_judge(prompt, endpoint)
@@ -371,7 +328,7 @@ def _cmd_judge(args, config, config_doc) -> None:
         rows.append(row)
     if failures:
         log.warning("%d of %d verdicts failed validation", failures, len(rows))
-    _emit(args.out, _jsonl(rows), args, config_doc)
+    _emit(args.out, jsonl_text(rows), args, config_doc)
 
 
 def _cmd_judge_aggregate(args, config, config_doc) -> None:
@@ -389,8 +346,7 @@ def _cmd_judge_aggregate(args, config, config_doc) -> None:
 
 
 def _cmd_preprocess(args, config, config_doc) -> None:
-    with open(args.in_path, "r", encoding="utf-8") as fh:
-        grid = IntensityGrid.from_json(json.load(fh))
+    grid = load_json(args.in_path, IntensityGrid.from_json)
     out = preprocess_eval(grid, resize=(args.resize_w, args.resize_h))
     _emit(args.out, _json_doc(out.to_json()), args, config_doc)
 
@@ -534,14 +490,13 @@ def dispatch(argv: Sequence[str]) -> int:
     try:
         config = ToolConfig()
         if args.config:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                config_doc = json.load(fh)
+            config_doc = load_json(args.config)
             config = ToolConfig.from_json(config_doc)
         args.handler(args, config, config_doc)
     except RadloopError as exc:
         log.error("%s: %s", type(exc).__name__, exc)
         return 1
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         log.error("%s: %s", type(exc).__name__, exc)
         return 1
     return 0

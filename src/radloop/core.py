@@ -15,17 +15,24 @@ a list of ``{"text": str, "boxes": [[...], ...]}`` objects preserving the
 phrase-to-box association) and ``meta`` (a flat object for per-record flags
 such as label provenance). Both are omitted when empty, so records that do
 not need them serialize with exactly the seven fixed field names.
+
+Every file the package reads or writes goes through the functions at the
+end of this module: :func:`iter_jsonl` for JSONL lines, :func:`load_json`
+for whole-file documents, the record and instance codecs, and
+:func:`atomic_write` for output.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+import os
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
-from .errors import EmptyAfterClamp, FormatError
+from .errors import ConfigError, EmptyAfterClamp, FormatError
 
 #: Tolerance for the unit-square containment invariant after clamping.
 EPSILON = 1e-9
@@ -121,11 +128,6 @@ class NormBox:
         if len(vals) != 4:
             raise ValueError(f"a box needs exactly 4 numbers, got {len(vals)}")
         return cls(float(vals[0]), float(vals[1]), float(vals[2]), float(vals[3]))
-
-
-def box_corners(box: NormBox) -> tuple[float, float, float, float]:
-    """Corner form of a box; inverse of :meth:`NormBox.from_corners`."""
-    return box.corners()
 
 
 def clamp_box(box: NormBox) -> NormBox:
@@ -230,14 +232,101 @@ class DataSourceId:
 
 
 # ---------------------------------------------------------------------------
-# JSONL serialization
+# JSON files: the one reader, record codec and atomic writer every module uses
 
 
-def _boxes_to_json(boxes: Iterable[NormBox]) -> list[list[float]]:
-    return [b.to_list() for b in boxes]
+def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
+    """Yield (line_no, object) pairs from a JSONL file; blank lines are skipped.
+
+    This is the only place a file line is decoded. A line that is not valid
+    JSON, or holds a JSON value other than an object, raises
+    :class:`FormatError` with its line number.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            # ValueError also covers over-long integer literals; deep nesting recurses.
+            try:
+                obj = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise FormatError(line_no, f"invalid JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise FormatError(line_no, "each line must hold a JSON object")
+            yield line_no, obj
 
 
-def _boxes_from_json(values: Any, line: int) -> tuple[NormBox, ...]:
+def load_json(path: str | Path, decode: Callable[[Any], Any] | None = None) -> Any:
+    """Read a whole-file JSON document (config, plan, metrics, grid).
+
+    ``decode`` turns the document into its value type. Invalid JSON, or a
+    document whose shape ``decode`` cannot handle, raises :class:`FormatError`;
+    domain errors raised by ``decode`` pass through unchanged.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise FormatError(getattr(exc, "lineno", 0), f"invalid JSON: {exc}") from exc
+    if decode is None:
+        return doc
+    try:
+        return decode(doc)
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise FormatError(0, f"bad document: {type(exc).__name__}: {exc}") from exc
+
+
+def atomic_write(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a unique temp file and a rename.
+
+    Readers see the old file or the complete new one, never a partial
+    write; concurrent writers of one path each use their own temp file.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    # Mode 0o666 less the umask, as for any new file (mkstemp would give 0o600).
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+def jsonl_text(objs: Iterable[Mapping[str, Any]]) -> str:
+    """Encode objects as JSONL, one per line, non-ASCII text kept as is."""
+    return "".join(json.dumps(o, ensure_ascii=False) + "\n" for o in objs)
+
+
+def config_from_json(cls: type, obj: Any, what: str, **convert: Callable[[Any], Any]) -> Any:
+    """Build config dataclass ``cls`` from a JSON object.
+
+    ``obj`` must be an object whose keys are all fields of ``cls``;
+    ``convert`` maps field names to converters for the values present.
+    Anything else, including a value the converters or the dataclass
+    reject, raises :class:`ConfigError`.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"the {what} must be a JSON object")
+    unknown = set(obj) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    try:
+        return cls(**{k: convert[k](v) if k in convert else v for k, v in obj.items()})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
+def boxes_from_json(values: Any, line: int) -> tuple[NormBox, ...]:
+    """Decode a list of [cx, cy, w, h] arrays; null means no boxes."""
+    if values is None:
+        return ()
     if not isinstance(values, list):
         raise FormatError(line, "boxes must be a list of 4-number arrays")
     out = []
@@ -245,10 +334,27 @@ def _boxes_from_json(values: Any, line: int) -> tuple[NormBox, ...]:
         if not isinstance(v, list) or len(v) != 4:
             raise FormatError(line, f"each box must be an array of 4 numbers, got {v!r}")
         try:
-            out.append(NormBox.from_list(v))
-        except (TypeError, ValueError) as exc:
+            box = NormBox.from_list(v)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(line, f"bad box {v!r}: {exc}") from exc
+        if not all(map(math.isfinite, (box.cx, box.cy, box.w, box.h))):
+            raise FormatError(line, f"bad box {v!r}: coordinates must be finite")
+        out.append(box)
     return tuple(out)
+
+
+def finding_from_json(obj: Any, line: int) -> Finding:
+    """Decode one ``{"text": str, "boxes": [...]?}`` finding."""
+    if not isinstance(obj, dict):
+        raise FormatError(line, "each finding must be an object")
+    text = obj.get("text")
+    if not isinstance(text, str) or not text:
+        raise FormatError(line, "finding field 'text' must be a non-empty string")
+    return Finding(text, boxes_from_json(obj.get("boxes"), line))
+
+
+def _boxes_to_json(boxes: Iterable[NormBox]) -> list[list[float]]:
+    return [b.to_list() for b in boxes]
 
 
 def record_to_json(rec: AnnotationRecord) -> dict[str, Any]:
@@ -270,16 +376,23 @@ def record_to_json(rec: AnnotationRecord) -> dict[str, Any]:
     return obj
 
 
-def record_from_json(obj: Mapping[str, Any], line: int = 0) -> AnnotationRecord:
-    if not isinstance(obj, Mapping):
+def _task_from_json(value: Any, line: int) -> Task:
+    try:
+        return Task(value)
+    except ValueError as exc:
+        raise FormatError(line, f"unknown task {value!r}") from exc
+
+
+def record_from_json(obj: Any, line: int = 0) -> AnnotationRecord:
+    if not isinstance(obj, dict):
         raise FormatError(line, "each line must hold a JSON object")
     for name in ("image_id", "source_id", "task", "category", "split"):
         if name not in obj:
             raise FormatError(line, f"missing field {name!r}")
-    try:
-        task = Task(obj["task"])
-    except ValueError as exc:
-        raise FormatError(line, f"unknown task {obj['task']!r}") from exc
+    for name in ("image_id", "source_id", "category"):
+        if not isinstance(obj[name], str):
+            raise FormatError(line, f"field {name!r} must be a string")
+    task = _task_from_json(obj["task"], line)
     try:
         split = Split(obj["split"])
     except ValueError as exc:
@@ -287,45 +400,33 @@ def record_from_json(obj: Mapping[str, Any], line: int = 0) -> AnnotationRecord:
     text = obj.get("text")
     if text is not None and not isinstance(text, str):
         raise FormatError(line, "text must be a string or null")
-    findings = tuple(
-        Finding(f["text"], _boxes_from_json(f.get("boxes", []), line))
-        for f in obj.get("findings", [])
-    )
+    findings = obj.get("findings", [])
+    if not isinstance(findings, list):
+        raise FormatError(line, "findings must be a list of objects")
     meta = obj.get("meta", {})
-    if not isinstance(meta, Mapping):
+    if not isinstance(meta, dict):
         raise FormatError(line, "meta must be an object")
     return AnnotationRecord(
-        image_id=str(obj["image_id"]),
-        source_id=str(obj["source_id"]),
+        image_id=obj["image_id"],
+        source_id=obj["source_id"],
         task=task,
-        category=str(obj["category"]),
+        category=obj["category"],
         text=text,
-        boxes=_boxes_from_json(obj.get("boxes", []), line),
+        boxes=boxes_from_json(obj.get("boxes"), line),
         split=split,
-        findings=findings,
+        findings=tuple(finding_from_json(f, line) for f in findings),
         meta=dict(meta),
     )
 
 
 def load_records_jsonl(path: str | Path) -> list[AnnotationRecord]:
     """Load annotation records from a JSONL file, strictly."""
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(line_no, f"invalid JSON: {exc}") from exc
-            records.append(record_from_json(obj, line_no))
-    return records
+    return [record_from_json(obj, line_no) for line_no, obj in iter_jsonl(path)]
 
 
 def dump_records_jsonl(path: str | Path, records: Iterable[AnnotationRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(record_to_json(rec)) + "\n")
+    """Write records as JSONL, atomically, in the bytes the CLI writes."""
+    atomic_write(path, jsonl_text(record_to_json(rec) for rec in records))
 
 
 def instance_to_json(inst: InstructionInstance) -> dict[str, Any]:
@@ -340,28 +441,18 @@ def instance_to_json(inst: InstructionInstance) -> dict[str, Any]:
     }
 
 
-def instance_from_json(obj: Mapping[str, Any], line: int = 0) -> InstructionInstance:
+def instance_from_json(obj: Any, line: int = 0) -> InstructionInstance:
+    if not isinstance(obj, dict):
+        raise FormatError(line, "each line must hold a JSON object")
     for name in ("image_id", "source_id", "task", "category", "instruction", "response", "structured"):
         if name not in obj:
             raise FormatError(line, f"missing field {name!r}")
     return InstructionInstance(
         image_id=str(obj["image_id"]),
         source_id=str(obj["source_id"]),
-        task=Task(obj["task"]),
+        task=_task_from_json(obj["task"], line),
         category=str(obj["category"]),
         instruction=str(obj["instruction"]),
         response=str(obj["response"]),
         structured=record_from_json(obj["structured"], line),
     )
-
-
-def iter_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:
-    """Yield (line_no, parsed object) pairs from a JSONL file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                yield line_no, json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(line_no, f"invalid JSON: {exc}") from exc

@@ -30,7 +30,7 @@ from typing import Any, Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .core import AnnotationRecord, DataSourceId, Task, TaskFamily
+from .core import AnnotationRecord, DataSourceId, Task, TaskFamily, config_from_json
 from .errors import ConfigError, EmptyLeaf, MissingMetrics, NoMetrics
 
 DEFAULT_ALPHA = 0.8
@@ -361,12 +361,10 @@ class CurriculumConfig:
             raise ConfigError("total_steps must cover at least the warmup")
 
     @classmethod
-    def from_json(cls, obj: Mapping[str, Any]) -> "CurriculumConfig":
-        kwargs = dict(obj)
-        for key in ("inter_strategy", "intra_strategy"):
-            if key in kwargs:
-                kwargs[key] = Strategy(kwargs[key])
-        return cls(**kwargs)
+    def from_json(cls, obj: Any) -> "CurriculumConfig":
+        return config_from_json(
+            cls, obj, "curriculum", inter_strategy=Strategy, intra_strategy=Strategy
+        )
 
 
 def _source_structure(pool_source: PoolSource) -> dict[Task, tuple[list[str], list[int]]]:

@@ -634,17 +634,18 @@ def evaluate_task(
     micro_iou, macro_iou = _aggregate(iou_vals)
     micro_text, macro_text = _aggregate(text_vals)
 
-    per_class: dict[str, dict[str, float | int | None]] = {}
+    by_category: dict[str, list[SampleRow]] = {}
     for row in rows:
-        entry = per_class.setdefault(row.category, {"n": 0, "iou": None, "text_score": None})
-        entry["n"] = int(entry["n"]) + 1
-    for cat in per_class:
-        cat_iou = [r.iou for r in rows if r.category == cat and r.iou is not None]
-        cat_text = [r.text_score for r in rows if r.category == cat and r.text_score is not None]
-        if cat_iou:
-            per_class[cat]["iou"] = sum(cat_iou) / len(cat_iou)
-        if cat_text:
-            per_class[cat]["text_score"] = sum(cat_text) / len(cat_text)
+        by_category.setdefault(row.category, []).append(row)
+    per_class: dict[str, dict[str, float | int | None]] = {}
+    for cat, cat_rows in by_category.items():
+        cat_iou = [r.iou for r in cat_rows if r.iou is not None]
+        cat_text = [r.text_score for r in cat_rows if r.text_score is not None]
+        per_class[cat] = {
+            "n": len(cat_rows),
+            "iou": sum(cat_iou) / len(cat_iou) if cat_iou else None,
+            "text_score": sum(cat_text) / len(cat_text) if cat_text else None,
+        }
 
     return EvalReport(
         task=task,

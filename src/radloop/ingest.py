@@ -32,22 +32,25 @@ is skipped silently.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from .core import (
+    AGRG_SUBTASKS,
     AnnotationRecord,
     Finding,
     NormBox,
     Split,
     Task,
+    boxes_from_json,
     clamp_box,
+    finding_from_json,
+    iter_jsonl,
 )
-from .errors import FormatError, InsufficientStratum
+from .errors import EmptyAfterClamp, FormatError, InsufficientStratum
 
 #: Short detector class labels expanded to natural language phrases.
 #: Labels missing from the table pass through verbatim.
@@ -92,20 +95,6 @@ def expand_label(label: str) -> str:
     return LABEL_PHRASES.get(label, label)
 
 
-@dataclass(frozen=True)
-class SceneGraphEntry:
-    """One scene-graph row: a location with a box, a sentence, or both."""
-
-    image_id: str
-    location: str
-    box: NormBox | None = None
-    sentence: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.box is None and self.sentence is None:
-            raise ValueError("a scene graph entry needs a box or a sentence")
-
-
 def _get_str(obj: Mapping[str, Any], key: str, line: int) -> str:
     value = obj.get(key)
     if not isinstance(value, str) or not value:
@@ -123,24 +112,12 @@ def _get_split(obj: Mapping[str, Any], line: int, default: Split) -> Split:
         raise FormatError(line, f"unknown split {raw!r}") from exc
 
 
-def _get_box(raw: Any, line: int) -> NormBox:
-    if not isinstance(raw, list) or len(raw) != 4:
-        raise FormatError(line, f"a box must be an array of 4 numbers, got {raw!r}")
+def _clamped(boxes: tuple[NormBox, ...], line: int) -> tuple[NormBox, ...]:
+    """Clamp decoded boxes into the unit square; a box left empty is a format error."""
     try:
-        return clamp_box(NormBox.from_list(raw))
-    except (TypeError, ValueError) as exc:
-        raise FormatError(line, f"bad box {raw!r}: {exc}") from exc
-
-
-def _get_boxes(obj: Mapping[str, Any], key: str, line: int, required: bool) -> tuple[NormBox, ...]:
-    raw = obj.get(key)
-    if raw is None:
-        if required:
-            raise FormatError(line, f"field {key!r} is required")
-        return ()
-    if not isinstance(raw, list):
-        raise FormatError(line, f"field {key!r} must be a list of boxes")
-    return tuple(_get_box(b, line) for b in raw)
+        return tuple(clamp_box(b) for b in boxes)
+    except EmptyAfterClamp as exc:
+        raise FormatError(line, str(exc)) from exc
 
 
 def _scene_graph_records(obj: Mapping[str, Any], line: int) -> list[AnnotationRecord]:
@@ -148,7 +125,8 @@ def _scene_graph_records(obj: Mapping[str, Any], line: int) -> list[AnnotationRe
     location = _get_str(obj, "location", line)
     source_id = str(obj.get("source_id", "cig"))
     split = _get_split(obj, line, Split.TRAIN)
-    box = _get_box(obj["box"], line) if obj.get("box") is not None else None
+    raw_box = obj.get("box")
+    box = None if raw_box is None else _clamped(boxes_from_json([raw_box], line), line)[0]
     sentence = obj.get("sentence")
     if sentence is not None and (not isinstance(sentence, str) or not sentence):
         raise FormatError(line, "field 'sentence' must be a non-empty string")
@@ -171,7 +149,7 @@ def _scene_graph_records(obj: Mapping[str, Any], line: int) -> list[AnnotationRe
 def _phrase_boxes_records(obj: Mapping[str, Any], line: int) -> list[AnnotationRecord]:
     image_id = _get_str(obj, "image_id", line)
     phrase = _get_str(obj, "phrase", line)
-    boxes = _get_boxes(obj, "boxes", line, required=True)
+    boxes = _clamped(boxes_from_json(obj.get("boxes"), line), line)
     if not boxes:
         raise FormatError(line, "a phrase_boxes row needs at least one box")
     category = str(obj.get("category", phrase))
@@ -192,21 +170,15 @@ def _phrase_boxes_records(obj: Mapping[str, Any], line: int) -> list[AnnotationR
     ]
 
 
-def _finding_from_json(obj: Any, line: int, text_key: str) -> Finding:
-    if not isinstance(obj, Mapping):
-        raise FormatError(line, "each finding must be an object")
-    text = obj.get(text_key) or obj.get("text")
-    if not isinstance(text, str) or not text:
-        raise FormatError(line, f"finding field {text_key!r} must be a non-empty string")
-    return Finding(text, _get_boxes(obj, "boxes", line, required=False))
-
-
 def _grounded_report_records(obj: Mapping[str, Any], line: int) -> list[AnnotationRecord]:
     image_id = _get_str(obj, "image_id", line)
     raw_findings = obj.get("findings")
     if not isinstance(raw_findings, list) or not raw_findings:
         raise FormatError(line, "field 'findings' must be a non-empty list")
-    findings = tuple(_finding_from_json(f, line, "text") for f in raw_findings)
+    findings = tuple(
+        Finding(f.text, _clamped(f.boxes, line))
+        for f in (finding_from_json(raw, line) for raw in raw_findings)
+    )
     return [
         AnnotationRecord(
             image_id=image_id,
@@ -230,11 +202,11 @@ def _detection_records(obj: Mapping[str, Any], line: int) -> list[AnnotationReco
     records = []
     report_findings = []
     for raw in raw_findings:
-        if not isinstance(raw, Mapping) or not raw.get("label"):
+        if not isinstance(raw, dict) or not raw.get("label"):
             raise FormatError(line, "each finding needs a 'label'")
         label = str(raw["label"])
         phrase = expand_label(label)
-        boxes = _get_boxes(raw, "boxes", line, required=False)
+        boxes = _clamped(boxes_from_json(raw.get("boxes"), line), line)
         if boxes:
             records.append(
                 AnnotationRecord(
@@ -274,19 +246,7 @@ def load_records(path: str | Path, format: str) -> list[AnnotationRecord]:
     if format not in _FORMATS:
         raise ValueError(f"unknown format {format!r}; supported: {sorted(_FORMATS)}")
     convert = _FORMATS[format]
-    records: list[AnnotationRecord] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise FormatError(line_no, f"invalid JSON: {exc}") from exc
-            if not isinstance(obj, Mapping):
-                raise FormatError(line_no, "each line must hold a JSON object")
-            records.extend(convert(obj, line_no))
-    return records
+    return [rec for line_no, obj in iter_jsonl(path) for rec in convert(obj, line_no)]
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +278,18 @@ def _fixture_phrase(rng: np.random.Generator, category: str) -> str:
     return f"{q} {f} of the {category}"
 
 
+#: Per fixture task: (has a phrase as text, has one box). GRG records carry
+#: one to three boxed findings instead. Draw order per record: meta flags,
+#: text, box, findings.
+_FIXTURE_FIELDS = {
+    Task.PG: (True, True),
+    Task.GRG: (False, False),
+    Task.AGRG_LOCATE: (False, True),
+    Task.AGRG_DESCRIBE: (True, False),
+    Task.AGRG_BOTH: (True, True),
+}
+
+
 def make_fixture_dataset(
     seed: int, spec: Mapping[str, Mapping[str, int]], split: Split = Split.TRAIN
 ) -> list[AnnotationRecord]:
@@ -333,89 +305,41 @@ def make_fixture_dataset(
     records: list[AnnotationRecord] = []
     for task_key in spec:
         source_id, _, task_value = task_key.rpartition(":")
-        if task_value == "agrg":
-            tasks = [Task.AGRG_LOCATE, Task.AGRG_DESCRIBE, Task.AGRG_BOTH]
-        else:
-            tasks = [Task(task_value)]
+        tasks = AGRG_SUBTASKS if task_value == "agrg" else (Task(task_value),)
         if not source_id:
             source_id = f"fixture-{task_value}"
         for category, count in spec[task_key].items():
             for i in range(count):
                 for task in tasks:
+                    if task not in _FIXTURE_FIELDS:
+                        raise ValueError(f"cannot generate fixtures for task {task.value!r}")
                     image_id = f"{source_id}-{task.value}-{category}-{i:05d}"
                     meta = {
                         "has_abnormality": bool(rng.random() < 0.5),
                         "has_device": bool(rng.random() < 0.5),
                     }
-                    if task is Task.PG:
-                        records.append(
-                            AnnotationRecord(
-                                image_id=image_id,
-                                source_id=source_id,
-                                task=task,
-                                category=category,
-                                text=_fixture_phrase(rng, category),
-                                boxes=(_fixture_box(rng),),
-                                split=split,
-                                meta=meta,
-                            )
-                        )
-                    elif task is Task.GRG:
-                        n_findings = int(rng.integers(1, 4))
+                    has_text, has_box = _FIXTURE_FIELDS[task]
+                    text = _fixture_phrase(rng, category) if has_text else None
+                    boxes = (_fixture_box(rng),) if has_box else ()
+                    findings = ()
+                    if task is Task.GRG:
                         findings = tuple(
                             Finding(_fixture_phrase(rng, category), (_fixture_box(rng),))
-                            for _ in range(n_findings)
+                            for _ in range(int(rng.integers(1, 4)))
                         )
-                        records.append(
-                            AnnotationRecord(
-                                image_id=image_id,
-                                source_id=source_id,
-                                task=task,
-                                category=category,
-                                findings=findings,
-                                split=split,
-                                meta=meta,
-                            )
+                    records.append(
+                        AnnotationRecord(
+                            image_id=image_id,
+                            source_id=source_id,
+                            task=task,
+                            category=category,
+                            text=text,
+                            boxes=boxes,
+                            split=split,
+                            findings=findings,
+                            meta=meta,
                         )
-                    elif task is Task.AGRG_LOCATE:
-                        records.append(
-                            AnnotationRecord(
-                                image_id=image_id,
-                                source_id=source_id,
-                                task=task,
-                                category=category,
-                                boxes=(_fixture_box(rng),),
-                                split=split,
-                                meta=meta,
-                            )
-                        )
-                    elif task is Task.AGRG_DESCRIBE:
-                        records.append(
-                            AnnotationRecord(
-                                image_id=image_id,
-                                source_id=source_id,
-                                task=task,
-                                category=category,
-                                text=_fixture_phrase(rng, category),
-                                split=split,
-                                meta=meta,
-                            )
-                        )
-                    elif task is Task.AGRG_BOTH:
-                        records.append(
-                            AnnotationRecord(
-                                image_id=image_id,
-                                source_id=source_id,
-                                task=task,
-                                category=category,
-                                text=_fixture_phrase(rng, category),
-                                boxes=(_fixture_box(rng),),
-                                split=split,
-                                meta=meta,
-                            )
-                        )
-                    else:
-                        raise ValueError(f"cannot generate fixtures for task {task.value!r}")
+                    )
     return records
 
 
@@ -470,28 +394,25 @@ def build_benchmark_subset(
         else:
             without.setdefault(rec.category, []).append(rec)
 
-    chosen: list[AnnotationRecord] = []
-    if spec.n_with_findings > 0:
-        strata = list(with_findings.keys())
-        if not strata:
-            raise InsufficientStratum("with-findings", 0, spec.n_with_findings)
-        for stratum, want in zip(strata, _alloc(spec.n_with_findings, len(strata))):
-            pool = with_findings[stratum]
-            if want > len(pool):
-                raise InsufficientStratum(stratum, len(pool), want)
-            if want:
-                idx = rng.choice(len(pool), size=want, replace=False)
-                chosen.extend(pool[int(i)] for i in sorted(idx))
+    chosen = _draw_spread(with_findings, spec.n_with_findings, "with-findings", rng)
+    return chosen + _draw_spread(without, spec.n_without_findings, "without-findings", rng)
 
-    if spec.n_without_findings > 0:
-        locations = list(without.keys())
-        if not locations:
-            raise InsufficientStratum("without-findings", 0, spec.n_without_findings)
-        for location, want in zip(locations, _alloc(spec.n_without_findings, len(locations))):
-            pool = without[location]
-            if want > len(pool):
-                raise InsufficientStratum(location, len(pool), want)
-            if want:
-                idx = rng.choice(len(pool), size=want, replace=False)
-                chosen.extend(pool[int(i)] for i in sorted(idx))
+
+def _draw_spread(
+    groups: Mapping[Any, list[AnnotationRecord]], total: int, name: str, rng: np.random.Generator
+) -> list[AnnotationRecord]:
+    """Draw ``total`` records without replacement, spread evenly over ``groups``
+    in their insertion order; a group too small for its share raises."""
+    if total <= 0:
+        return []
+    if not groups:
+        raise InsufficientStratum(name, 0, total)
+    chosen: list[AnnotationRecord] = []
+    for key, want in zip(groups, _alloc(total, len(groups))):
+        pool = groups[key]
+        if want > len(pool):
+            raise InsufficientStratum(key, len(pool), want)
+        if want:
+            idx = rng.choice(len(pool), size=want, replace=False)
+            chosen.extend(pool[int(i)] for i in sorted(idx))
     return chosen

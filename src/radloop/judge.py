@@ -15,10 +15,11 @@ import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
+from .core import atomic_write, config_from_json
 from .errors import (
     EmptyInput,
     IllegalValue,
@@ -80,6 +81,9 @@ _YES_NO_FIELDS = (
     "gen_has_hallucinated_devices",
 )
 
+#: Legal values of every enum field of a verdict, in validation order.
+_LEGAL_VALUES = {**dict.fromkeys(_YES_NO_FIELDS, _YES_NO), "nli_status": _NLI_VALUES}
+
 
 def build_judge_prompt(gen: str, gt_report: str) -> str:
     """Assemble the full judge prompt for one (generation, ground truth) pair."""
@@ -106,37 +110,28 @@ class JudgeVerdict:
     nli_status: str
 
     def to_json(self) -> dict[str, str]:
-        return {
-            "reason": self.reason,
-            **{name: getattr(self, name) for name in _YES_NO_FIELDS},
-            "nli_status": self.nli_status,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: Mapping[str, Any]) -> "JudgeVerdict":
         return _verdict_from_mapping(obj, lenient=False)
 
 
-def _verdict_from_mapping(obj: Mapping[str, Any], lenient: bool) -> JudgeVerdict:
+def _verdict_from_mapping(obj: Any, lenient: bool) -> JudgeVerdict:
+    if not isinstance(obj, dict):
+        raise MalformedJson("a verdict must be a JSON object")
     reason = obj.get("reason")
     if reason is None:
         raise MissingField("reason")
     values: dict[str, str] = {"reason": str(reason)}
-    for name in _YES_NO_FIELDS:
+    for name, legal in _LEGAL_VALUES.items():
         raw = obj.get(name)
         if raw is None:
             raise MissingField(name)
         value = raw.strip().lower() if lenient and isinstance(raw, str) else raw
-        if value not in _YES_NO:
+        if value not in legal:
             raise IllegalValue(name, raw)
         values[name] = value
-    raw = obj.get("nli_status")
-    if raw is None:
-        raise MissingField("nli_status")
-    value = raw.strip().lower() if lenient and isinstance(raw, str) else raw
-    if value not in _NLI_VALUES:
-        raise IllegalValue("nli_status", raw)
-    values["nli_status"] = value
     return JudgeVerdict(**values)
 
 
@@ -154,8 +149,6 @@ def validate_verdict(raw: str, lenient: bool = False) -> JudgeVerdict:
         obj, _ = json.JSONDecoder().raw_decode(raw, start)
     except json.JSONDecodeError as exc:
         raise MalformedJson(f"invalid JSON in response: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise MalformedJson("top-level JSON value is not an object")
     return _verdict_from_mapping(obj, lenient=lenient)
 
 
@@ -187,12 +180,8 @@ class EndpointConfig:
             raise ValueError("parallelism must be >= 1")
 
     @classmethod
-    def from_json(cls, obj: Mapping[str, Any]) -> "EndpointConfig":
-        known = {f: obj[f] for f in (
-            "url", "model", "timeout", "max_retries", "backoff",
-            "api_key_env", "cache_dir", "parallelism",
-        ) if f in obj}
-        return cls(**known)
+    def from_json(cls, obj: Any) -> "EndpointConfig":
+        return config_from_json(cls, obj, "endpoint")
 
 
 def request_hash(prompt: str, model: str) -> str:
@@ -269,10 +258,7 @@ def call_judge(
                 sleep(config.backoff * (2**attempt))
             continue
         if cache_path is not None:
-            cache_path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = cache_path.with_suffix(".tmp")
-            tmp.write_text(text, encoding="utf-8")
-            os.replace(tmp, cache_path)
+            atomic_write(cache_path, text)
         return text
     assert last_error is not None
     if config.max_retries == 0:
@@ -317,17 +303,8 @@ class AnatomyStats:
     neutral_rate: float
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "anatomy": self.anatomy,
-            "n": self.n,
-            "abn_halluc_rate": round(self.abn_halluc_rate, 4),
-            "abn_correct_rate": round(self.abn_correct_rate, 4),
-            "dev_halluc_rate": round(self.dev_halluc_rate, 4),
-            "dev_correct_rate": round(self.dev_correct_rate, 4),
-            "contradiction_rate": round(self.contradiction_rate, 4),
-            "entailment_rate": round(self.entailment_rate, 4),
-            "neutral_rate": round(self.neutral_rate, 4),
-        }
+        rates = {name: round(getattr(self, name), 4) for name in _RATE_FIELDS}
+        return {"anatomy": self.anatomy, "n": self.n, **rates}
 
 
 _RATE_FIELDS = (

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .core import AGRG_SUBTASKS, AnnotationRecord, Finding, InstructionInstance, NormBox, Split, Task
+from .core import AnnotationRecord, Finding, InstructionInstance, NormBox, Split, Task
 from .errors import MissingField, UnsupportedTask
 
 PG_INSTRUCTION = "Ground the phrase: {phrase}"

@@ -31,7 +31,6 @@ from radloop.core import (
     NormBox,
     Task,
     TaskFamily,
-    box_corners,
 )
 from radloop.curriculum import (
     CurriculumConfig,

@@ -573,3 +573,156 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         lines = [json.loads(line) for line in err.splitlines() if line.strip()]
         assert any(line["level"] == "info" and "wrote" in line["message"] for line in lines)
+
+
+# ---------------------------------------------------------------------------
+# Malformed input never escapes as a traceback
+
+_GOOD_RECORD = {
+    "image_id": "i", "source_id": "s", "task": "pg", "category": "c", "text": "x",
+    "boxes": [[0.5, 0.5, 0.2, 0.2]], "split": "train",
+}
+
+#: JSONL bodies that break one rule each: non-object lines, truncated JSON,
+#: and wrong-typed findings, boxes, meta and id fields in every row shape
+#: the CLI reads (records, raw ingest rows, predictions, judge rows).
+_BAD_JSONL = [
+    '[1, 2]\n"error"\n5\n',
+    '"error"\n',
+    '{"image_id": "i", "source_id": "s", "ta\n',
+    *(
+        json.dumps({**_GOOD_RECORD, **override}) + "\n"
+        for override in (
+            {"findings": [1]},
+            {"findings": "x"},
+            {"findings": [{"text": "t", "boxes": "b"}]},
+            {"boxes": "x"},
+            {"boxes": [[1, 2]]},
+            {"boxes": [["a", 0.5, 0.1, 0.1]]},
+            {"boxes": [[5.0, 5.0, 0.1, 0.1]]},
+            {"meta": [1]},
+            {"image_id": [1]},
+            {"task": [1]},
+        )
+    ),
+    json.dumps({"image_id": "i", "location": "spine", "box": "x"}) + "\n",
+    json.dumps({"image_id": "i", "location": "spine", "box": [5.0, 5.0, 0.1, 0.1]}) + "\n",
+    json.dumps({"image_id": "i", "phrase": "p", "boxes": [[1, 2]]}) + "\n",
+    json.dumps({"image_id": "i", "findings": [{"label": "x", "boxes": "y"}]}) + "\n",
+    json.dumps({"image_id": "i", "output": [1]}) + "\n",
+    json.dumps({"image_id": "im1", "anatomy": "a", "text": {"t": 1}}) + "\n",
+    json.dumps({"image_id": ["im1"], "anatomy": "a", "text": "t"}) + "\n",
+    json.dumps({"image_id": {"k": 1}, "text": "t"}) + "\n",
+    json.dumps({"anatomy": "a", "verdict": 1}) + "\n",
+    json.dumps({"anatomy": "a", "verdict": {"reason": "r"}}) + "\n",
+]
+
+#: JSON documents for the config, policy, endpoint and metrics inputs.
+_BAD_DOCS = [
+    "[1, 2]",
+    "5",
+    '{"seed": ',
+    '{"curriculum": {"bogus": 1}}',
+    '{"curriculum": {"alpha": [1]}}',
+    '{"curriculum": {"inter_strategy": "bogus"}}',
+    '{"curriculum": [1]}',
+    '{"policy": 3}',
+    '{"policy": {"p_clahe": "x"}}',
+    '{"policy": {"crop_scale_range": 1}}',
+    '{"endpoint": {"url": "u", "model": "m", "extra": 1}}',
+    '{"endpoint": {"url": "u"}}',
+    '{"seed": [1]}',
+    '{"version": null}',
+    '{"bogus": 1}',
+    "[{}]",
+    '[{"name": "x"}]',
+]
+
+_FUZZ_CASES = {
+    "ingest-scene_graph": ["ingest", "--in", "BAD", "--format", "scene_graph"],
+    "ingest-phrase_boxes": ["ingest", "--in", "BAD", "--format", "phrase_boxes"],
+    "ingest-grounded_report": ["ingest", "--in", "BAD", "--format", "grounded_report"],
+    "ingest-detection": ["ingest", "--in", "BAD", "--format", "detection"],
+    "gen-tasks": ["gen-tasks", "--records", "BAD"],
+    "augment": ["augment", "--records", "BAD", "--seed", "1"],
+    "augment-policy": ["augment", "--records", "RECORDS", "--policy", "DOC", "--seed", "1"],
+    "plan": ["plan", "--records", "BAD"],
+    "plan-metrics": ["plan", "--records", "RECORDS", "--metrics", "DOC"],
+    "sample": ["sample", "--records", "BAD", "--plan", "PLAN", "--n", "3", "--seed", "1"],
+    "sample-plan": ["sample", "--records", "RECORDS", "--plan", "DOC", "--n", "3", "--seed", "1"],
+    "simulate": ["simulate", "--records", "BAD", "--seed", "1", "--warmup-steps", "10",
+                 "--reweight-interval", "10", "--total-steps", "20"],
+    "eval-pred": ["eval", "--pred", "BAD", "--gold", "RECORDS", "--task", "pg"],
+    "eval-gold": ["eval", "--pred", "PREDS", "--gold", "BAD", "--task", "pg"],
+    "judge-pred": ["judge", "--pred", "BAD", "--gold", "REPORTS", "--endpoint", "ENDPOINT"],
+    "judge-gold": ["judge", "--pred", "JUDGED", "--gold", "BAD", "--endpoint", "ENDPOINT"],
+    "judge-endpoint": ["judge", "--pred", "JUDGED", "--gold", "REPORTS", "--endpoint", "DOC"],
+    "judge-aggregate": ["judge-aggregate", "--in", "BAD"],
+    "preprocess": ["preprocess", "--in", "DOC"],
+    "config": ["gen-tasks", "--records", "RECORDS", "--config", "DOC"],
+}
+
+
+@pytest.fixture()
+def fuzz_inputs(records_path, tmp_path):
+    paths = {"RECORDS": records_path, "PLAN": tmp_path / "plan.json"}
+    assert dispatch(["plan", "--records", str(records_path), "--out", str(paths["PLAN"])]) == 0
+    rows = {
+        "PREDS": [{"image_id": "i", "output": "x: [0.50,0.50,0.20,0.20]"}],
+        "REPORTS": [{"image_id": "im1", "text": "Normal."}],
+        "JUDGED": [{"image_id": "im1", "anatomy": "a", "text": "Clear."}],
+    }
+    for name, body in rows.items():
+        paths[name] = tmp_path / f"{name.lower()}.jsonl"
+        paths[name].write_text("".join(json.dumps(r) + "\n" for r in body), encoding="utf-8")
+    # Nothing listens on port 1, so a row that gets as far as the endpoint fails fast.
+    paths["ENDPOINT"] = tmp_path / "endpoint.json"
+    paths["ENDPOINT"].write_text(
+        json.dumps({"url": "http://127.0.0.1:1/v1", "model": "m", "max_retries": 0}),
+        encoding="utf-8",
+    )
+    return paths
+
+
+@pytest.mark.parametrize("case", sorted(_FUZZ_CASES))
+def test_malformed_inputs_exit_cleanly(case, fuzz_inputs, tmp_path, capsys):
+    argv = _FUZZ_CASES[case]
+    bodies = _BAD_JSONL if "BAD" in argv else _BAD_DOCS
+    bad = tmp_path / "bad"
+    for body in bodies:
+        bad.write_text(body, encoding="utf-8")
+        paths = {**fuzz_inputs, "BAD": bad, "DOC": bad}
+        args = [str(paths.get(a, a)) for a in argv] + ["--out", str(tmp_path / "out")]
+        rc = dispatch(args)
+        err = capsys.readouterr().err
+        assert rc in (0, 1, 2), (body, err)
+        assert "Traceback" not in err, (body, err)
+
+
+@pytest.mark.parametrize(
+    "argv,body,error",
+    [
+        (["judge-aggregate", "--in", "BAD"], '"error"\n', "FormatError"),
+        (["judge-aggregate", "--in", "BAD"], "[1]\n", "FormatError"),
+        (["judge", "--pred", "BAD", "--gold", "REPORTS", "--endpoint", "ENDPOINT"],
+         "[1]\n", "FormatError"),
+        (["judge", "--pred", "JUDGED", "--gold", "BAD", "--endpoint", "ENDPOINT"],
+         "5\n", "FormatError"),
+        (["gen-tasks", "--records", "BAD"],
+         json.dumps({**_GOOD_RECORD, "findings": [1]}) + "\n", "FormatError"),
+        (["plan", "--records", "RECORDS", "--metrics", "BAD"], "[1, 2]", "FormatError"),
+        (["gen-tasks", "--records", "RECORDS", "--config", "BAD"],
+         '{"curriculum": {"bogus": 1}}', "ConfigError"),
+        (["gen-tasks", "--records", "RECORDS", "--config", "BAD"],
+         '{"policy": {"bogus": 1}}', "ConfigError"),
+        (["gen-tasks", "--records", "RECORDS", "--config", "BAD"],
+         '{"endpoint": {"url": "u", "model": "m", "bogus": 1}}', "ConfigError"),
+    ],
+)
+def test_malformed_input_names_the_domain_error(argv, body, error, fuzz_inputs, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    bad.write_text(body, encoding="utf-8")
+    paths = {**fuzz_inputs, "BAD": bad}
+    rc = dispatch([str(paths.get(a, a)) for a in argv] + ["--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"ERROR radloop: {error}:" in capsys.readouterr().err

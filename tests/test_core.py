@@ -1,8 +1,10 @@
 import json
 import math
+import os
+import stat
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from radloop.core import (
     EPSILON,
@@ -13,16 +15,17 @@ from radloop.core import (
     Split,
     Task,
     TaskFamily,
-    box_corners,
     clamp_box,
     dump_records_jsonl,
     instance_from_json,
     instance_to_json,
+    iter_jsonl,
     load_records_jsonl,
     record_from_json,
     record_to_json,
 )
 from radloop.errors import EmptyAfterClamp, FormatError
+from radloop.ingest import load_records
 from radloop.taskgen import render_instruction
 
 
@@ -57,10 +60,6 @@ class TestNormBox:
 
     def test_area(self):
         assert NormBox(0.5, 0.5, 0.5, 0.5).area() == 0.25
-
-    def test_box_corners_helper(self):
-        box = NormBox(0.3, 0.4, 0.2, 0.2)
-        assert box_corners(box) == box.corners()
 
     @given(boxes_strategy)
     def test_corner_form_inverse(self, box):
@@ -222,11 +221,103 @@ class TestRecordJson:
             load_records_jsonl(path)
         assert err.value.line == 2
 
+    def test_dump_writes_cli_bytes_atomically(self, tmp_path):
+        rec = AnnotationRecord(
+            image_id="é-1", source_id="s", task=Task.PG, category="c",
+            text="Ödem", boxes=(NormBox(0.5, 0.5, 0.2, 0.2),),
+        )
+        path = tmp_path / "r.jsonl"
+        dump_records_jsonl(path, [rec])
+        expected = json.dumps(record_to_json(rec), ensure_ascii=False) + "\n"
+        assert path.read_text(encoding="utf-8") == expected
+        assert load_records_jsonl(path) == [rec]
+        assert [p.name for p in tmp_path.iterdir()] == ["r.jsonl"]
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "blank.jsonl"
         good = json.dumps(record_to_json(_sample_records()[0]))
         path.write_text("\n" + good + "\n\n", encoding="utf-8")
         assert len(load_records_jsonl(path)) == 1
+
+
+#: Keys of the record schema and of the four raw ingest formats, so generated
+#: objects reach the field decoders instead of stopping at a missing key.
+_SCHEMA_KEYS = (
+    "image_id", "source_id", "task", "category", "text", "boxes", "split",
+    "findings", "meta", "location", "box", "sentence", "phrase", "label",
+)
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(["pg", "grg", "agrg_both", "detection", "train", "test", "report"])
+)
+json_values = st.recursive(
+    _json_scalars,
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(st.sampled_from(_SCHEMA_KEYS) | st.text(max_size=4), children, max_size=9),
+    max_leaves=40,
+)
+jsonl_lines = st.lists(st.one_of(json_values.map(json.dumps), st.text(max_size=20)), max_size=4)
+
+
+class TestReadersAreTotal:
+    """Every reader returns its documented type or raises FormatError."""
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=jsonl_lines)
+    def test_any_lines(self, tmp_path, lines):
+        path = tmp_path / "in.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        readers = [
+            (lambda: list(iter_jsonl(path)), lambda item: isinstance(item[1], dict)),
+            (lambda: load_records_jsonl(path), lambda r: isinstance(r, AnnotationRecord)),
+        ]
+        for fmt in ("scene_graph", "phrase_boxes", "grounded_report", "detection"):
+            readers.append(
+                (lambda fmt=fmt: load_records(path, fmt), lambda r: isinstance(r, AnnotationRecord))
+            )
+        for read, is_item in readers:
+            try:
+                items = read()
+            except FormatError:
+                continue
+            assert all(is_item(item) for item in items)
+
+    def test_non_object_lines_rejected(self, tmp_path):
+        for line in ("[1, 2]", '"error"', "5", "null"):
+            path = tmp_path / "in.jsonl"
+            path.write_text("{}\n" + line + "\n", encoding="utf-8")
+            with pytest.raises(FormatError) as err:
+                list(iter_jsonl(path))
+            assert err.value.line == 2
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("findings", [1]),
+            ("findings", "x"),
+            ("findings", [{"text": ""}]),
+            ("findings", [{"text": "a", "boxes": [[0.5, 0.5, 0.1]]}]),
+            ("boxes", [[0.5, 0.5, float("nan"), 0.1]]),
+            ("boxes", [[0.5, 0.5, 10**400, 0.1]]),
+            ("meta", [1]),
+            ("image_id", [1]),
+            ("source_id", 3),
+            ("category", None),
+        ],
+    )
+    def test_wrong_typed_fields_rejected(self, field, value):
+        obj = record_to_json(_sample_records()[0])
+        obj[field] = value
+        with pytest.raises(FormatError) as err:
+            record_from_json(obj, line=4)
+        assert err.value.line == 4
 
 
 class TestInstanceJson:
@@ -238,6 +329,14 @@ class TestInstanceJson:
     def test_missing_field(self):
         obj = instance_to_json(render_instruction(_sample_records()[0]))
         del obj["response"]
+        with pytest.raises(FormatError):
+            instance_from_json(obj)
+
+    def test_non_object_and_unknown_task_rejected(self):
+        with pytest.raises(FormatError):
+            instance_from_json([1])
+        obj = instance_to_json(render_instruction(_sample_records()[0]))
+        obj["task"] = "segmentation"
         with pytest.raises(FormatError):
             instance_from_json(obj)
 

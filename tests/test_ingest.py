@@ -9,7 +9,6 @@ from radloop.ingest import (
     LABEL_PHRASES,
     MINI_REPORT_PROMPT,
     BenchmarkSubsetSpec,
-    SceneGraphEntry,
     build_benchmark_subset,
     expand_label,
     load_records,
@@ -101,10 +100,6 @@ class TestSceneGraph:
         )
         with pytest.raises(FormatError):
             load_records(path, "scene_graph")
-
-    def test_entry_dataclass_requires_annotation(self):
-        with pytest.raises(ValueError):
-            SceneGraphEntry(image_id="i", location="spine")
 
 
 class TestPhraseBoxes:

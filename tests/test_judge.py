@@ -1,8 +1,11 @@
 import json
+import sys
+import time
 
 import pytest
 
 from radloop.errors import (
+    ConfigError,
     EmptyInput,
     IllegalValue,
     JudgeTimeout,
@@ -240,13 +243,35 @@ class TestJudgePairs:
     def test_empty(self):
         assert judge_pairs([], config(), None, sleep=lambda s: None) == []
 
+    def test_duplicate_prompts_share_the_cache_safely(self, tmp_path):
+        # Identical prompts hash to one cache file that several threads write
+        # at once; every write must land whole and leave no temp file behind.
+        def transport(url, payload, timeout, headers):
+            time.sleep(0.001)
+            return "same verdict"
+
+        pairs = [("N/A", "gt report")] * 16
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(20):
+                cache = tmp_path / f"cache-{trial}"
+                cfg = config(parallelism=8, cache_dir=str(cache))
+                out = judge_pairs(pairs, cfg, transport, sleep=lambda s: None)
+                assert out == ["same verdict"] * 16
+                assert [p.suffix for p in cache.iterdir()] == [".txt"]
+        finally:
+            sys.setswitchinterval(interval)
+
 
 class TestEndpointConfig:
-    def test_from_json_ignores_extras(self):
-        cfg = EndpointConfig.from_json(
-            {"url": "http://x", "model": "m", "max_retries": 5, "comment": "ignored"}
-        )
+    def test_from_json_rejects_extras(self):
+        cfg = EndpointConfig.from_json({"url": "http://x", "model": "m", "max_retries": 5})
         assert cfg.max_retries == 5
+        with pytest.raises(ConfigError):
+            EndpointConfig.from_json(
+                {"url": "http://x", "model": "m", "max_retries": 5, "comment": "ignored"}
+            )
 
     def test_validation(self):
         with pytest.raises(ValueError):
