@@ -28,7 +28,7 @@ from .core import (
     config_from_json,
 )
 from .errors import EmptyAfterClamp, GridTooFine
-from .taskgen import TemplateSet, DEFAULT_TEMPLATES, render_instruction
+from .taskgen import render_instruction
 
 #: Deterministic evaluation-path contrast parameters and target size.
 EVAL_CLAHE_CLIP = 3.0
@@ -405,7 +405,6 @@ def augment_instance(
     instance: InstructionInstance,
     policy: AugPolicy = DEFAULT_POLICY,
     seed: int = 0,
-    templates: TemplateSet = DEFAULT_TEMPLATES,
 ) -> InstructionInstance:
     """Draw one augmentation for an instance and regenerate its response.
 
@@ -423,7 +422,7 @@ def augment_instance(
         meta["clahe_clip"] = EVAL_CLAHE_CLIP
         meta["clahe_grid"] = list(EVAL_CLAHE_GRID)
         record = replace(instance.structured, meta=meta)
-        return render_instruction(record, templates)
+        return render_instruction(record)
 
     aug: dict[str, Any] = {"pipeline": "train"}
     if rng.random() < policy.p_clahe:
@@ -448,4 +447,4 @@ def augment_instance(
     meta = dict(transformed.meta)
     meta.update(aug)
     record = replace(transformed, meta=meta)
-    return render_instruction(record, templates)
+    return render_instruction(record)

@@ -179,17 +179,6 @@ class AnnotationRecord:
     findings: tuple[Finding, ...] = ()
     meta: Mapping[str, Any] = field(default_factory=dict)
 
-    def validate(self) -> None:
-        """Check the per-task structural invariants."""
-        if self.task is Task.AGRG_LOCATE and not self.boxes:
-            raise ValueError("agrg_locate records need at least one box")
-        if self.task is Task.AGRG_DESCRIBE and not self.text:
-            raise ValueError("agrg_describe records need a description")
-        if self.task is Task.AGRG_BOTH and not (self.boxes and self.text):
-            raise ValueError("agrg_both records need boxes and a description")
-        if self.task is Task.GRG and not self.findings:
-            raise ValueError("grg records need at least one finding")
-
 
 @dataclass(frozen=True)
 class InstructionInstance:
@@ -239,8 +228,9 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
     """Yield (line_no, object) pairs from a JSONL file; blank lines are skipped.
 
     This is the only place a file line is decoded. A line that is not valid
-    JSON, or holds a JSON value other than an object, raises
-    :class:`FormatError` with its line number.
+    JSON, holds a JSON value other than an object, or escapes a lone
+    surrogate (text no UTF-8 writer can write) raises :class:`FormatError`
+    with its line number.
     """
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -253,6 +243,13 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
                 raise FormatError(line_no, f"invalid JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise FormatError(line_no, "each line must hold a JSON object")
+            # Only a \u escape can decode to a lone surrogate; the one-character
+            # test first is a memchr, far cheaper than the two-character search.
+            if "\\" in line and "\\u" in line:
+                try:
+                    json.dumps(obj, ensure_ascii=False).encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise FormatError(line_no, f"text holds a lone surrogate: {exc}") from exc
             yield line_no, obj
 
 

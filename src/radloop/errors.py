@@ -41,6 +41,10 @@ class MissingField(RadloopError):
     """A record lacks a field required by its task template."""
 
 
+class Unrenderable(RadloopError):
+    """A record field holds text its response template could not parse back."""
+
+
 class UnsupportedTask(RadloopError):
     """The requested operation is not defined for this task."""
 

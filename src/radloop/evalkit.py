@@ -1,11 +1,12 @@
 """Parsing and scoring of grounded model outputs.
 
-The strict parser accepts exactly the productions of the response templates
-in :mod:`radloop.taskgen`; anything else raises :class:`ParseError` with the
-failing position. The lenient parser first tries the strict grammar and then
-falls back to scanning for bracketed 4-tuples anywhere in the text, marking
-the result ``salvaged``. Out-of-range coordinates are clamped and reported
-through ``ParsedOutput.warnings`` in both modes.
+The strict parser walks :data:`radloop.taskgen.RESPONSE_GRAMMAR` and so
+accepts exactly the productions of the response templates; anything else
+raises :class:`ParseError` with the failing position. The lenient parser
+first tries the strict grammar and then falls back to scanning for bracketed
+4-tuples anywhere in the text, marking the result ``salvaged``.
+Out-of-range coordinates are clamped and reported through
+``ParsedOutput.warnings`` in both modes.
 
 Geometry uses exact rectangle-union areas computed by coordinate sweep, so
 grounding IoU carries no rasterization error. All functions are pure and
@@ -27,14 +28,11 @@ from .errors import (
     UnknownId,
     UnsupportedTask,
 )
+from .taskgen import RESPONSE_FIELDS, RESPONSE_GRAMMAR
 
 # Minimum side kept for a degenerate predicted box; keeps the area near zero
 # so a zero-width prediction scores like an empty one instead of crashing.
 _MIN_SIDE = 1e-6
-
-_LOCATE_PREFIX = "Location of the "
-_DESCRIBE_PREFIX = "Description of the "
-_BOTH_SEPARATOR = ". Description: "
 
 
 @dataclass
@@ -128,74 +126,8 @@ def _parse_box_run(text: str, pos: int, warnings: list[str]) -> tuple[list[NormB
             return boxes, pos
 
 
-def _split_at_boxes(text: str, prefix: str) -> tuple[str, int]:
-    """Return (head, position of the box run) around the first ': ['."""
-    if not text.startswith(prefix):
-        raise ParseError(0, repr(prefix))
-    k = text.find(": [", len(prefix))
-    if k == -1:
-        raise ParseError(len(text), "': ' followed by a box group")
-    head = text[len(prefix) : k]
-    if not head:
-        raise ParseError(len(prefix), "a location")
-    return head, k + 2
-
-
-def _parse_pg_strict(text: str, out: ParsedOutput) -> None:
-    k = text.find(": [")
-    if k == -1:
-        raise ParseError(len(text), "': ' followed by a box group")
-    if k == 0:
-        raise ParseError(0, "a phrase")
-    out.phrase = text[:k]
-    boxes, pos = _parse_box_run(text, k + 2, out.warnings)
-    if pos != len(text):
-        raise ParseError(pos, "end of output")
-    out.boxes = boxes
-
-
-def _parse_locate_strict(text: str, out: ParsedOutput) -> None:
-    location, pos = _split_at_boxes(text, _LOCATE_PREFIX)
-    boxes, pos = _parse_box_run(text, pos, out.warnings)
-    if pos >= len(text) or text[pos] != ".":
-        raise ParseError(pos, "'.'")
-    if pos + 1 != len(text):
-        raise ParseError(pos + 1, "end of output")
-    out.location = location
-    out.boxes = boxes
-
-
-def _parse_describe_strict(text: str, out: ParsedOutput) -> None:
-    if not text.startswith(_DESCRIBE_PREFIX):
-        raise ParseError(0, repr(_DESCRIBE_PREFIX))
-    k = text.find(": ", len(_DESCRIBE_PREFIX))
-    if k == -1:
-        raise ParseError(len(text), "': ' before the description")
-    location = text[len(_DESCRIBE_PREFIX) : k]
-    if not location:
-        raise ParseError(len(_DESCRIBE_PREFIX), "a location")
-    description = text[k + 2 :]
-    if not description:
-        raise ParseError(len(text), "a description")
-    out.location = location
-    out.description = description
-
-
-def _parse_both_strict(text: str, out: ParsedOutput) -> None:
-    location, pos = _split_at_boxes(text, _LOCATE_PREFIX)
-    boxes, pos = _parse_box_run(text, pos, out.warnings)
-    if not text.startswith(_BOTH_SEPARATOR, pos):
-        raise ParseError(pos, repr(_BOTH_SEPARATOR))
-    description = text[pos + len(_BOTH_SEPARATOR) :]
-    if not description:
-        raise ParseError(len(text), "a description")
-    out.location = location
-    out.boxes = boxes
-    out.description = description
-
-
-def _parse_grg_strict(text: str, out: ParsedOutput) -> None:
-    pos = 0
+def _parse_grg_strict(text: str, pos: int, out: ParsedOutput) -> int:
+    """Parse findings from ``pos`` to the end of the output."""
     n = len(text)
     findings: list[Finding] = []
     while pos < n:
@@ -228,18 +160,39 @@ def _parse_grg_strict(text: str, out: ParsedOutput) -> None:
             if pos >= n:
                 raise ParseError(pos, "another finding")
     if not findings:
-        raise ParseError(0, "at least one finding")
+        raise ParseError(pos, "at least one finding")
     out.findings = findings
     out.boxes = [b for f in findings for b in f.boxes]
+    return pos
 
 
-_STRICT_PARSERS = {
-    Task.PG: _parse_pg_strict,
-    Task.GRG: _parse_grg_strict,
-    Task.AGRG_LOCATE: _parse_locate_strict,
-    Task.AGRG_DESCRIBE: _parse_describe_strict,
-    Task.AGRG_BOTH: _parse_both_strict,
-}
+def _parse_strict(text: str, grammar: tuple, out: ParsedOutput) -> None:
+    """Match ``text`` against a response template's ``grammar``.
+
+    Literals match exactly. A text field is non-empty and ends at the first
+    occurrence of its end text, or at the end of the output when it has none;
+    boxes and findings follow their own grammars. Nothing may follow the
+    template.
+    """
+    pos = 0
+    for literal, name, end in grammar:
+        if not text.startswith(literal, pos):
+            raise ParseError(pos, repr(literal))
+        pos += len(literal)
+        if name == "boxes":
+            out.boxes, pos = _parse_box_run(text, pos, out.warnings)
+        elif name == "findings":
+            pos = _parse_grg_strict(text, pos, out)
+        elif name is not None:
+            k = len(text) if end is None else text.find(end, pos)
+            if k == -1:
+                raise ParseError(len(text), f"{end!r} ending the {name}")
+            if k == pos:
+                raise ParseError(pos, f"a {name}")
+            setattr(out, name, text[pos:k])
+            pos = k
+    if pos != len(text):
+        raise ParseError(pos, "end of output")
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +263,14 @@ def parse_output(text: str, task: Task, mode: str = "strict") -> ParsedOutput:
     :class:`ParseError`; lenient parsing never raises and sets ``salvaged``
     whenever the strict grammar did not match.
     """
-    if task not in _STRICT_PARSERS:
+    grammar = RESPONSE_GRAMMAR.get(task)
+    if grammar is None:
         raise UnsupportedTask(f"no output grammar for task {task.value!r}")
     if mode not in ("strict", "lenient"):
         raise ValueError(f"mode must be 'strict' or 'lenient', got {mode!r}")
     out = ParsedOutput(task=task)
     try:
-        _STRICT_PARSERS[task](text, out)
+        _parse_strict(text, grammar, out)
         return out
     except ParseError:
         if mode == "strict":
@@ -448,10 +402,6 @@ def get_scorer(name: str) -> Scorer:
 # ---------------------------------------------------------------------------
 # Task evaluation
 
-_IOU_TASKS = frozenset({Task.PG, Task.GRG, Task.AGRG_LOCATE, Task.AGRG_BOTH})
-_TEXT_TASKS = frozenset({Task.GRG, Task.AGRG_DESCRIBE, Task.AGRG_BOTH})
-
-
 @dataclass
 class SampleRow:
     id: str
@@ -551,11 +501,12 @@ def _score_sample(
             ref = " ".join(f.text for f in record.findings)
             text = scorer(cand, ref)
         return iou, text
-    if task in _IOU_TASKS:
+    fields = RESPONSE_FIELDS[task]
+    if "boxes" in fields:
         if not record.boxes:
             raise EmptyGroundTruth(f"gold record {record.image_id!r} has no boxes")
         iou = 0.0 if parsed is None else grounding_iou(list(record.boxes), parsed.boxes)
-    if task in _TEXT_TASKS:
+    if "description" in fields:
         reference = record.text or ""
         if parsed is None:
             text = 0.0

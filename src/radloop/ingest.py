@@ -51,6 +51,7 @@ from .core import (
     iter_jsonl,
 )
 from .errors import EmptyAfterClamp, FormatError, InsufficientStratum
+from .taskgen import RESPONSE_FIELDS
 
 #: Short detector class labels expanded to natural language phrases.
 #: Labels missing from the table pass through verbatim.
@@ -278,18 +279,6 @@ def _fixture_phrase(rng: np.random.Generator, category: str) -> str:
     return f"{q} {f} of the {category}"
 
 
-#: Per fixture task: (has a phrase as text, has one box). GRG records carry
-#: one to three boxed findings instead. Draw order per record: meta flags,
-#: text, box, findings.
-_FIXTURE_FIELDS = {
-    Task.PG: (True, True),
-    Task.GRG: (False, False),
-    Task.AGRG_LOCATE: (False, True),
-    Task.AGRG_DESCRIBE: (True, False),
-    Task.AGRG_BOTH: (True, True),
-}
-
-
 def make_fixture_dataset(
     seed: int, spec: Mapping[str, Mapping[str, int]], split: Split = Split.TRAIN
 ) -> list[AnnotationRecord]:
@@ -311,18 +300,20 @@ def make_fixture_dataset(
         for category, count in spec[task_key].items():
             for i in range(count):
                 for task in tasks:
-                    if task not in _FIXTURE_FIELDS:
+                    fields = RESPONSE_FIELDS.get(task)
+                    if fields is None:
                         raise ValueError(f"cannot generate fixtures for task {task.value!r}")
                     image_id = f"{source_id}-{task.value}-{category}-{i:05d}"
                     meta = {
                         "has_abnormality": bool(rng.random() < 0.5),
                         "has_device": bool(rng.random() < 0.5),
                     }
-                    has_text, has_box = _FIXTURE_FIELDS[task]
+                    # Draw order per record: meta flags, text, box, findings.
+                    has_text = "phrase" in fields or "description" in fields
                     text = _fixture_phrase(rng, category) if has_text else None
-                    boxes = (_fixture_box(rng),) if has_box else ()
+                    boxes = (_fixture_box(rng),) if "boxes" in fields else ()
                     findings = ()
-                    if task is Task.GRG:
+                    if "findings" in fields:
                         findings = tuple(
                             Finding(_fixture_phrase(rng, category), (_fixture_box(rng),))
                             for _ in range(int(rng.integers(1, 4)))

@@ -274,14 +274,18 @@ def judge_pairs(
 ) -> list[str]:
     """Call the judge on (gen, gt) pairs, preserving order.
 
-    Requests run on a thread pool capped at ``config.parallelism``.
+    Requests run on a thread pool capped at ``config.parallelism``. Each
+    distinct prompt is fetched once and its response shared by every pair
+    that builds it.
     """
     prompts = [build_judge_prompt(gen, gt) for gen, gt in pairs]
     if not prompts:
         return []
     with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-        futures = [pool.submit(call_judge, p, config, transport, sleep) for p in prompts]
-        return [f.result() for f in futures]
+        futures = {
+            p: pool.submit(call_judge, p, config, transport, sleep) for p in dict.fromkeys(prompts)
+        }
+        return [futures[p].result() for p in prompts]
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,16 @@
 """Instruction and response rendering for the grounded task suite.
 
-Five tasks are renderable. The fixed template strings are:
+:data:`TEMPLATES` holds the fixed instruction and response template of each
+of the five renderable tasks. It is the one statement of the response
+format: the renderer fills it, :mod:`radloop.evalkit` parses strictly by
+:data:`RESPONSE_GRAMMAR`, and the scorer and the fixture generator read each
+task's fields from :data:`RESPONSE_FIELDS`. GRG's ``{findings}`` renders as
+one sentence per finding with its boxes inline.
 
-    pg             instruction  "Ground the phrase: {phrase}"
-                   response     "{phrase}: {boxes}"
-    grg            instruction  "Generate a grounded report."
-                   response     findings joined as sentences, boxes inline
-    agrg_locate    instruction  "Locate the {location}."
-                   response     "Location of the {location}: {boxes}."
-    agrg_describe  instruction  "Describe the {location}."
-                   response     "Description of the {location}: {description}"
-    agrg_both      instruction  "Locate and describe the {location}."
-                   response     "Location of the {location}: {boxes}. Description: {description}"
+A text field must not hold the text that ends it in the response (``": ["``
+for a PG phrase or a locate/both location, ``": "`` for a describe
+location); the renderer rejects such a record with :class:`Unrenderable`,
+because strict parsing could not recover it.
 
 Boxes render in center format with exactly two decimals and no spaces, for
 example ``[0.48,0.78,0.73,0.45]``; multiple boxes are separated by single
@@ -21,71 +20,53 @@ augmentation can regenerate them instead of editing strings.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .core import AnnotationRecord, Finding, InstructionInstance, NormBox, Split, Task
-from .errors import MissingField, UnsupportedTask
+from .errors import MissingField, Unrenderable, UnsupportedTask
 
-PG_INSTRUCTION = "Ground the phrase: {phrase}"
-GRG_INSTRUCTION = "Generate a grounded report."
-AGRG_LOCATE_INSTRUCTION = "Locate the {location}."
-AGRG_DESCRIBE_INSTRUCTION = "Describe the {location}."
-AGRG_BOTH_INSTRUCTION = "Locate and describe the {location}."
-
-PG_RESPONSE = "{phrase}: {boxes}"
-AGRG_LOCATE_RESPONSE = "Location of the {location}: {boxes}."
-AGRG_DESCRIBE_RESPONSE = "Description of the {location}: {description}"
-AGRG_BOTH_RESPONSE = "Location of the {location}: {boxes}. Description: {description}"
-
-_REQUIRED_PLACEHOLDERS = {
-    Task.PG: (("{phrase}",), ("{phrase}", "{boxes}")),
-    Task.GRG: ((), ()),
-    Task.AGRG_LOCATE: (("{location}",), ("{location}", "{boxes}")),
-    Task.AGRG_DESCRIBE: (("{location}",), ("{location}", "{description}")),
-    Task.AGRG_BOTH: (("{location}",), ("{location}", "{boxes}", "{description}")),
+TEMPLATES: dict[Task, tuple[str, str]] = {
+    Task.PG: ("Ground the phrase: {phrase}", "{phrase}: {boxes}"),
+    Task.GRG: ("Generate a grounded report.", "{findings}"),
+    Task.AGRG_LOCATE: ("Locate the {location}.", "Location of the {location}: {boxes}."),
+    Task.AGRG_DESCRIBE: ("Describe the {location}.", "Description of the {location}: {description}"),
+    Task.AGRG_BOTH: (
+        "Locate and describe the {location}.",
+        "Location of the {location}: {boxes}. Description: {description}",
+    ),
 }
 
+#: Fields whose rendered text has its own grammar; every other field is text.
+_STRUCTURED_FIELDS = frozenset({"boxes", "findings"})
 
-@dataclass(frozen=True)
-class TemplateSet:
-    """The instruction and response patterns for the five renderable tasks.
 
-    Patterns must contain exactly the placeholders their task requires;
-    the constructor rejects anything else so a misconfigured template fails
-    at load time rather than at render time.
+def _grammar(template: str) -> tuple[tuple[str, str | None, str | None], ...]:
+    """Split a response template into (literal, field, end) steps.
+
+    A step is a literal matched exactly, then ``field`` (None after a
+    trailing literal). ``end`` is the text that ends a text field: the
+    literal after it, plus ``[`` when boxes follow. It is None for structured
+    fields and for a last text field, which takes the rest of the output.
     """
-
-    instructions: dict[Task, str]
-    responses: dict[Task, str]
-
-    def __post_init__(self) -> None:
-        for task, (ins_ph, resp_ph) in _REQUIRED_PLACEHOLDERS.items():
-            if task not in self.instructions or (task is not Task.GRG and task not in self.responses):
-                raise ValueError(f"template set is missing task {task.value}")
-            for ph in ins_ph:
-                if ph not in self.instructions[task]:
-                    raise ValueError(f"{task.value} instruction lacks {ph}")
-            for ph in resp_ph:
-                if ph not in self.responses[task]:
-                    raise ValueError(f"{task.value} response lacks {ph}")
+    parts = [(literal, name) for literal, name, _, _ in string.Formatter().parse(template)]
+    steps = []
+    for (literal, name), (next_literal, next_name) in zip(parts, parts[1:] + [("", None)]):
+        end = None
+        if name is not None and name not in _STRUCTURED_FIELDS:
+            end = (next_literal + "[" if next_name == "boxes" else next_literal) or None
+        steps.append((literal, name, end))
+    return tuple(steps)
 
 
-DEFAULT_TEMPLATES = TemplateSet(
-    instructions={
-        Task.PG: PG_INSTRUCTION,
-        Task.GRG: GRG_INSTRUCTION,
-        Task.AGRG_LOCATE: AGRG_LOCATE_INSTRUCTION,
-        Task.AGRG_DESCRIBE: AGRG_DESCRIBE_INSTRUCTION,
-        Task.AGRG_BOTH: AGRG_BOTH_INSTRUCTION,
-    },
-    responses={
-        Task.PG: PG_RESPONSE,
-        Task.AGRG_LOCATE: AGRG_LOCATE_RESPONSE,
-        Task.AGRG_DESCRIBE: AGRG_DESCRIBE_RESPONSE,
-        Task.AGRG_BOTH: AGRG_BOTH_RESPONSE,
-    },
-)
+#: Per task, the strict grammar of its response template.
+RESPONSE_GRAMMAR = {task: _grammar(response) for task, (_, response) in TEMPLATES.items()}
+
+#: Per task, the fields its response carries.
+RESPONSE_FIELDS = {
+    task: frozenset(name for _, name, _ in steps if name) for task, steps in RESPONSE_GRAMMAR.items()
+}
 
 
 def format_box(box: NormBox) -> str:
@@ -113,74 +94,49 @@ def render_grounded_report(findings: Sequence[Finding]) -> str:
     return ". ".join(_render_finding(f) for f in findings) + "."
 
 
-def render_instruction(
-    record: AnnotationRecord, templates: TemplateSet = DEFAULT_TEMPLATES
-) -> InstructionInstance:
+#: The record attribute behind each template field and how it renders.
+_FIELD_SOURCES = {
+    "phrase": ("text", str),
+    "description": ("text", str),
+    "location": ("category", str),
+    "boxes": ("boxes", format_boxes),
+    "findings": ("findings", render_grounded_report),
+}
+
+
+def render_instruction(record: AnnotationRecord) -> InstructionInstance:
     """Render a record into an (instruction, response) training instance.
 
     Raises :class:`MissingField` when the record lacks a field its template
-    needs, and :class:`UnsupportedTask` for detection records, which are
-    ingest-time precursors rather than renderable tasks.
+    needs, :class:`Unrenderable` when a text field holds the text that ends
+    it in the response, and :class:`UnsupportedTask` for detection records,
+    which are ingest-time precursors rather than renderable tasks.
     """
     task = record.task
-    if task is Task.DETECTION:
+    if task not in TEMPLATES:
         raise UnsupportedTask("detection records are converted at ingest and never rendered")
-
-    if task is Task.PG:
-        if not record.text:
-            raise MissingField("pg record has no phrase")
-        if not record.boxes:
-            raise MissingField("pg record has no boxes")
-        instruction = templates.instructions[task].format(phrase=record.text)
-        response = templates.responses[task].format(
-            phrase=record.text, boxes=format_boxes(record.boxes)
-        )
-    elif task is Task.GRG:
-        if not record.findings:
-            raise MissingField("grg record has no findings")
-        instruction = templates.instructions[task]
-        response = render_grounded_report(record.findings)
-    elif task is Task.AGRG_LOCATE:
-        if not record.category:
-            raise MissingField("agrg_locate record has no location")
-        if not record.boxes:
-            raise MissingField("agrg_locate record has no boxes")
-        instruction = templates.instructions[task].format(location=record.category)
-        response = templates.responses[task].format(
-            location=record.category, boxes=format_boxes(record.boxes)
-        )
-    elif task is Task.AGRG_DESCRIBE:
-        if not record.category:
-            raise MissingField("agrg_describe record has no location")
-        if not record.text:
-            raise MissingField("agrg_describe record has no description")
-        instruction = templates.instructions[task].format(location=record.category)
-        response = templates.responses[task].format(
-            location=record.category, description=record.text
-        )
-    elif task is Task.AGRG_BOTH:
-        if not record.category:
-            raise MissingField("agrg_both record has no location")
-        if not record.boxes:
-            raise MissingField("agrg_both record has no boxes")
-        if not record.text:
-            raise MissingField("agrg_both record has no description")
-        instruction = templates.instructions[task].format(location=record.category)
-        response = templates.responses[task].format(
-            location=record.category,
-            boxes=format_boxes(record.boxes),
-            description=record.text,
-        )
-    else:  # pragma: no cover - the enum is closed
-        raise UnsupportedTask(str(task))
-
+    values = {}
+    for _, name, end in RESPONSE_GRAMMAR[task]:
+        if name is None:
+            continue
+        attr, render = _FIELD_SOURCES[name]
+        raw = getattr(record, attr)
+        if not raw:
+            raise MissingField(f"{task.value} record has no {name}")
+        value = values[name] = render(raw)
+        # An end text that starts inside the value and runs past it cuts it short too.
+        if end is not None and (value + end).find(end) < len(value):
+            raise Unrenderable(
+                f"{task.value} {name} {value!r} holds {end!r}, which ends the {name} in the response"
+            )
+    instruction, response = TEMPLATES[task]
     return InstructionInstance(
         image_id=record.image_id,
         source_id=record.source_id,
         task=task,
         category=record.category,
-        instruction=instruction,
-        response=response,
+        instruction=instruction.format_map(values),
+        response=response.format_map(values),
         structured=record,
     )
 

@@ -418,6 +418,7 @@ def judge_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/v1", hits
     server.shutdown()
+    server.server_close()
 
 
 class TestJudgeCommands:
@@ -717,6 +718,10 @@ def test_malformed_inputs_exit_cleanly(case, fuzz_inputs, tmp_path, capsys):
          '{"policy": {"bogus": 1}}', "ConfigError"),
         (["gen-tasks", "--records", "RECORDS", "--config", "BAD"],
          '{"endpoint": {"url": "u", "model": "m", "bogus": 1}}', "ConfigError"),
+        (["gen-tasks", "--records", "BAD"],
+         json.dumps({**_GOOD_RECORD, "text": "a\ud800b"}) + "\n", "FormatError"),
+        (["gen-tasks", "--records", "BAD"],
+         json.dumps({**_GOOD_RECORD, "text": "a: [b"}) + "\n", "Unrenderable"),
     ],
 )
 def test_malformed_input_names_the_domain_error(argv, body, error, fuzz_inputs, tmp_path, capsys):

@@ -297,6 +297,18 @@ class TestReadersAreTotal:
                 list(iter_jsonl(path))
             assert err.value.line == 2
 
+    def test_lone_surrogates_rejected(self, tmp_path):
+        # An escaped lone surrogate decodes but no UTF-8 writer can write it;
+        # an escaped pair is one code point and stays valid.
+        path = tmp_path / "in.jsonl"
+        for line in ('{"text": "a\\ud800b"}', '{"\\udfff": 1}', '{"t": ["\\ude00\\ud83d"]}'):
+            path.write_text('{"text": "\\ud83d\\ude00"}\n' + line + "\n", encoding="utf-8")
+            with pytest.raises(FormatError) as err:
+                list(iter_jsonl(path))
+            assert err.value.line == 2
+        path.write_text('{"text": "\\ud83d\\ude00 \\u00e9"}\n', encoding="utf-8")
+        assert list(iter_jsonl(path)) == [(1, {"text": "\U0001f600 \u00e9"})]
+
     @pytest.mark.parametrize(
         "field,value",
         [
@@ -340,22 +352,3 @@ class TestInstanceJson:
         with pytest.raises(FormatError):
             instance_from_json(obj)
 
-
-class TestValidate:
-    def test_agrg_locate_needs_boxes(self):
-        rec = AnnotationRecord(
-            image_id="x", source_id="s", task=Task.AGRG_LOCATE, category="spine"
-        )
-        with pytest.raises(ValueError):
-            rec.validate()
-
-    def test_grg_needs_findings(self):
-        rec = AnnotationRecord(
-            image_id="x", source_id="s", task=Task.GRG, category="report"
-        )
-        with pytest.raises(ValueError):
-            rec.validate()
-
-    def test_valid_record_passes(self):
-        for rec in _sample_records():
-            rec.validate()

@@ -1,6 +1,7 @@
 import json
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -243,22 +244,42 @@ class TestJudgePairs:
     def test_empty(self):
         assert judge_pairs([], config(), None, sleep=lambda s: None) == []
 
-    def test_duplicate_prompts_share_the_cache_safely(self, tmp_path):
-        # Identical prompts hash to one cache file that several threads write
-        # at once; every write must land whole and leave no temp file behind.
+    def test_identical_prompts_fetched_once(self, tmp_path):
+        calls = []
+
         def transport(url, payload, timeout, headers):
+            calls.append(payload["prompt"])
             time.sleep(0.001)
             return "same verdict"
 
         pairs = [("N/A", "gt report")] * 16
+        for cache_dir in (None, str(tmp_path / "cache")):
+            calls.clear()
+            cfg = config(parallelism=8, cache_dir=cache_dir)
+            assert judge_pairs(pairs, cfg, transport, sleep=lambda s: None) == ["same verdict"] * 16
+            assert len(calls) == 1
+
+    def test_duplicate_prompts_share_the_cache_safely(self, tmp_path):
+        # Identical prompts hash to one cache file that several threads write
+        # at once; every write must land whole and leave no temp file behind.
+        # judge_pairs fetches a prompt once, so the threads call call_judge.
+        def transport(url, payload, timeout, headers):
+            time.sleep(0.001)
+            return "same verdict"
+
+        prompt = build_judge_prompt("N/A", "gt report")
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for trial in range(20):
                 cache = tmp_path / f"cache-{trial}"
-                cfg = config(parallelism=8, cache_dir=str(cache))
-                out = judge_pairs(pairs, cfg, transport, sleep=lambda s: None)
-                assert out == ["same verdict"] * 16
+                cfg = config(cache_dir=str(cache))
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [
+                        pool.submit(call_judge, prompt, cfg, transport, lambda s: None)
+                        for _ in range(16)
+                    ]
+                    assert [f.result(timeout=10) for f in futures] == ["same verdict"] * 16
                 assert [p.suffix for p in cache.iterdir()] == [".txt"]
         finally:
             sys.setswitchinterval(interval)
