@@ -12,6 +12,7 @@ boxes.
 
 from __future__ import annotations
 
+import array
 import hashlib
 import math
 from dataclasses import dataclass, replace
@@ -27,13 +28,16 @@ from .core import (
     clamp_box,
     config_from_json,
 )
-from .errors import EmptyAfterClamp, GridTooFine
+from .errors import EmptyAfterClamp, FormatError, GridTooFine
 from .taskgen import render_instruction
 
 #: Deterministic evaluation-path contrast parameters and target size.
 EVAL_CLAHE_CLIP = 3.0
 EVAL_CLAHE_GRID = (8, 8)
 EVAL_RESIZE = (448, 448)
+
+#: Pixels :func:`clahe` blends at a time; bounds its float temporaries.
+_BLEND_BAND_PIXELS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -188,12 +192,23 @@ class IntensityGrid:
 
     @classmethod
     def from_json(cls, obj: Mapping[str, Any]) -> "IntensityGrid":
-        return cls(
-            width=int(obj["width"]),
-            height=int(obj["height"]),
-            max_level=int(obj["max_level"]),
-            values=np.asarray(obj["values"], dtype=np.int64),
-        )
+        """Decode a grid document; every number in it must be a JSON integer."""
+        for key in ("width", "height", "max_level"):
+            if type(obj[key]) is not int or obj[key] < 1:
+                raise FormatError(0, f"grid {key} must be a positive JSON integer, got {obj[key]!r}")
+        values = obj["values"]
+        if not isinstance(values, list):
+            raise FormatError(0, "grid values must be a flat array of JSON integers")
+        try:
+            # array("q") takes ints and bools; floats, strings, nulls, arrays
+            # and ints beyond 64 bits raise.
+            flat = np.frombuffer(array.array("q", values), dtype=np.int64)
+        except (TypeError, OverflowError) as exc:
+            raise FormatError(0, f"grid values must be JSON integers: {exc}") from exc
+        # A true or false reads as 1 or 0, so only those positions need a look.
+        if any(type(values[i]) is bool for i in np.flatnonzero(flat <= 1).tolist()):
+            raise FormatError(0, "grid values must be JSON integers, not true or false")
+        return cls(obj["width"], obj["height"], obj["max_level"], flat)
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -229,6 +244,14 @@ def _tile_lut(tile: np.ndarray, bins: int, max_level: int, clip_limit: float | N
         hist = np.minimum(hist, limit) + excess / bins
     cdf = np.cumsum(hist) / n
     return np.rint(max_level * cdf)
+
+
+def _lerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``a + t * (b - a)``, computed in place in ``a`` and ``b``."""
+    b -= a
+    b *= t
+    a += b
+    return a
 
 
 def clahe(
@@ -278,28 +301,29 @@ def clahe(
     c0, c1, ux = _axis_blend(px, cxs)
     r0, r1, uy = _axis_blend(py, cys)
 
-    v = grid.values
-    rows0 = r0[:, None]
-    rows1 = r1[:, None]
-    cols0 = c0[None, :]
-    cols1 = c1[None, :]
-    tl = luts[rows0, cols0, v]
-    tr = luts[rows0, cols1, v]
-    bl = luts[rows1, cols0, v]
-    br = luts[rows1, cols1, v]
-    # Nested linear blends keep the result exact when all four tables agree.
-    uxg = ux[None, :]
-    uyg = uy[:, None]
-    top = tl + uxg * (tr - tl)
-    bottom = bl + uxg * (br - bl)
-    blended = top + uyg * (bottom - top)
-    out = np.clip(np.rint(blended), 0, grid.max_level).astype(np.int64)
+    # Blend in bands of rows, in place, so the float temporaries stay a fixed
+    # size whatever the image size. Each pixel reads its four tables from the
+    # flattened LUT array at offset row tile, column tile, then its value.
+    flat = luts.reshape(-1)
+    col0, col1 = c0 * bins, c1 * bins
+    row0, row1 = r0 * (gx * bins), r1 * (gx * bins)
+    out = np.empty_like(grid.values)
+    band = max(1, _BLEND_BAND_PIXELS // grid.width)
+    for y in range(0, grid.height, band):
+        rows = slice(y, y + band)
+        left = grid.values[rows] + col0
+        right = grid.values[rows] + col1
+        # Nested linear blends keep the result exact when all four tables agree.
+        top = _lerp(flat.take(left + row0[rows, None]), flat.take(right + row0[rows, None]), ux)
+        bottom = _lerp(flat.take(left + row1[rows, None]), flat.take(right + row1[rows, None]), ux)
+        blended = _lerp(top, bottom, uy[rows, None])
+        out[rows] = np.clip(np.rint(blended, out=blended), 0, grid.max_level, out=blended)
     return IntensityGrid(grid.width, grid.height, grid.max_level, out)
 
 
 def resize_bilinear(grid: IntensityGrid, width: int, height: int) -> IntensityGrid:
     """Bilinear resize of an intensity grid (align-corners convention)."""
-    src = grid.values.astype(np.float64)
+    src = grid.values
     if width < 1 or height < 1:
         raise ValueError("target size must be positive")
     xs = np.linspace(0, grid.width - 1, width)

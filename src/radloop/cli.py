@@ -21,7 +21,7 @@ import logging
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .core import (
     config_from_json,
     instance_to_json,
     iter_jsonl,
-    jsonl_text,
+    jsonl_lines,
     load_json,
     load_records_jsonl,
     record_to_json,
@@ -146,7 +146,7 @@ def _write_manifest(
 
 def _emit(
     out_path: str | Path,
-    text: str,
+    text: str | Iterable[str],
     args: argparse.Namespace,
     config_doc: Mapping[str, Any] | None,
 ) -> None:
@@ -169,15 +169,15 @@ def _require_seed(args: argparse.Namespace, config: ToolConfig) -> int:
 
 def _cmd_ingest(args, config, config_doc) -> None:
     records = load_records(args.in_path, args.format)
-    _emit(args.out, jsonl_text([record_to_json(r) for r in records]), args, config_doc)
+    _emit(args.out, jsonl_lines(record_to_json(r) for r in records), args, config_doc)
 
 
 def _cmd_gen_tasks(args, config, config_doc) -> None:
     records = load_records_jsonl(args.records)
     if args.expand_labels:
         records = expand_padchest_labels(records)
-    instances = [render_instruction(rec) for rec in records]
-    _emit(args.out, jsonl_text([instance_to_json(i) for i in instances]), args, config_doc)
+    instances = (render_instruction(rec) for rec in records)
+    _emit(args.out, jsonl_lines(instance_to_json(i) for i in instances), args, config_doc)
 
 
 def _cmd_augment(args, config, config_doc) -> None:
@@ -186,12 +186,11 @@ def _cmd_augment(args, config, config_doc) -> None:
     if args.policy:
         policy = load_json(args.policy, AugPolicy.from_json)
     records = load_records_jsonl(args.records)
-    rows = []
-    for index, rec in enumerate(records):
-        inst = render_instruction(rec)
-        out = augment_instance(inst, policy, instance_seed(seed, rec.image_id, index))
-        rows.append(instance_to_json(out))
-    _emit(args.out, jsonl_text(rows), args, config_doc)
+    instances = (
+        augment_instance(render_instruction(rec), policy, instance_seed(seed, rec.image_id, index))
+        for index, rec in enumerate(records)
+    )
+    _emit(args.out, jsonl_lines(instance_to_json(i) for i in instances), args, config_doc)
 
 
 def _metrics_from_json(doc: Any) -> dict[str, SourceMetrics]:
@@ -235,7 +234,7 @@ def _cmd_sample(args, config, config_doc) -> None:
     pool = SamplingPool.from_records(load_records_jsonl(args.records))
     state = load_json(args.plan, lambda doc: CurriculumState.from_json(doc["state"]))
     rng = np.random.default_rng(seed)
-    rows = [
+    rows = (
         {
             "image_id": rec.image_id,
             "source_id": rec.source_id,
@@ -243,8 +242,8 @@ def _cmd_sample(args, config, config_doc) -> None:
             "category": rec.category,
         }
         for rec in draw_samples(state, pool, args.n, rng)
-    ]
-    _emit(args.out, jsonl_text(rows), args, config_doc)
+    )
+    _emit(args.out, jsonl_lines(rows), args, config_doc)
 
 
 def _cmd_simulate(args, config, config_doc) -> None:
@@ -305,30 +304,31 @@ def _cmd_judge(args, config, config_doc) -> None:
             raise FormatError(line_no, "gold rows need image_id and text fields")
         gold[str(obj["image_id"])] = str(text)
 
-    rows = []
-    failures = 0
-    for line_no, obj in iter_jsonl(args.pred):
-        image_id = obj.get("image_id")
-        anatomy = obj.get("anatomy")
-        text = obj.get("text")
-        if not image_id or not anatomy or text is None:
-            raise FormatError(line_no, "pred rows need image_id, anatomy and text fields")
-        if str(image_id) not in gold:
-            raise FormatError(line_no, f"no gold report for image {image_id!r}")
-        prompt = build_judge_prompt(str(text), gold[str(image_id)])
-        raw = call_judge(prompt, endpoint)
-        row: dict[str, Any] = {"image_id": image_id, "anatomy": anatomy}
-        try:
-            row["verdict"] = validate_verdict(raw, lenient=args.lenient).to_json()
-        except RadloopError as exc:
-            failures += 1
-            row["error"] = str(exc)
-            row["raw"] = raw
-            log.warning("verdict for %s/%s failed validation: %s", image_id, anatomy, exc)
-        rows.append(row)
-    if failures:
-        log.warning("%d of %d verdicts failed validation", failures, len(rows))
-    _emit(args.out, jsonl_text(rows), args, config_doc)
+    def verdict_rows() -> Iterator[dict[str, Any]]:
+        failures = 0
+        for total, (line_no, obj) in enumerate(iter_jsonl(args.pred), start=1):
+            image_id = obj.get("image_id")
+            anatomy = obj.get("anatomy")
+            text = obj.get("text")
+            if not image_id or not anatomy or text is None:
+                raise FormatError(line_no, "pred rows need image_id, anatomy and text fields")
+            if str(image_id) not in gold:
+                raise FormatError(line_no, f"no gold report for image {image_id!r}")
+            prompt = build_judge_prompt(str(text), gold[str(image_id)])
+            raw = call_judge(prompt, endpoint)
+            row: dict[str, Any] = {"image_id": image_id, "anatomy": anatomy}
+            try:
+                row["verdict"] = validate_verdict(raw, lenient=args.lenient).to_json()
+            except RadloopError as exc:
+                failures += 1
+                row["error"] = str(exc)
+                row["raw"] = raw
+                log.warning("verdict for %s/%s failed validation: %s", image_id, anatomy, exc)
+            yield row
+        if failures:
+            log.warning("%d of %d verdicts failed validation", failures, total)
+
+    _emit(args.out, jsonl_lines(verdict_rows()), args, config_doc)
 
 
 def _cmd_judge_aggregate(args, config, config_doc) -> None:

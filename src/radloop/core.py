@@ -228,14 +228,21 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
     """Yield (line_no, object) pairs from a JSONL file; blank lines are skipped.
 
     This is the only place a file line is decoded. A line that is not valid
-    JSON, holds a JSON value other than an object, or escapes a lone
-    surrogate (text no UTF-8 writer can write) raises :class:`FormatError`
-    with its line number.
+    UTF-8 or not valid JSON, holds a JSON value other than an object, or
+    escapes a lone surrogate (text no UTF-8 writer can write) raises
+    :class:`FormatError` with its line number.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    # Undecodable bytes become lone surrogates here, so the line is numbered
+    # before it is rejected; only a non-ASCII line can hold one.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise FormatError(line_no, f"invalid UTF-8 at character {exc.start}") from exc
             # ValueError also covers over-long integer literals; deep nesting recurses.
             try:
                 obj = json.loads(line)
@@ -273,11 +280,11 @@ def load_json(path: str | Path, decode: Callable[[Any], Any] | None = None) -> A
         raise FormatError(0, f"bad document: {type(exc).__name__}: {exc}") from exc
 
 
-def atomic_write(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` through a unique temp file and a rename.
+def atomic_write(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write a string, or string chunks as they come, to ``path`` through a
+    unique temp file and a rename: readers see the old file or the whole new one.
 
-    Readers see the old file or the complete new one, never a partial
-    write; concurrent writers of one path each use their own temp file.
+    If anything raises, the iterable included, the temp file is removed.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -286,7 +293,7 @@ def atomic_write(path: str | Path, text: str) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -296,9 +303,9 @@ def atomic_write(path: str | Path, text: str) -> None:
         raise
 
 
-def jsonl_text(objs: Iterable[Mapping[str, Any]]) -> str:
-    """Encode objects as JSONL, one per line, non-ASCII text kept as is."""
-    return "".join(json.dumps(o, ensure_ascii=False) + "\n" for o in objs)
+def jsonl_lines(objs: Iterable[Mapping[str, Any]]) -> Iterator[str]:
+    """Encode objects as JSONL lines, one at a time, non-ASCII text kept as is."""
+    return (json.dumps(o, ensure_ascii=False) + "\n" for o in objs)
 
 
 def config_from_json(cls: type, obj: Any, what: str, **convert: Callable[[Any], Any]) -> Any:
@@ -423,7 +430,7 @@ def load_records_jsonl(path: str | Path) -> list[AnnotationRecord]:
 
 def dump_records_jsonl(path: str | Path, records: Iterable[AnnotationRecord]) -> None:
     """Write records as JSONL, atomically, in the bytes the CLI writes."""
-    atomic_write(path, jsonl_text(record_to_json(rec) for rec in records))
+    atomic_write(path, jsonl_lines(record_to_json(rec) for rec in records))
 
 
 def instance_to_json(inst: InstructionInstance) -> dict[str, Any]:

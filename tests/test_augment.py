@@ -1,6 +1,11 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from radloop import augment
 from radloop.augment import (
     EVAL_CLAHE_CLIP,
     EVAL_CLAHE_GRID,
@@ -16,8 +21,8 @@ from radloop.augment import (
     random_resized_crop,
     resize_bilinear,
 )
-from radloop.core import AnnotationRecord, Finding, NormBox, Task
-from radloop.errors import EmptyAfterClamp, GridTooFine
+from radloop.core import AnnotationRecord, Finding, NormBox, Task, load_json
+from radloop.errors import EmptyAfterClamp, FormatError, GridTooFine
 from radloop.evalkit import parse_output
 from radloop.taskgen import render_instruction
 
@@ -114,6 +119,73 @@ class TestPolicy:
             AugPolicy(p_crop=1.5)
 
 
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(["width", "height", "max_level", "values"]), children),
+    max_leaves=12,
+)
+
+
+def _clahe_reference(grid, clip_limit, tiles):
+    """The whole-image blend, all temporaries at once: the banded one must match it."""
+    gx, gy = tiles
+    bins = grid.max_level + 1
+    col_bounds = augment._tile_bounds(grid.width, gx)
+    row_bounds = augment._tile_bounds(grid.height, gy)
+    luts = np.empty((gy, gx, bins))
+    for r, (y0, y1) in enumerate(row_bounds):
+        for c, (x0, x1) in enumerate(col_bounds):
+            luts[r, c] = augment._tile_lut(grid.values[y0:y1, x0:x1], bins, grid.max_level, clip_limit)
+
+    def axis(size, bounds):
+        centers = np.array([(a + b) / 2 for a, b in bounds])
+        coords = np.arange(size, dtype=np.float64)
+        lo = np.clip(np.searchsorted(centers, coords, side="right") - 1, 0, len(centers) - 1)
+        hi = np.minimum(lo + 1, len(centers) - 1)
+        span = centers[hi] - centers[lo]
+        frac = np.where(span > 0, (coords - centers[lo]) / np.where(span > 0, span, 1.0), 0.0)
+        return lo, hi, np.clip(frac, 0.0, 1.0)
+
+    c0, c1, ux = axis(grid.width, col_bounds)
+    r0, r1, uy = axis(grid.height, row_bounds)
+    v = grid.values
+    tl = luts[r0[:, None], c0[None, :], v]
+    tr = luts[r0[:, None], c1[None, :], v]
+    bl = luts[r1[:, None], c0[None, :], v]
+    br = luts[r1[:, None], c1[None, :], v]
+    top = tl + ux[None, :] * (tr - tl)
+    bottom = bl + ux[None, :] * (br - bl)
+    blended = top + uy[:, None] * (bottom - top)
+    return np.clip(np.rint(blended), 0, grid.max_level).astype(np.int64)
+
+
+def _resize_reference(grid, width, height):
+    """Bilinear resize on a float64 copy of the values."""
+    src = grid.values.astype(np.float64)
+    xs = np.linspace(0, grid.width - 1, width)
+    ys = np.linspace(0, grid.height - 1, height)
+    x0 = np.floor(xs).astype(np.int64)
+    y0 = np.floor(ys).astype(np.int64)
+    x1 = np.minimum(x0 + 1, grid.width - 1)
+    y1 = np.minimum(y0 + 1, grid.height - 1)
+    wx = (xs - x0)[None, :]
+    wy = (ys - y0)[:, None]
+    tl, tr = src[y0[:, None], x0[None, :]], src[y0[:, None], x1[None, :]]
+    bl, br = src[y1[:, None], x0[None, :]], src[y1[:, None], x1[None, :]]
+    top = tl + wx * (tr - tl)
+    bottom = bl + wx * (br - bl)
+    return np.clip(np.rint(top + wy * (bottom - top)), 0, grid.max_level).astype(np.int64)
+
+
+def _smooth_grid(width, height, max_level, seed):
+    rng = np.random.default_rng(seed)
+    y, x = np.mgrid[0:height, 0:width] / max(width, height)
+    base = 0.5 + 0.3 * np.sin(6 * x) * np.cos(4 * y) + rng.normal(0.0, 0.05, size=(height, width))
+    values = np.clip(np.rint(base * max_level), 0, max_level).astype(np.int64)
+    return IntensityGrid(width, height, max_level, values)
+
+
 class TestIntensityGrid:
     def test_json_round_trip(self):
         grid = IntensityGrid(3, 2, 255, np.arange(6).reshape(2, 3))
@@ -124,6 +196,43 @@ class TestIntensityGrid:
     def test_range_check(self):
         with pytest.raises(ValueError):
             IntensityGrid(2, 2, 255, np.array([[0, 1], [2, 300]]))
+
+    @pytest.mark.parametrize("value", [1.5, -0.5, 1.0, "3", True, False, 1e300, 2**70, None, [1]])
+    def test_decoder_takes_only_json_integers(self, value):
+        doc = {"width": 2, "height": 2, "max_level": 255, "values": [0, 5, value, 7]}
+        with pytest.raises(FormatError, match="grid values must be JSON integers"):
+            IntensityGrid.from_json(doc)
+
+    @pytest.mark.parametrize("key,value", [("width", 2.0), ("height", "2"), ("max_level", True),
+                                           ("width", 0), ("max_level", -1)])
+    def test_decoder_takes_only_positive_integer_sizes(self, key, value):
+        doc = {"width": 2, "height": 2, "max_level": 255, "values": [0, 5, 6, 7], key: value}
+        with pytest.raises(FormatError, match=f"grid {key} must be a positive JSON integer"):
+            IntensityGrid.from_json(doc)
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(values=st.lists(_json_values, max_size=12), max_level=st.sampled_from([1, 3, 255]))
+    def test_decoder_accepts_exactly_integers_in_range(self, tmp_path, values, max_level):
+        path = tmp_path / "grid.json"
+        doc = {"width": 1, "height": len(values) or 1, "max_level": max_level, "values": values}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        valid = bool(values) and all(type(v) is int and 0 <= v <= max_level for v in values)
+        try:
+            grid = load_json(path, IntensityGrid.from_json)
+        except FormatError:
+            assert not valid
+            return
+        assert valid and grid.values.ravel().tolist() == values
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=_json_values)
+    def test_any_document_is_a_grid_or_a_format_error(self, tmp_path, doc):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        try:
+            assert isinstance(load_json(path, IntensityGrid.from_json), IntensityGrid)
+        except FormatError:
+            pass
 
 
 class TestClahe:
@@ -191,8 +300,40 @@ class TestClahe:
         out = clahe(grid, 3.0, (3, 3))
         assert out.values.min() >= 0 and out.values.max() <= 255
 
+    @pytest.mark.parametrize("band_pixels", [1, 37, 4096, 1 << 16])
+    def test_banded_blend_equals_whole_image_blend(self, band_pixels, monkeypatch):
+        # Bands of one row, bands that split tiles and a last short band.
+        monkeypatch.setattr(augment, "_BLEND_BAND_PIXELS", band_pixels)
+        rng = np.random.default_rng(band_pixels)
+        for width, height, max_level, tiles, clip in [
+            (37, 23, 15, (3, 5), 2.0), (64, 64, 255, (8, 8), 3.0), (50, 9, 4095, (7, 2), None),
+            (8, 8, 1, (8, 8), float("inf")), (100, 61, 255, (1, 1), 1.5),
+        ]:
+            values = rng.integers(0, max_level + 1, size=(height, width))
+            for grid in (IntensityGrid(width, height, max_level, values),
+                         _smooth_grid(width, height, max_level, band_pixels)):
+                expected = _clahe_reference(grid, clip, tiles)
+                assert np.array_equal(clahe(grid, clip, tiles).values, expected)
+
+    def test_peak_memory_below_three_inputs(self):
+        grid = _smooth_grid(1024, 1024, 4095, 1)
+        clahe(grid)
+        tracemalloc.start()
+        try:
+            clahe(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * grid.values.nbytes
+
 
 class TestResize:
+    def test_equals_float_copy_reference(self):
+        for width, height, max_level in [(37, 23, 15), (64, 64, 4095), (5, 300, 1)]:
+            grid = _smooth_grid(width, height, max_level, width)
+            for size in [(1, 1), (448, 448), (width, height), (13, 700)]:
+                assert np.array_equal(resize_bilinear(grid, *size).values, _resize_reference(grid, *size))
+
     def test_constant_invariant(self):
         grid = IntensityGrid(16, 16, 255, np.full((16, 16), 42))
         out = resize_bilinear(grid, 448, 448)

@@ -618,7 +618,24 @@ _BAD_JSONL = [
     json.dumps({"anatomy": "a", "verdict": {"reason": "r"}}) + "\n",
 ]
 
-#: JSON documents for the config, policy, endpoint and metrics inputs.
+#: Grid documents whose numbers are not JSON integers in range (preprocess).
+_BAD_GRIDS = [
+    json.dumps({"width": 2, "height": 2, "max_level": 255, "values": [0, 5, value, 7]})
+    for value in (1.5, -0.5, "3", True, False, 1e300, 2**70, None, [1], -3, 300)
+] + [
+    json.dumps({"width": 2, "height": 2, "max_level": 255, **override})
+    for override in (
+        {"values": [[0, 1], [2, 3]]},
+        {"values": {"0": 1}},
+        {"values": [0, 1, 2, 3], "width": 2.0},
+        {"values": [0, 1, 2, 3], "width": True},
+        {"values": [0, 1, 2, 3], "width": -2, "height": -2},
+        {"values": [0, 1, 2, 3], "max_level": "255"},
+        {"values": [0, 1, 2, 3], "max_level": 0},
+    )
+]
+
+#: JSON documents for the config, policy, endpoint, metrics and grid inputs.
 _BAD_DOCS = [
     "[1, 2]",
     "5",
@@ -637,6 +654,7 @@ _BAD_DOCS = [
     '{"bogus": 1}',
     "[{}]",
     '[{"name": "x"}]',
+    *_BAD_GRIDS,
 ]
 
 _FUZZ_CASES = {
@@ -722,6 +740,7 @@ def test_malformed_inputs_exit_cleanly(case, fuzz_inputs, tmp_path, capsys):
          json.dumps({**_GOOD_RECORD, "text": "a\ud800b"}) + "\n", "FormatError"),
         (["gen-tasks", "--records", "BAD"],
          json.dumps({**_GOOD_RECORD, "text": "a: [b"}) + "\n", "Unrenderable"),
+        *((["preprocess", "--in", "BAD"], doc, "FormatError") for doc in _BAD_GRIDS),
     ],
 )
 def test_malformed_input_names_the_domain_error(argv, body, error, fuzz_inputs, tmp_path, capsys):
@@ -731,3 +750,33 @@ def test_malformed_input_names_the_domain_error(argv, body, error, fuzz_inputs, 
     rc = dispatch([str(paths.get(a, a)) for a in argv] + ["--out", str(tmp_path / "out")])
     assert rc == 1
     assert f"ERROR radloop: {error}:" in capsys.readouterr().err
+
+
+def test_undecodable_bytes_name_their_line(records_path, tmp_path, capsys):
+    # Line 3 counts "\r\n" and a lone "\r" as one line end each.
+    bad = tmp_path / "bad.jsonl"
+    good = json.dumps(_GOOD_RECORD).encode()
+    bad.write_bytes(good + b"\r\n" + good + b"\r" + good.replace(b'"x"', b'"\xed\xa0\x80"') + b"\n")
+    assert dispatch(["gen-tasks", "--records", str(bad), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "ERROR radloop: FormatError: line 3: invalid UTF-8" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["gen-tasks"], ["augment", "--seed", "1"]])
+def test_failing_stream_keeps_the_old_output(argv, records_path, tmp_path, capsys):
+    # The last record cannot render, so the stage fails after streaming all
+    # the others: the old output stays as it was and nothing else is left.
+    bad = tmp_path / "bad.jsonl"
+    unrenderable = json.dumps({**_GOOD_RECORD, "text": "a: [b"}) + "\n"
+    bad.write_text(records_path.read_text(encoding="utf-8") + unrenderable, encoding="utf-8")
+    out = tmp_path / "tasks.jsonl"
+    out.write_bytes(b"old output\n")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert dispatch([argv[0], "--records", str(bad), *argv[1:], "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "ERROR radloop: Unrenderable: pg phrase 'a: [b' holds ': [', which ends the phrase"
+        " in the response\n"
+    )
+    assert out.read_bytes() == b"old output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import stat
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -15,11 +16,13 @@ from radloop.core import (
     Split,
     Task,
     TaskFamily,
+    atomic_write,
     clamp_box,
     dump_records_jsonl,
     instance_from_json,
     instance_to_json,
     iter_jsonl,
+    jsonl_lines,
     load_records_jsonl,
     record_from_json,
     record_to_json,
@@ -243,6 +246,40 @@ class TestRecordJson:
         assert len(load_records_jsonl(path)) == 1
 
 
+class TestAtomicWrite:
+    def test_chunks_and_string_write_the_same_bytes(self, tmp_path):
+        objs = [{"t": "é", "n": i} for i in range(3)]
+        atomic_write(tmp_path / "a", jsonl_lines(objs))
+        atomic_write(tmp_path / "b", "".join(json.dumps(o, ensure_ascii=False) + "\n" for o in objs))
+        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+    def test_failing_stream_leaves_target_untouched(self, tmp_path):
+        def chunks():
+            yield "new\n"
+            raise ValueError("boom")
+
+        path = tmp_path / "out.jsonl"
+        path.write_bytes(b"old\n")
+        with pytest.raises(ValueError, match="boom"):
+            atomic_write(path, chunks())
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+    def test_peak_memory_does_not_grow_with_lines(self, tmp_path):
+        # 200k lines make 8.5 MB of output; the writer holds one line at a time.
+        peaks = {}
+        for n in (2_000, 200_000):
+            tracemalloc.start()
+            try:
+                atomic_write(tmp_path / "out.jsonl", jsonl_lines({"i": i, "t": "x" * 20} for i in range(n)))
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (tmp_path / "out.jsonl").stat().st_size > 8_000_000
+        assert peaks[200_000] < 256 * 1024
+        assert peaks[200_000] < 2 * peaks[2_000]
+
+
 #: Keys of the record schema and of the four raw ingest formats, so generated
 #: objects reach the field decoders instead of stopping at a missing key.
 _SCHEMA_KEYS = (
@@ -263,14 +300,14 @@ json_values = st.recursive(
     | st.dictionaries(st.sampled_from(_SCHEMA_KEYS) | st.text(max_size=4), children, max_size=9),
     max_leaves=40,
 )
-jsonl_lines = st.lists(st.one_of(json_values.map(json.dumps), st.text(max_size=20)), max_size=4)
+text_lines = st.lists(st.one_of(json_values.map(json.dumps), st.text(max_size=20)), max_size=4)
 
 
 class TestReadersAreTotal:
     """Every reader returns its documented type or raises FormatError."""
 
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(lines=jsonl_lines)
+    @given(lines=text_lines)
     def test_any_lines(self, tmp_path, lines):
         path = tmp_path / "in.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -308,6 +345,42 @@ class TestReadersAreTotal:
             assert err.value.line == 2
         path.write_text('{"text": "\\ud83d\\ude00 \\u00e9"}\n', encoding="utf-8")
         assert list(iter_jsonl(path)) == [(1, {"text": "\U0001f600 \u00e9"})]
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        head=st.lists(
+            st.just(" ") | json_values.map(lambda v: json.dumps({"v": v}, ensure_ascii=False)),
+            max_size=4,
+        ),
+        line=st.binary(max_size=24).map(lambda b: b.replace(b"\n", b"").replace(b"\r", b"")),
+        tail=st.lists(st.binary(max_size=12), max_size=3),
+        ends=st.lists(st.sampled_from([b"\n", b"\r\n", b"\r"]), min_size=8, max_size=8),
+    )
+    def test_any_byte_line(self, tmp_path, head, line, tail, ends):
+        # Lines end in \n, \r\n or \r, each counted as one line end (blank
+        # lines before the checked one hold a space, so no "\r" + "\n" pair
+        # forms by accident). A line that is not UTF-8 is a FormatError
+        # naming that line.
+        lines = [h.encode("utf-8") for h in head] + [line] + tail
+        path = tmp_path / "in.jsonl"
+        path.write_bytes(b"".join(b + end for b, end in zip(lines, ends)))
+        try:
+            items = list(iter_jsonl(path))
+        except FormatError as exc:
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                assert exc.line == len(head) + 1
+            return
+        assert all(isinstance(obj, dict) for _, obj in items)
+        line.decode("utf-8")
+
+    def test_undecodable_line_numbered(self, tmp_path):
+        path = tmp_path / "in.jsonl"
+        path.write_bytes(b'{}\r\n\r{"t": "\xed\xa0\x80"}\n')
+        with pytest.raises(FormatError, match="invalid UTF-8") as err:
+            list(iter_jsonl(path))
+        assert err.value.line == 3
 
     @pytest.mark.parametrize(
         "field,value",
