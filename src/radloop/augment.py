@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Any, Mapping, Sequence
 
-import numpy as np
-
 from .core import (
     AnnotationRecord,
     Finding,
@@ -35,6 +33,10 @@ from .taskgen import render_instruction
 EVAL_CLAHE_CLIP = 3.0
 EVAL_CLAHE_GRID = (8, 8)
 EVAL_RESIZE = (448, 448)
+
+#: Deepest level a grid document may declare: 16 bits, the deepest a
+#: radiograph stores. :func:`clahe` builds ``max_level + 1`` bins per tile.
+MAX_GRID_LEVEL = 65535
 
 #: Pixels :func:`clahe` blends at a time; bounds its float temporaries.
 _BLEND_BAND_PIXELS = 1 << 16
@@ -184,6 +186,7 @@ class IntensityGrid:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
         self.values = np.asarray(self.values, dtype=np.int64).reshape(self.height, self.width)
         if self.max_level < 1:
             raise ValueError("max_level must be at least 1")
@@ -193,9 +196,12 @@ class IntensityGrid:
     @classmethod
     def from_json(cls, obj: Mapping[str, Any]) -> "IntensityGrid":
         """Decode a grid document; every number in it must be a JSON integer."""
+        import numpy as np
         for key in ("width", "height", "max_level"):
             if type(obj[key]) is not int or obj[key] < 1:
                 raise FormatError(0, f"grid {key} must be a positive JSON integer, got {obj[key]!r}")
+        if obj["max_level"] > MAX_GRID_LEVEL:
+            raise FormatError(0, f"grid max_level {obj['max_level']} exceeds {MAX_GRID_LEVEL}")
         values = obj["values"]
         if not isinstance(values, list):
             raise FormatError(0, "grid values must be a flat array of JSON integers")
@@ -232,6 +238,7 @@ def _tile_bounds(size: int, tiles: int) -> list[tuple[int, int]]:
 
 
 def _tile_lut(tile: np.ndarray, bins: int, max_level: int, clip_limit: float | None) -> np.ndarray:
+    import numpy as np
     hist = np.bincount(tile.ravel(), minlength=bins).astype(np.float64)
     if np.count_nonzero(hist) == 1:
         # Equalization is underdetermined on a constant tile; identity keeps
@@ -269,6 +276,7 @@ def clahe(
 
     Raises :class:`GridTooFine` when the image cannot host the tile grid.
     """
+    import numpy as np
     gx, gy = tiles
     if gx < 1 or gy < 1 or grid.width < gx or grid.height < gy:
         raise GridTooFine(f"grid {tiles} does not fit a {grid.width}x{grid.height} image")
@@ -323,6 +331,7 @@ def clahe(
 
 def resize_bilinear(grid: IntensityGrid, width: int, height: int) -> IntensityGrid:
     """Bilinear resize of an intensity grid (align-corners convention)."""
+    import numpy as np
     src = grid.values
     if width < 1 or height < 1:
         raise ValueError("target size must be positive")
@@ -439,6 +448,7 @@ def augment_instance(
     returned unchanged. The response is rebuilt from the transformed record
     by the template renderer.
     """
+    import numpy as np
     rng = np.random.default_rng(seed)
     if rng.random() < policy.p_bypass:
         meta = dict(instance.structured.meta)

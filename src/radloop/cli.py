@@ -23,8 +23,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-import numpy as np
-
 from . import __version__
 from .augment import (
     DEFAULT_POLICY,
@@ -230,6 +228,7 @@ def _cmd_plan(args, config, config_doc) -> None:
 
 
 def _cmd_sample(args, config, config_doc) -> None:
+    import numpy as np
     seed = _require_seed(args, config)
     pool = SamplingPool.from_records(load_records_jsonl(args.records))
     state = load_json(args.plan, lambda doc: CurriculumState.from_json(doc["state"]))

@@ -28,8 +28,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterable, Mapping, Protocol, Sequence
 
-import numpy as np
-
 from .core import AnnotationRecord, DataSourceId, Task, TaskFamily, config_from_json
 from .errors import ConfigError, EmptyLeaf, MissingMetrics, NoMetrics
 
@@ -659,6 +657,7 @@ def run_curriculum(
     learner sees the per-leaf sample tally after every stage and then
     answers one evaluation request drawn with the stage's own seed.
     """
+    import numpy as np
     rng = np.random.default_rng(seed)
     state = initial_state(pool)
     logs: list[StageLog] = []

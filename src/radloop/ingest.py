@@ -36,8 +36,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-import numpy as np
-
 from .core import (
     AGRG_SUBTASKS,
     AnnotationRecord,
@@ -290,6 +288,7 @@ def make_fixture_dataset(
     each), or ``"source:task"`` to control the source id. Identical
     (seed, spec) pairs produce identical record lists.
     """
+    import numpy as np
     rng = np.random.default_rng(seed)
     records: list[AnnotationRecord] = []
     for task_key in spec:
@@ -371,6 +370,7 @@ def build_benchmark_subset(
     the outcome is deterministic given (records, spec, seed). A stratum
     that cannot supply its allocation raises :class:`InsufficientStratum`.
     """
+    import numpy as np
     rng = np.random.default_rng(seed)
     with_findings: dict[tuple[str, bool, bool], list[AnnotationRecord]] = {}
     without: dict[str, list[AnnotationRecord]] = {}

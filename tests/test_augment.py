@@ -9,6 +9,7 @@ from radloop import augment
 from radloop.augment import (
     EVAL_CLAHE_CLIP,
     EVAL_CLAHE_GRID,
+    MAX_GRID_LEVEL,
     AffineParams,
     AugPolicy,
     CropParams,
@@ -209,6 +210,14 @@ class TestIntensityGrid:
         doc = {"width": 2, "height": 2, "max_level": 255, "values": [0, 5, 6, 7], key: value}
         with pytest.raises(FormatError, match=f"grid {key} must be a positive JSON integer"):
             IntensityGrid.from_json(doc)
+
+    @pytest.mark.parametrize("max_level", [MAX_GRID_LEVEL + 1, 2**40])
+    def test_decoder_bounds_max_level(self, max_level):
+        doc = {"width": 8, "height": 8, "max_level": max_level, "values": [0] * 64}
+        with pytest.raises(FormatError, match=f"grid max_level {max_level} exceeds 65535"):
+            IntensityGrid.from_json(doc)
+        doc["max_level"] = MAX_GRID_LEVEL
+        assert IntensityGrid.from_json(doc).max_level == 65535
 
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(values=st.lists(_json_values, max_size=12), max_level=st.sampled_from([1, 3, 255]))

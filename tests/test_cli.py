@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
+import radloop
 from radloop.augment import IntensityGrid
 from radloop.cli import dispatch
 from radloop.core import DataSourceId, TaskFamily, dump_records_jsonl, load_records_jsonl
@@ -633,6 +638,10 @@ _BAD_GRIDS = [
         {"values": [0, 1, 2, 3], "max_level": "255"},
         {"values": [0, 1, 2, 3], "max_level": 0},
     )
+] + [
+    # Deeper than 16 bits; 2**40 would ask for 512 TiB of lookup tables.
+    json.dumps({"width": 8, "height": 8, "max_level": level, "values": [0] * 64})
+    for level in (65536, 2**40)
 ]
 
 #: JSON documents for the config, policy, endpoint, metrics and grid inputs.
@@ -780,3 +789,110 @@ def test_failing_stream_keeps_the_old_output(argv, records_path, tmp_path, capsy
     )
     assert out.read_bytes() == b"old output\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+# ---------------------------------------------------------------------------
+# Same inputs and seed give the same bytes
+
+_CHAIN_CASES = {
+    "ingest": ["ingest", "--in", "RAW", "--format", "scene_graph"],
+    "gen-tasks": ["gen-tasks", "--records", "RECORDS"],
+    "augment": ["augment", "--records", "RECORDS", "--seed", "7"],
+    "plan": ["plan", "--records", "RECORDS", "--metrics", "METRICS"],
+    "sample": ["sample", "--records", "RECORDS", "--plan", "PLAN", "--n", "300", "--seed", "11"],
+    "simulate": ["simulate", "--records", "RECORDS", "--seed", "3", "--warmup-steps", "40",
+                 "--reweight-interval", "40", "--total-steps", "160"],
+    "eval": ["eval", "--pred", "PREDS", "--gold", "RECORDS", "--task", "pg"],
+}
+
+
+@pytest.fixture()
+def chain_inputs(records_path, tmp_path):
+    """Inputs for every case of ``_CHAIN_CASES``, keyed by placeholder."""
+    paths = {
+        "RECORDS": records_path,
+        "PLAN": tmp_path / "plan.json",
+        "METRICS": write_metrics(tmp_path),
+        "RAW": tmp_path / "raw.jsonl",
+        "PREDS": tmp_path / "preds.jsonl",
+    }
+    assert dispatch(["plan", "--records", str(records_path), "--out", str(paths["PLAN"])]) == 0
+    raw = [
+        {"image_id": f"im{i}", "location": loc, "box": [0.3, 0.5, 0.2, 0.4], "sentence": "Clear."}
+        for i, loc in enumerate(["left lung", "right lung", "spine"])
+    ]
+    paths["RAW"].write_text("".join(json.dumps(r) + "\n" for r in raw), encoding="utf-8")
+    # Perfect predictions for every PG record but the first, which drifts.
+    preds = [
+        {"image_id": rec.image_id, "output": render_instruction(rec).response}
+        for rec in load_records_jsonl(records_path)
+        if rec.task.value == "pg"
+    ]
+    preds[0]["output"] = preds[0]["output"].replace(": [", " at [")
+    paths["PREDS"].write_text("".join(json.dumps(r) + "\n" for r in preds), encoding="utf-8")
+    return paths
+
+
+def chain_argv(case, inputs, out):
+    return [str(inputs.get(a, a)) for a in _CHAIN_CASES[case]] + ["--out", str(out)]
+
+
+@pytest.mark.parametrize("case", sorted(_CHAIN_CASES))
+def test_same_inputs_and_seed_give_the_same_bytes(case, chain_inputs, tmp_path):
+    outs = [tmp_path / "first" / "out", tmp_path / "second" / "out"]
+    for out in outs:
+        assert dispatch(chain_argv(case, chain_inputs, out)) == 0
+    assert outs[0].stat().st_size > 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Start-up: numpy loads only in the subcommands that build arrays
+
+_DISPATCH_ALL = """
+import json
+from radloop.cli import dispatch
+for argv in json.loads(sys.argv[1]):
+    assert dispatch(argv) == 0, argv
+"""
+
+_RUN_VERSION = """
+import runpy
+sys.argv = ["radloop", "--version"]
+try:
+    runpy.run_module("radloop.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+"""
+
+
+def numpy_loaded_after(script, *args):
+    """Run ``script`` in a fresh interpreter and say whether it imported numpy."""
+    path = [str(Path(radloop.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code = f"import sys\n{script}\nprint('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()[-1] == "True"
+
+
+def test_import_and_version_leave_numpy_unloaded():
+    assert not numpy_loaded_after("import radloop.cli")
+    assert not numpy_loaded_after(_RUN_VERSION)
+
+
+def test_only_array_subcommands_load_numpy(chain_inputs, tmp_path):
+    verdicts = tmp_path / "verdicts.jsonl"
+    rows = [
+        {"image_id": "im1", "anatomy": "left lung", "verdict": VERDICT},
+        {"image_id": "im2", "anatomy": "spine", "error": "bad verdict", "raw": "x"},
+    ]
+    verdicts.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    argvs = [chain_argv(c, chain_inputs, tmp_path / c) for c in ("gen-tasks", "plan", "eval")]
+    argvs.append(["judge-aggregate", "--in", str(verdicts), "--out", str(tmp_path / "table.json")])
+    assert not numpy_loaded_after(_DISPATCH_ALL, json.dumps(argvs))
+    # Augment draws from a numpy generator, so it loads numpy at first use.
+    argvs.append(chain_argv("augment", chain_inputs, tmp_path / "augment"))
+    assert numpy_loaded_after(_DISPATCH_ALL, json.dumps(argvs))

@@ -171,6 +171,8 @@ def _record(task, text, location, boxes):
 
 _unit = st.floats(0.0, 1.0)
 _side = st.floats(0.0, 1.0, exclude_min=True)
+#: Box sides that render as 0.00.
+_tiny_side = st.floats(0.0, 0.005, exclude_min=True, exclude_max=True)
 #: Arbitrary text, plus text over the characters the response literals use.
 _texts = st.text(min_size=1) | st.text(alphabet=": [.]Dx", min_size=1)
 
@@ -226,8 +228,8 @@ class TestTemplateSet:
         """Strict parse of a rendered response returns its fields, or render refuses.
 
         Still open: GRG finding text holding '.' or '[' fails its own strict
-        parse, and a box side below 0.005 renders as 0.00 and parses back as a
-        degenerate box with a warning.
+        parse. ``test_tiny_sides_parse_back_with_a_warning`` pins sides below
+        0.005.
         """
         rec = _record(task, text, location, boxes)
         try:
@@ -247,6 +249,34 @@ class TestTemplateSet:
         for got, want in zip(out.boxes, rec.boxes):
             for g, w in zip(got.to_list(), want.to_list()):
                 assert abs(g - w) <= TEXT_ROUNDTRIP_TOL + 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        task=st.sampled_from([Task.PG, Task.AGRG_LOCATE]),
+        boxes=st.lists(
+            st.builds(NormBox, _unit, _unit, _tiny_side | _side, _tiny_side | _side),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    @example(Task.PG, [NormBox(0.5, 0.5, 0.004, 0.3)])
+    def test_tiny_sides_parse_back_with_a_warning(self, task, boxes):
+        """A side below 0.005 renders as 0.00; strict parse keeps the box.
+
+        The parsed side is 1e-06, within 0.005 of the true one, and each such
+        side adds one 'degenerate' warning.
+        """
+        response = render_instruction(_record(task, "opacity", "left lung", boxes)).response
+        out = parse_output(response, task)
+        assert len(out.boxes) == len(boxes)
+        for got, want in zip(out.boxes, boxes):
+            for g, w in zip(got.to_list(), want.to_list()):
+                assert abs(g - w) <= TEXT_ROUNDTRIP_TOL + 1e-9
+        tiny = sum(side < 0.005 for box in boxes for side in (box.w, box.h))
+        assert len(out.warnings) == tiny
+        for warning in out.warnings:
+            assert warning.startswith("degenerate ")
+            assert warning.endswith(" replaced with 1e-06")
 
 
 class TestExpandLabels:
