@@ -20,6 +20,7 @@ import json
 import logging
 import sys
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -33,6 +34,7 @@ from .augment import (
     preprocess_eval,
 )
 from .core import (
+    AnnotationRecord,
     Task,
     atomic_write,
     config_from_json,
@@ -41,6 +43,7 @@ from .core import (
     jsonl_lines,
     load_json,
     load_records_jsonl,
+    record_from_json,
     record_to_json,
 )
 from .curriculum import (
@@ -108,8 +111,23 @@ class ToolConfig:
 # Output plumbing
 
 
-def _json_doc(obj: Mapping[str, Any]) -> str:
-    return json.dumps(obj, ensure_ascii=False, indent=2) + "\n"
+def _json_doc(obj: Mapping[str, Any]) -> Iterator[str]:
+    """Encode a whole-file document as it is written, never as one string.
+
+    The indenting encoder yields a few characters per chunk, so chunks are
+    joined in blocks: one write per chunk costs more than the join saves.
+    """
+    chunks = json.JSONEncoder(ensure_ascii=False, indent=2).iterencode(obj)
+    while block := "".join(islice(chunks, 4096)):
+        yield block
+    yield "\n"
+
+
+def _records(path: str | Path) -> Iterator[AnnotationRecord]:
+    """Decode a records file one record at a time, as strictly as
+    ``load_records_jsonl``: a consumer holds only what it keeps."""
+    for line_no, obj in iter_jsonl(path):
+        yield record_from_json(obj, line_no)
 
 
 def _config_hash(args: argparse.Namespace, config_doc: Mapping[str, Any] | None) -> str:
@@ -171,7 +189,7 @@ def _cmd_ingest(args, config, config_doc) -> None:
 
 
 def _cmd_gen_tasks(args, config, config_doc) -> None:
-    records = load_records_jsonl(args.records)
+    records = _records(args.records)
     if args.expand_labels:
         records = expand_padchest_labels(records)
     instances = (render_instruction(rec) for rec in records)
@@ -183,7 +201,7 @@ def _cmd_augment(args, config, config_doc) -> None:
     policy = config.policy or DEFAULT_POLICY
     if args.policy:
         policy = load_json(args.policy, AugPolicy.from_json)
-    records = load_records_jsonl(args.records)
+    records = _records(args.records)
     instances = (
         augment_instance(render_instruction(rec), policy, instance_seed(seed, rec.image_id, index))
         for index, rec in enumerate(records)
@@ -218,7 +236,7 @@ def _curriculum_config(args, config: ToolConfig) -> CurriculumConfig:
 
 
 def _cmd_plan(args, config, config_doc) -> None:
-    pool = SamplingPool.from_records(load_records_jsonl(args.records))
+    pool = SamplingPool.from_records(_records(args.records))
     cfg = _curriculum_config(args, config)
     state = initial_state(pool)
     if args.metrics:
@@ -230,24 +248,24 @@ def _cmd_plan(args, config, config_doc) -> None:
 def _cmd_sample(args, config, config_doc) -> None:
     import numpy as np
     seed = _require_seed(args, config)
-    pool = SamplingPool.from_records(load_records_jsonl(args.records))
+    pool = SamplingPool.from_records(_records(args.records))
     state = load_json(args.plan, lambda doc: CurriculumState.from_json(doc["state"]))
     rng = np.random.default_rng(seed)
     rows = (
         {
-            "image_id": rec.image_id,
-            "source_id": rec.source_id,
-            "task": rec.task.value,
-            "category": rec.category,
+            "image_id": draw.image_id,
+            "source_id": draw.source_id,
+            "task": draw.task.value,
+            "category": draw.category,
         }
-        for rec in draw_samples(state, pool, args.n, rng)
+        for draw in draw_samples(state, pool, args.n, rng)
     )
     _emit(args.out, jsonl_lines(rows), args, config_doc)
 
 
 def _cmd_simulate(args, config, config_doc) -> None:
     seed = _require_seed(args, config)
-    pool = SamplingPool.from_records(load_records_jsonl(args.records))
+    pool = SamplingPool.from_records(_records(args.records))
     cfg = _curriculum_config(args, config)
     params = {}
     for key, ps in pool.sources.items():

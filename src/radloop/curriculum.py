@@ -24,9 +24,11 @@ stage ``n`` are the ones stage ``n + 1`` samples from.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Mapping, Protocol, Sequence
+from itertools import accumulate
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
 from .core import AnnotationRecord, DataSourceId, Task, TaskFamily, config_from_json
 from .errors import ConfigError, EmptyLeaf, MissingMetrics, NoMetrics
@@ -217,22 +219,36 @@ def build_distribution(
 # Sampling pool
 
 
+class Draw(NamedTuple):
+    """One sampled instance: the record's image id and the leaf it came from."""
+
+    image_id: str
+    source_id: str
+    task: Task
+    category: str
+
+
 @dataclass
 class PoolSource:
-    """Records of one data source, indexed by subtask then category."""
+    """Image ids of one data source, indexed by subtask then category."""
 
     source: DataSourceId
-    subtasks: dict[Task, dict[str, list[AnnotationRecord]]]
+    subtasks: dict[Task, dict[str, list[str]]]
 
     @property
     def size(self) -> int:
         return sum(
-            len(recs) for cats in self.subtasks.values() for recs in cats.values()
+            len(ids) for cats in self.subtasks.values() for ids in cats.values()
         )
 
 
 class SamplingPool:
-    """All records grouped source -> subtask -> category, insertion ordered."""
+    """Image ids grouped source -> subtask -> category, insertion ordered.
+
+    Sampling reads only a record's source, task, category and image id, so
+    the pool keeps one id per record and no record: records can be decoded
+    and dropped one at a time.
+    """
 
     def __init__(self) -> None:
         self.sources: dict[str, PoolSource] = {}
@@ -252,7 +268,7 @@ class SamplingPool:
                     f"{entry.source.task.value} and {source.task.value}"
                 )
             cats = entry.subtasks.setdefault(rec.task, {})
-            cats.setdefault(rec.category, []).append(rec)
+            cats.setdefault(rec.category, []).append(rec.image_id)
         return pool
 
     def get(self, key: str) -> PoolSource | None:
@@ -328,6 +344,11 @@ class CurriculumState:
                     sizes=[int(x) for x in st["sizes"]],
                     probs=[float(p) for p in st["probs"]],
                 )
+                if not len(st["categories"]) == len(st["sizes"]) == len(st["probs"]):
+                    raise ValueError(
+                        f"subtask {task_value!r} of {key!r} needs one size and one "
+                        "probability per category"
+                    )
             sources[key] = SourceState(
                 source=DataSourceId(str(s["name"]), TaskFamily(s["task"])),
                 size=int(s["size"]),
@@ -491,47 +512,76 @@ def advance_stage(
 # Drawing
 
 
-def _choose(rng: np.random.Generator, probs: Sequence[float]) -> int:
-    u = rng.random()
-    acc = 0.0
-    for i, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            return i
-    return len(probs) - 1
+def _cdf(probs: Iterable[float]) -> list[float]:
+    """Running sums in the order a left-to-right walk adds them.
+
+    The running maximum keeps the list sorted even for a hand-written plan
+    with a negative or NaN probability, so bisecting it picks the first index
+    whose running sum exceeds the draw, exactly as the walk does.
+    """
+    return list(accumulate(accumulate(probs), max))
 
 
-def draw_sample(
-    state: CurriculumState, pool: SamplingPool, rng: np.random.Generator
-) -> AnnotationRecord:
-    """Draw one record: source, then subtask, then category, then instance.
+class DrawTable:
+    """One stage's sampling distributions compiled against a pool.
+
+    Built once per stage: the source CDF, each source's subtask list, and
+    each subtask's category CDF with its leaves ``(ids, source_id, task,
+    category)``. A leaf of the state with no records in the pool raises
+    :class:`EmptyLeaf` here, before anything is drawn.
+    """
+
+    def __init__(self, state: CurriculumState, pool: SamplingPool):
+        self.source_cdf = _cdf(s.prob for s in state.sources.values())
+        self.sources: list[list[tuple[list[float], list[tuple]]]] = []
+        for src_state in state.sources.values():
+            key = src_state.source.key
+            pool_source = pool.get(key)
+            if pool_source is None:
+                raise EmptyLeaf(f"source {key!r} has no records")
+            subtasks = []
+            for st in src_state.subtasks.values():
+                cats = pool_source.subtasks.get(st.task, {})
+                leaves = []
+                for cat in st.categories:
+                    ids = cats.get(cat)
+                    if not ids:
+                        raise EmptyLeaf(f"leaf {key!r}/{st.task.value}/{cat!r} has no records")
+                    leaves.append((ids, src_state.source.name, st.task, cat))
+                if not leaves:
+                    raise EmptyLeaf(f"subtask {key!r}/{st.task.value} has no categories")
+                subtasks.append((_cdf(st.probs), leaves))
+            if not subtasks:
+                raise EmptyLeaf(f"source {key!r} has no subtasks")
+            self.sources.append(subtasks)
+        if not self.sources:
+            raise EmptyLeaf("the plan has no sources")
+
+
+def draw_sample(table: DrawTable, rng: np.random.Generator) -> Draw:
+    """Draw one instance: source, then subtask, then category, then instance.
 
     Subtasks are drawn uniformly within the source; instances uniformly
-    within the category; everything with replacement. A positive-probability
-    leaf with no records raises :class:`EmptyLeaf`.
+    within the category; everything with replacement. Each level bisects its
+    CDF with one ``rng.random()``; a draw past the last running sum (the
+    probabilities sum just below 1) takes the last entry.
     """
-    keys = list(state.sources.keys())
-    src_state = state.sources[keys[_choose(rng, [state.sources[k].prob for k in keys])]]
-    pool_source = pool.get(src_state.source.key)
-    if pool_source is None:
-        raise EmptyLeaf(f"source {src_state.source.key!r} has no records")
-
-    subtask_list = list(src_state.subtasks.values())
-    st = subtask_list[int(rng.integers(len(subtask_list)))] if len(subtask_list) > 1 else subtask_list[0]
-
-    cat = st.categories[_choose(rng, st.probs)]
-    records = pool_source.subtasks.get(st.task, {}).get(cat)
-    if not records:
-        raise EmptyLeaf(
-            f"leaf {src_state.source.key!r}/{st.task.value}/{cat!r} has no records"
-        )
-    return records[int(rng.integers(len(records)))]
+    cdf = table.source_cdf
+    subtasks = table.sources[bisect_right(cdf, rng.random(), 0, len(cdf) - 1)]
+    cdf, leaves = subtasks[int(rng.integers(len(subtasks)))] if len(subtasks) > 1 else subtasks[0]
+    ids, source_id, task, category = leaves[bisect_right(cdf, rng.random(), 0, len(cdf) - 1)]
+    return Draw(ids[int(rng.integers(len(ids)))], source_id, task, category)
 
 
 def draw_samples(
     state: CurriculumState, pool: SamplingPool, n: int, rng: np.random.Generator
-) -> list[AnnotationRecord]:
-    return [draw_sample(state, pool, rng) for _ in range(n)]
+) -> Iterator[Draw]:
+    """Compile the stage's table now, then yield ``n`` draws as they are taken.
+
+    An :class:`EmptyLeaf` is raised by this call, before the first draw.
+    """
+    table = DrawTable(state, pool)
+    return (draw_sample(table, rng) for _ in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -540,11 +590,11 @@ def draw_samples(
 
 @dataclass
 class EvalRequest:
-    """One evaluation round: which records to score, at which stage."""
+    """One evaluation round: which instances to score, at which stage."""
 
     stage_index: int
     seed: int
-    subsets: dict[str, list[AnnotationRecord]]
+    subsets: dict[str, list[Draw]]
 
     def sizes(self) -> dict[str, int]:
         return {k: len(v) for k, v in self.subsets.items()}
@@ -562,27 +612,28 @@ class Learner(Protocol):
 
 def select_eval_subset(
     pool_source: PoolSource, n: int, rng: np.random.Generator
-) -> list[AnnotationRecord]:
+) -> list[Draw]:
     """Stratified evaluation subset: as even as integer division allows.
 
     Allocation goes category by category in pool order; leftover slots go to
     the earliest categories. Categories smaller than their allocation
     contribute everything they have.
     """
-    cats: list[tuple[Task, str, list[AnnotationRecord]]] = []
+    cats: list[tuple[Task, str, list[str]]] = []
     for task, cat_map in pool_source.subtasks.items():
-        for cat, recs in cat_map.items():
-            cats.append((task, cat, recs))
+        for cat, ids in cat_map.items():
+            cats.append((task, cat, ids))
     if not cats:
         return []
     base, extra = divmod(n, len(cats))
-    chosen: list[AnnotationRecord] = []
-    for i, (_, _, recs) in enumerate(cats):
-        want = min(base + (1 if i < extra else 0), len(recs))
+    name = pool_source.source.name
+    chosen: list[Draw] = []
+    for i, (task, cat, ids) in enumerate(cats):
+        want = min(base + (1 if i < extra else 0), len(ids))
         if want == 0:
             continue
-        idx = rng.choice(len(recs), size=want, replace=False)
-        chosen.extend(recs[int(j)] for j in sorted(idx))
+        idx = rng.choice(len(ids), size=want, replace=False)
+        chosen.extend(Draw(ids[j], name, task, cat) for j in sorted(idx.tolist()))
     return chosen
 
 
@@ -664,11 +715,15 @@ def run_curriculum(
     sizes = _eval_sizes(cfg, pool)
 
     for steps in stage_lengths(cfg):
-        counts: dict[tuple[str, Task, str], int] = {}
+        table = DrawTable(state, pool)
+        tally: dict[tuple[str, Task, str], int] = {}
         for _ in range(steps):
-            rec = draw_sample(state, pool, rng)
-            key = (DataSourceId(rec.source_id, rec.task.family).key, rec.task, rec.category)
-            counts[key] = counts.get(key, 0) + 1
+            leaf = draw_sample(table, rng)[1:]  # (source_id, task, category)
+            tally[leaf] = tally.get(leaf, 0) + 1
+        counts = {
+            (DataSourceId(name, task.family).key, task, cat): c
+            for (name, task, cat), c in tally.items()
+        }
         learner.observe(counts)
 
         eval_rng = np.random.default_rng([seed, state.stage_index, 0x5EED])

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import AnnotationRecord, Finding, InstructionInstance, NormBox, Split, Task
 from .errors import MissingField, Unrenderable, UnsupportedTask
@@ -141,17 +141,17 @@ def render_instruction(record: AnnotationRecord) -> InstructionInstance:
     )
 
 
-def expand_padchest_labels(records: Iterable[AnnotationRecord]) -> list[AnnotationRecord]:
+def expand_padchest_labels(records: Iterable[AnnotationRecord]) -> Iterator[AnnotationRecord]:
     """Duplicate labeled sentence-grounding records as (label, boxes) pairs.
 
     For every train or val PG record whose ``meta`` carries a ``label``, an
-    additional PG record with the label as its phrase is appended directly
+    additional PG record with the label as its phrase is yielded directly
     after the original. Test-split records pass through unchanged so that
-    evaluation never sees synthetic phrases.
+    evaluation never sees synthetic phrases. Records are taken and yielded
+    one at a time.
     """
-    out: list[AnnotationRecord] = []
     for rec in records:
-        out.append(rec)
+        yield rec
         if (
             rec.task is Task.PG
             and rec.split in (Split.TRAIN, Split.VAL)
@@ -159,8 +159,7 @@ def expand_padchest_labels(records: Iterable[AnnotationRecord]) -> list[Annotati
         ):
             meta = {k: v for k, v in rec.meta.items() if k != "label"}
             meta["from_label"] = True
-            out.append(replace(rec, text=str(rec.meta["label"]), meta=meta))
-    return out
+            yield replace(rec, text=str(rec.meta["label"]), meta=meta)
 
 
 # ---------------------------------------------------------------------------

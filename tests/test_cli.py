@@ -727,6 +727,15 @@ def test_malformed_inputs_exit_cleanly(case, fuzz_inputs, tmp_path, capsys):
         assert "Traceback" not in err, (body, err)
 
 
+_SAMPLE_BAD_PLAN = ["sample", "--records", "RECORDS", "--plan", "BAD", "--n", "3", "--seed", "1"]
+
+
+def _plan_doc(**subtask):
+    source = {"name": "pgsrc", "task": "pg", "size": 6, "prob": 1.0, "score": None,
+              "error": None, "subtasks": {"pg": subtask}}
+    return {"state": {"stage_index": 0, "sources": {"pgsrc:pg": source}}}
+
+
 @pytest.mark.parametrize(
     "argv,body,error",
     [
@@ -750,6 +759,9 @@ def test_malformed_inputs_exit_cleanly(case, fuzz_inputs, tmp_path, capsys):
         (["gen-tasks", "--records", "BAD"],
          json.dumps({**_GOOD_RECORD, "text": "a: [b"}) + "\n", "Unrenderable"),
         *((["preprocess", "--in", "BAD"], doc, "FormatError") for doc in _BAD_GRIDS),
+        (_SAMPLE_BAD_PLAN, json.dumps({"state": {"stage_index": 0, "sources": {}}}), "EmptyLeaf"),
+        (_SAMPLE_BAD_PLAN, json.dumps(_plan_doc(categories=["a"], sizes=[6], probs=[])),
+         "FormatError"),
     ],
 )
 def test_malformed_input_names_the_domain_error(argv, body, error, fuzz_inputs, tmp_path, capsys):

@@ -3,13 +3,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from radloop.core import AnnotationRecord, DataSourceId, Finding, NormBox, Task, TaskFamily
+from radloop.core import (
+    AGRG_SUBTASKS,
+    AnnotationRecord,
+    DataSourceId,
+    Finding,
+    NormBox,
+    Task,
+    TaskFamily,
+)
 from radloop.curriculum import (
     DEFAULT_ALPHA,
     CurriculumConfig,
     CurriculumState,
     DecayParams,
+    Draw,
     Level,
     MetricEntry,
     SamplingPool,
@@ -378,6 +388,65 @@ class TestDrawing:
         rng = np.random.default_rng(1)
         with pytest.raises(EmptyLeaf):
             draw_samples(state, pool, 500, rng)
+
+
+def _choose(rng, probs):
+    """The linear walk the sampler is pinned to: the first index whose
+    running sum exceeds one uniform draw, else the last index."""
+    u = rng.random()
+    acc = 0.0
+    for i, p in enumerate(probs):
+        acc += p
+        if u < acc:
+            return i
+    return len(probs) - 1
+
+
+def reference_draw(state, pool, rng):
+    keys = list(state.sources)
+    src = state.sources[keys[_choose(rng, [state.sources[k].prob for k in keys])]]
+    subtasks = list(src.subtasks.values())
+    st_ = subtasks[int(rng.integers(len(subtasks)))] if len(subtasks) > 1 else subtasks[0]
+    cat = st_.categories[_choose(rng, st_.probs)]
+    ids = pool.sources[src.source.key].subtasks[st_.task][cat]
+    return Draw(ids[int(rng.integers(len(ids)))], src.source.name, st_.task, cat)
+
+
+def prob_vectors(n):
+    """Unnormalised weights with zeros (sums far from 1), normalised ones
+    (float sums land on or just below 1), and arbitrary floats."""
+    weights = st.lists(st.one_of(st.just(0.0), st.floats(0, 1)), min_size=n, max_size=n)
+    normalised = weights.filter(lambda w: sum(w) > 0).map(lambda w: [x / sum(w) for x in w])
+    anything = st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=n, max_size=n)
+    return st.one_of(weights, normalised, anything)
+
+
+@st.composite
+def drawn_plans(draw):
+    spec = {"cig": {t: {} for t in AGRG_SUBTASKS[: draw(st.integers(1, 3))]}}
+    for i in range(draw(st.integers(0, 3))):
+        spec[f"pg{i}"] = {Task.PG: {}}
+    for tasks in spec.values():
+        for cats in tasks.values():
+            for c in range(draw(st.integers(1, 5))):
+                cats[f"c{c}"] = draw(st.integers(1, 3))
+    pool = SamplingPool.from_records(make_records(spec))
+    state = initial_state(pool)
+    for source, p in zip(state.sources.values(), draw(prob_vectors(len(state.sources)))):
+        source.prob = p
+        for sub in source.subtasks.values():
+            sub.probs = draw(prob_vectors(len(sub.categories)))
+    return state, pool
+
+
+class TestDrawStream:
+    @settings(max_examples=300, deadline=None)
+    @given(plan=drawn_plans(), seed=st.integers(0, 2**63 - 1))
+    def test_compiled_table_draws_what_the_linear_walk_draws(self, plan, seed):
+        state, pool = plan
+        draws = list(draw_samples(state, pool, 40, np.random.default_rng(seed)))
+        rng = np.random.default_rng(seed)
+        assert draws == [reference_draw(state, pool, rng) for _ in range(40)]
 
 
 class TestEvalSubset:

@@ -1,0 +1,119 @@
+"""Primary outputs of the file-in/file-out chain, pinned by sha256 digest.
+
+The corpus, plan, metrics, predictions and grid below are all seeded, so
+each command's output bytes are a function of the code alone. The digests
+were recorded while the sampling pool still held whole records, so they pin
+the bytes across that redesign; a change that moves any of them changes the
+bytes users get, and has to say so.
+"""
+
+import dataclasses
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from radloop.cli import dispatch
+from radloop.core import Task, dump_records_jsonl
+from radloop.ingest import make_fixture_dataset
+from radloop.taskgen import AGRG29, render_instruction
+
+PG_CATEGORIES = ("Effusion", "Nodule", "Atelectasis")
+AGRG_LOCATIONS = AGRG29.locations[:4]
+
+
+def golden_corpus():
+    records = make_fixture_dataset(
+        11,
+        {
+            "pgsrc:pg": {c: 12 for c in PG_CATEGORIES},
+            "cig:agrg": {loc: 5 for loc in AGRG_LOCATIONS},
+            "grgsrc:grg": {"report": 15},
+        },
+    )
+    # Every third PG record carries a label, for gen-tasks --expand-labels.
+    return [
+        dataclasses.replace(rec, meta={**rec.meta, "label": f"label {i}"})
+        if rec.task is Task.PG and i % 3 == 0
+        else rec
+        for i, rec in enumerate(records)
+    ]
+
+
+def golden_metrics():
+    def entries(cats, base):
+        return {c: {"iou": round(base + 0.07 * i, 2)} for i, c in enumerate(cats)}
+
+    return [
+        {"name": "pgsrc", "task": "pg", "iou": 0.55, "text_score": 0.7,
+         "per_category": entries(PG_CATEGORIES, 0.4)},
+        {"name": "cig", "task": "agrg", "iou": 0.62,
+         "per_subtask": {t: entries(AGRG_LOCATIONS, 0.3 + 0.1 * k) for k, t in
+                         enumerate(("agrg_locate", "agrg_describe", "agrg_both"))}},
+        {"name": "grgsrc", "task": "grg", "text_score": 0.81,
+         "per_category": {"report": {"text_score": 0.81}}},
+    ]
+
+
+@pytest.fixture(scope="module")
+def golden_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden")
+    records = golden_corpus()
+    paths = {name: d / name for name in
+             ("records.jsonl", "metrics.json", "preds.jsonl", "grid.json", "plan.json")}
+    dump_records_jsonl(paths["records.jsonl"], records)
+    paths["metrics.json"].write_text(json.dumps(golden_metrics()), encoding="utf-8")
+    preds = [
+        {"image_id": rec.image_id, "output": render_instruction(rec).response}
+        for rec in records if rec.task is Task.PG
+    ]
+    for row in preds[::5]:
+        row["output"] = row["output"].replace(": [", " at [")
+    paths["preds.jsonl"].write_text("".join(json.dumps(r) + "\n" for r in preds), encoding="utf-8")
+    rng = np.random.default_rng(4)
+    grid = {"width": 20, "height": 12, "max_level": 255,
+            "values": [int(v) for v in rng.integers(0, 256, size=240)]}
+    paths["grid.json"].write_text(json.dumps(grid), encoding="utf-8")
+    assert dispatch(["plan", "--records", str(paths["records.jsonl"]), "--metrics",
+                     str(paths["metrics.json"]), "--out", str(paths["plan.json"])]) == 0
+    return {name.split(".")[0].upper(): str(p) for name, p in paths.items()}
+
+
+GOLDEN_CASES = {
+    "plan-uniform": ["plan", "--records", "RECORDS"],
+    "plan-metrics": ["plan", "--records", "RECORDS", "--metrics", "METRICS"],
+    "sample": ["sample", "--records", "RECORDS", "--plan", "PLAN", "--n", "500", "--seed", "11"],
+    "simulate": ["simulate", "--records", "RECORDS", "--seed", "3", "--warmup-steps", "60",
+                 "--reweight-interval", "50", "--total-steps", "260"],
+    "gen-tasks": ["gen-tasks", "--records", "RECORDS"],
+    "gen-tasks-expand": ["gen-tasks", "--records", "RECORDS", "--expand-labels"],
+    "augment": ["augment", "--records", "RECORDS", "--seed", "7"],
+    "eval-strict": ["eval", "--pred", "PREDS", "--gold", "RECORDS", "--task", "pg"],
+    "eval-lenient": ["eval", "--pred", "PREDS", "--gold", "RECORDS", "--task", "pg",
+                     "--mode", "lenient"],
+    "preprocess": ["preprocess", "--in", "GRID", "--resize-w", "9", "--resize-h", "7"],
+}
+
+GOLDEN_DIGESTS = {
+    "augment": "df2717fc337d8c1e3374e695a5ce1446ef7fdaf8e011ed55a41dcadaaa972a85",
+    "eval-lenient": "461674d5de380564610d43468a5f6b26fce5b095eecbda3890ad64158467ceba",
+    "eval-strict": "f80db9d35fe764740153ce041b4dfb5a803625b7ed5f3db9544cc72a8c784c16",
+    "gen-tasks": "a6f2557686bac3dfb3d7bee277c2b7f696ac1a422013412606505e2e6bc0b3df",
+    "gen-tasks-expand": "b11714644214b1116eb9a303a9f7fa1b0a51cf77280088210c3bc52fc060d7e4",
+    "plan-metrics": "187193d844b77f6f11fd787dd31f11d332498dbec0f686ea6dd68fd5ef03fb4b",
+    "plan-uniform": "dd4f130d99cf0742c93370d1fde389e3e6a609ea9d09af278f42873aa71efa78",
+    "preprocess": "ddd5f07e8089e9d20ef70da8c24b5484d453858a0f3086f23db9b44f33bf17fc",
+    "sample": "ec96a5ff4f87ef17e120cbba40a811ca211a083257810b4d1cbb45b1cdb1cfe0",
+    "simulate": "5bb8bff30673348b691ba6b0c4bf0b16aa58b08be0ae79a119445d7547e37e7b",
+}
+
+
+def golden_digest(case, inputs, out):
+    assert dispatch([inputs.get(a, a) for a in GOLDEN_CASES[case]] + ["--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_primary_output_matches_its_recorded_digest(case, golden_inputs, tmp_path):
+    assert golden_digest(case, golden_inputs, tmp_path / "out") == GOLDEN_DIGESTS[case]

@@ -282,7 +282,7 @@ class TestTemplateSet:
 class TestExpandLabels:
     def test_labeled_train_record_duplicated(self):
         rec = pg_record(text="increased density in the right lower lobe", meta={"label": "Pneumonia"})
-        out = expand_padchest_labels([rec])
+        out = list(expand_padchest_labels([rec]))
         assert len(out) == 2
         assert out[0] == rec
         assert out[1].text == "Pneumonia"
@@ -291,11 +291,11 @@ class TestExpandLabels:
 
     def test_test_split_untouched(self):
         rec = pg_record(split=Split.TEST, meta={"label": "Pneumonia"})
-        assert expand_padchest_labels([rec]) == [rec]
+        assert list(expand_padchest_labels([rec])) == [rec]
 
     def test_unlabeled_untouched(self):
         rec = pg_record()
-        assert expand_padchest_labels([rec]) == [rec]
+        assert list(expand_padchest_labels([rec])) == [rec]
 
     def test_non_pg_untouched(self):
         rec = AnnotationRecord(
@@ -306,7 +306,7 @@ class TestExpandLabels:
             text="fine",
             meta={"label": "x"},
         )
-        assert expand_padchest_labels([rec]) == [rec]
+        assert list(expand_padchest_labels([rec])) == [rec]
 
 
 class TestLocationSets:
