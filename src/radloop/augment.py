@@ -15,6 +15,8 @@ from __future__ import annotations
 import array
 import hashlib
 import math
+import random
+import sys
 from dataclasses import dataclass, replace
 from typing import Any, Mapping, Sequence
 
@@ -40,6 +42,9 @@ MAX_GRID_LEVEL = 65535
 
 #: Pixels :func:`clahe` blends at a time; bounds its float temporaries.
 _BLEND_BAND_PIXELS = 1 << 16
+
+#: Narrowest crop window side a policy may draw, as a fraction of the frame.
+MIN_CROP_SIDE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -83,6 +88,17 @@ class CropParams:
             raise ValueError(f"bad crop window {(self.x1, self.y1, self.x2, self.y2)}")
 
 
+def _positive_range(name: str, pair: Any, high: float = math.inf) -> tuple[float, float]:
+    """``pair`` as two finite numbers ``lo, hi`` with ``0 < lo <= hi <= high``."""
+    numbers = len(pair) == 2 and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair
+    )
+    # An exact comparison also rejects ints beyond float range.
+    if not (numbers and 0.0 < pair[0] <= pair[1] <= min(high, sys.float_info.max)):
+        raise ValueError(f"{name} must be two finite numbers, 0 < low <= high <= {high}: {pair}")
+    return pair
+
+
 @dataclass(frozen=True)
 class AugPolicy:
     """Sampling policy for per-instance augmentation draws."""
@@ -102,6 +118,15 @@ class AugPolicy:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {value}")
+        _positive_range("clahe_clip_range", self.clahe_clip_range)
+        scale_lo, _ = _positive_range("crop_scale_range", self.crop_scale_range, 1.0)
+        aspect_lo, aspect_hi = _positive_range("crop_aspect_range", self.crop_aspect_range)
+        # Squared width and height of the narrowest window _sample_crop can draw.
+        if min(scale_lo * aspect_lo, scale_lo / aspect_hi) < MIN_CROP_SIDE**2:
+            raise ValueError(f"the crop policy can draw a window side below {MIN_CROP_SIDE}")
+        grid = self.clahe_grid
+        if len(grid) != 2 or not all(type(n) is int and n > 0 for n in grid):
+            raise ValueError(f"clahe_grid must be two positive integers, got {grid}")
 
     @classmethod
     def from_json(cls, obj: Any) -> "AugPolicy":
@@ -369,23 +394,28 @@ def instance_seed(global_seed: int, image_id: str, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _sample_affine(rng: np.random.Generator) -> AffineParams:
+def _uniform(rng: random.Random, lo: float, hi: float) -> float:
+    # Spelled out: Python pins only random()'s stream per int seed, not uniform()'s.
+    return lo + (hi - lo) * rng.random()
+
+
+def _sample_affine(rng: random.Random) -> AffineParams:
     return AffineParams(
-        tx=rng.uniform(-0.10, 0.10),
-        ty=rng.uniform(-0.10, 0.10),
-        sx=rng.uniform(0.90, 1.10),
-        sy=rng.uniform(0.90, 1.10),
-        theta=rng.uniform(-15.0, 15.0),
+        tx=_uniform(rng, -0.10, 0.10),
+        ty=_uniform(rng, -0.10, 0.10),
+        sx=_uniform(rng, 0.90, 1.10),
+        sy=_uniform(rng, 0.90, 1.10),
+        theta=_uniform(rng, -15.0, 15.0),
     )
 
 
-def _sample_crop(rng: np.random.Generator, policy: AugPolicy) -> CropParams:
-    area = rng.uniform(*policy.crop_scale_range)
-    aspect = rng.uniform(*policy.crop_aspect_range)
+def _sample_crop(rng: random.Random, policy: AugPolicy) -> CropParams:
+    area = _uniform(rng, *policy.crop_scale_range)
+    aspect = _uniform(rng, *policy.crop_aspect_range)
     cw = min(math.sqrt(area * aspect), 1.0)
     ch = min(math.sqrt(area / aspect), 1.0)
-    x1 = rng.uniform(0.0, 1.0 - cw)
-    y1 = rng.uniform(0.0, 1.0 - ch)
+    x1 = _uniform(rng, 0.0, 1.0 - cw)
+    y1 = _uniform(rng, 0.0, 1.0 - ch)
     return CropParams(x1, y1, x1 + cw, y1 + ch)
 
 
@@ -446,10 +476,9 @@ def augment_instance(
     change; fixed contrast parameters are recorded). When a transform would
     leave a grounded finding without boxes, the original instance is
     returned unchanged. The response is rebuilt from the transformed record
-    by the template renderer.
+    by the template renderer. Every draw comes from ``random.Random(seed)``.
     """
-    import numpy as np
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     if rng.random() < policy.p_bypass:
         meta = dict(instance.structured.meta)
         meta["pipeline"] = "eval"
@@ -460,7 +489,7 @@ def augment_instance(
 
     aug: dict[str, Any] = {"pipeline": "train"}
     if rng.random() < policy.p_clahe:
-        aug["clahe_clip"] = float(rng.uniform(*policy.clahe_clip_range))
+        aug["clahe_clip"] = _uniform(rng, *policy.clahe_clip_range)
         aug["clahe_grid"] = list(policy.clahe_grid)
     crop = _sample_crop(rng, policy) if rng.random() < policy.p_crop else None
     affine = _sample_affine(rng) if rng.random() < policy.p_affine else None

@@ -14,7 +14,6 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -278,6 +277,7 @@ def judge_pairs(
     distinct prompt is fetched once and its response shared by every pair
     that builds it.
     """
+    from concurrent.futures import ThreadPoolExecutor
     prompts = [build_judge_prompt(gen, gt) for gen, gt in pairs]
     if not prompts:
         return []

@@ -23,7 +23,7 @@ from radloop.augment import (
     resize_bilinear,
 )
 from radloop.core import AnnotationRecord, Finding, NormBox, Task, load_json
-from radloop.errors import EmptyAfterClamp, FormatError, GridTooFine
+from radloop.errors import ConfigError, EmptyAfterClamp, FormatError, GridTooFine
 from radloop.evalkit import parse_output
 from radloop.taskgen import render_instruction
 
@@ -118,6 +118,31 @@ class TestPolicy:
     def test_bad_probability(self):
         with pytest.raises(ValueError):
             AugPolicy(p_crop=1.5)
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"crop_scale_range": [0.8, 0.9, 1.0], "p_crop": 1.0}, "crop_scale_range must be two"),
+            ({"clahe_clip_range": [2.0]}, "clahe_clip_range must be two"),
+            ({"clahe_clip_range": [4.0, 1.0]}, "clahe_clip_range must be two"),
+            ({"clahe_clip_range": [1.0, float("inf")]}, "clahe_clip_range must be two"),
+            ({"clahe_clip_range": [0.0, 1.0]}, "clahe_clip_range must be two"),
+            ({"crop_aspect_range": [True, 1.0]}, "crop_aspect_range must be two"),
+            ({"crop_aspect_range": [-1.0, 1.0]}, "crop_aspect_range must be two"),
+            ({"crop_scale_range": [0.5, 10**400]}, "crop_scale_range must be two"),
+            ({"crop_scale_range": [0.5, 1.5]}, r"crop_scale_range must be .*<= 1\.0"),
+            ({"crop_scale_range": [0.0, 0.5]}, r"crop_scale_range must be .*<= 1\.0"),
+            ({"crop_aspect_range": [1e-300, 1.0]}, "window side below"),
+            ({"crop_scale_range": [1e-20, 1.0]}, "window side below"),
+            ({"clahe_grid": [0, -3]}, "clahe_grid must be two positive integers"),
+            ({"clahe_grid": "xy"}, "clahe_grid must be two positive integers"),
+            ({"clahe_grid": [8, 8.0]}, "clahe_grid must be two positive integers"),
+            ({"clahe_grid": [True, 8]}, "clahe_grid must be two positive integers"),
+        ],
+    )
+    def test_malformed_ranges_are_config_errors(self, doc, message):
+        with pytest.raises(ConfigError, match=message):
+            AugPolicy.from_json(doc)
 
 
 _json_values = st.recursive(
@@ -472,3 +497,64 @@ class TestAugmentInstance:
         clip = out.structured.meta["clahe_clip"]
         assert 1.0 <= clip <= 4.0
         assert out.structured.meta["pipeline"] == "train"
+
+
+def _range(lo, hi):
+    return st.tuples(st.floats(lo, hi), st.floats(lo, hi)).map(lambda pair: tuple(sorted(pair)))
+
+
+@st.composite
+def _policies(draw):
+    """Valid policies; a full-frame box keeps every draw (no fallback)."""
+    p = st.floats(0.0, 1.0)
+    return AugPolicy(
+        p_clahe=draw(p),
+        clahe_clip_range=draw(_range(1e-3, 1e3)),
+        clahe_grid=draw(st.tuples(st.integers(1, 64), st.integers(1, 64))),
+        p_crop=draw(p),
+        crop_scale_range=draw(_range(1e-6, 1.0)),
+        crop_aspect_range=draw(_range(1e-3, 1e3)),
+        p_affine=draw(p),
+        p_bypass=draw(st.floats(0.0, 0.5)),
+        min_box_visibility=0.0,
+    )
+
+
+def _within(value, lo, hi, rel=1e-9):
+    return lo * (1 - rel) <= value <= hi * (1 + rel)
+
+
+class TestDrawRanges:
+    @settings(max_examples=300, deadline=None)
+    @given(policy=_policies(), seed=st.integers(0, 2**64 - 1))
+    def test_every_recorded_draw_lies_in_its_policy_range(self, policy, seed):
+        rec = AnnotationRecord(
+            image_id="i", source_id="s", task=Task.PG, category="c", text="whole frame",
+            boxes=(NormBox(0.5, 0.5, 1.0, 1.0),),
+        )
+        inst = render_instruction(rec)
+        out = augment_instance(inst, policy, seed)
+        assert out == augment_instance(inst, policy, seed)
+        assert out is not inst
+        meta = out.structured.meta
+        if meta["pipeline"] == "eval":
+            return
+        if "clahe_clip" in meta:
+            assert policy.clahe_clip_range[0] <= meta["clahe_clip"] <= policy.clahe_clip_range[1]
+            assert meta["clahe_grid"] == list(policy.clahe_grid)
+        if "affine" in meta:
+            assert AffineParams(**meta["affine"]).in_policy_range()
+        if "crop" not in meta:
+            return
+        x1, y1, x2, y2 = meta["crop"]
+        assert 0.0 <= x1 < x2 <= 1.0 and 0.0 <= y1 < y2 <= 1.0
+        (s_lo, s_hi), (a_lo, a_hi) = policy.crop_scale_range, policy.crop_aspect_range
+        w, h = x2 - x1, y2 - y1
+        # An unclamped window has the drawn area and aspect; a side clamped
+        # at 1 leaves the other at sqrt(area / aspect) or sqrt(area * aspect).
+        if w < 1.0 and h < 1.0:
+            assert _within(w * h, s_lo, s_hi) and _within(w / h, a_lo, a_hi)
+        elif h < 1.0:
+            assert _within(h * h, s_lo / a_hi, s_hi / a_lo)
+        elif w < 1.0:
+            assert _within(w * w, s_lo * a_lo, s_hi * a_hi)

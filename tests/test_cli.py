@@ -7,12 +7,14 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import radloop
-from radloop.augment import IntensityGrid
+from radloop.augment import AugPolicy, IntensityGrid
 from radloop.cli import dispatch
-from radloop.core import DataSourceId, TaskFamily, dump_records_jsonl, load_records_jsonl
+from radloop.core import DataSourceId, TaskFamily, dump_records_jsonl, load_json, load_records_jsonl
 from radloop.curriculum import CurriculumState, MetricEntry, SourceMetrics
+from radloop.errors import RadloopError
 from radloop.ingest import make_fixture_dataset
 from radloop.taskgen import render_instruction
 
@@ -49,6 +51,12 @@ class TestUsageErrors:
 
     def test_version_flag(self):
         assert dispatch(["--version"]) == 0
+
+
+def test_pyproject_version_is_the_package_version():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == radloop.__version__
 
 
 class TestIngest:
@@ -803,6 +811,53 @@ def test_failing_stream_keeps_the_old_output(argv, records_path, tmp_path, capsy
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
+_policy_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.floats(0.0, 1.0)
+    | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=2),
+    max_leaves=8,
+)
+# Per field, values that are valid more often than not, and a few just past a bound.
+_near_policy_values = {
+    **dict.fromkeys(("p_clahe", "p_crop", "p_affine", "p_bypass", "min_box_visibility"),
+                    st.floats(0.0, 1.1)),
+    **dict.fromkeys(("clahe_clip_range", "crop_scale_range", "crop_aspect_range"),
+                    st.lists(st.floats(0.0, 1.1), min_size=2, max_size=2).map(sorted)),
+    "clahe_grid": st.lists(st.integers(0, 9), min_size=2, max_size=2),
+}
+_policy_docs = (
+    _policy_values
+    | st.dictionaries(st.sampled_from([*_near_policy_values, "bogus"]), _policy_values)
+    | st.fixed_dictionaries({}, optional=_near_policy_values)
+)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+@given(doc=_policy_docs)
+@example(doc={"crop_scale_range": [0.8, 0.9, 1.0], "p_crop": 1.0})
+@example(doc={"clahe_clip_range": [2.0]})
+@example(doc={"clahe_grid": [0, -3]})
+@example(doc={"clahe_grid": "xy"})
+@example(doc={"crop_aspect_range": [1e-300, 1.0], "p_crop": 1.0, "p_bypass": 0.0})
+@example(doc={"clahe_grid": [2, 3], "crop_scale_range": [0.5, 1]})
+def test_any_policy_document_is_used_or_rejected_up_front(doc, records_path, tmp_path, capsys):
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        valid = isinstance(load_json(policy, AugPolicy.from_json), AugPolicy)
+    except RadloopError:
+        valid = False
+    argv = ["augment", "--records", str(records_path), "--seed", "3", "--policy", str(policy)]
+    rc = dispatch(argv + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if valid:
+        assert rc == 0, err
+    else:
+        assert rc == 1 and ("ERROR radloop: ConfigError: " in err or "FormatError" in err), err
+
+
 # ---------------------------------------------------------------------------
 # Same inputs and seed give the same bytes
 
@@ -878,21 +933,24 @@ except SystemExit as exc:
 """
 
 
-def numpy_loaded_after(script, *args):
-    """Run ``script`` in a fresh interpreter and say whether it imported numpy."""
+def loaded_after(script, *args):
+    """Run ``script`` in a fresh interpreter; return which of numpy and the
+    judge's thread pool (``concurrent.futures``) it imported."""
     path = [str(Path(radloop.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    code = f"import sys\n{script}\nprint('numpy' in sys.modules)"
+    watched = ("numpy", "concurrent.futures")
+    code = f"import sys\n{script}\nprint(*[m for m in {watched!r} if m in sys.modules], sep=',')"
     proc = subprocess.run(
         [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()[-1] == "True"
+    return set(filter(None, proc.stdout.splitlines()[-1].split(",")))
 
 
 def test_import_and_version_leave_numpy_unloaded():
-    assert not numpy_loaded_after("import radloop.cli")
-    assert not numpy_loaded_after(_RUN_VERSION)
+    # Nor the judge's thread pool: only judge_pairs imports concurrent.futures.
+    assert loaded_after("import radloop.cli") == set()
+    assert loaded_after(_RUN_VERSION) == set()
 
 
 def test_only_array_subcommands_load_numpy(chain_inputs, tmp_path):
@@ -902,9 +960,10 @@ def test_only_array_subcommands_load_numpy(chain_inputs, tmp_path):
         {"image_id": "im2", "anatomy": "spine", "error": "bad verdict", "raw": "x"},
     ]
     verdicts.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
-    argvs = [chain_argv(c, chain_inputs, tmp_path / c) for c in ("gen-tasks", "plan", "eval")]
+    cases = ("gen-tasks", "augment", "plan", "eval")
+    argvs = [chain_argv(c, chain_inputs, tmp_path / c) for c in cases]
     argvs.append(["judge-aggregate", "--in", str(verdicts), "--out", str(tmp_path / "table.json")])
-    assert not numpy_loaded_after(_DISPATCH_ALL, json.dumps(argvs))
-    # Augment draws from a numpy generator, so it loads numpy at first use.
-    argvs.append(chain_argv("augment", chain_inputs, tmp_path / "augment"))
-    assert numpy_loaded_after(_DISPATCH_ALL, json.dumps(argvs))
+    assert "numpy" not in loaded_after(_DISPATCH_ALL, json.dumps(argvs))
+    # Sample draws from a numpy generator, so it loads numpy at first use.
+    argvs.append(chain_argv("sample", chain_inputs, tmp_path / "sample"))
+    assert "numpy" in loaded_after(_DISPATCH_ALL, json.dumps(argvs))
