@@ -16,7 +16,6 @@ import array
 import hashlib
 import math
 import random
-import sys
 from dataclasses import dataclass, replace
 from typing import Any, Mapping, Sequence
 
@@ -27,6 +26,7 @@ from .core import (
     NormBox,
     clamp_box,
     config_from_json,
+    is_number,
 )
 from .errors import EmptyAfterClamp, FormatError, GridTooFine
 from .taskgen import render_instruction
@@ -90,11 +90,7 @@ class CropParams:
 
 def _positive_range(name: str, pair: Any, high: float = math.inf) -> tuple[float, float]:
     """``pair`` as two finite numbers ``lo, hi`` with ``0 < lo <= hi <= high``."""
-    numbers = len(pair) == 2 and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair
-    )
-    # An exact comparison also rejects ints beyond float range.
-    if not (numbers and 0.0 < pair[0] <= pair[1] <= min(high, sys.float_info.max)):
+    if not (len(pair) == 2 and all(map(is_number, pair)) and 0.0 < pair[0] <= pair[1] <= high):
         raise ValueError(f"{name} must be two finite numbers, 0 < low <= high <= {high}: {pair}")
     return pair
 
@@ -116,7 +112,7 @@ class AugPolicy:
     def __post_init__(self) -> None:
         for name in ("p_clahe", "p_crop", "p_affine", "p_bypass", "min_box_visibility"):
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
+            if not (is_number(value) and 0.0 <= value <= 1.0):
                 raise ValueError(f"{name} must be a probability, got {value}")
         _positive_range("clahe_clip_range", self.clahe_clip_range)
         scale_lo, _ = _positive_range("crop_scale_range", self.crop_scale_range, 1.0)

@@ -39,6 +39,7 @@ from .core import (
     atomic_write,
     config_from_json,
     instance_to_json,
+    is_int,
     iter_jsonl,
     jsonl_lines,
     load_json,
@@ -89,18 +90,23 @@ class ToolConfig:
     policy: AugPolicy | None = None
     endpoint: EndpointConfig | None = None
 
+    def __post_init__(self) -> None:
+        if not (is_int(self.version) and self.version == 1):
+            raise ValueError(f"version must be 1, got {self.version!r}")
+        if self.seed is not None and not is_int(self.seed):
+            raise ValueError(f"seed must be an integer or null, got {self.seed!r}")
+        if self.parse_mode not in ("strict", "lenient"):
+            raise ValueError(f"parse_mode must be 'strict' or 'lenient', got {self.parse_mode!r}")
+
     @classmethod
     def from_json(cls, obj: Any) -> "ToolConfig":
         def section(from_json):
-            return lambda value: from_json(value) if value else None
+            return lambda value: None if value is None or value == {} else from_json(value)
 
         return config_from_json(
             cls,
             obj,
             "config",
-            version=int,
-            seed=lambda value: None if value is None else int(value),
-            parse_mode=str,
             curriculum=section(CurriculumConfig.from_json),
             policy=section(AugPolicy.from_json),
             endpoint=section(EndpointConfig.from_json),

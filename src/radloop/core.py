@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -306,6 +307,17 @@ def atomic_write(path: str | Path, text: str | Iterable[str]) -> None:
 def jsonl_lines(objs: Iterable[Mapping[str, Any]]) -> Iterator[str]:
     """Encode objects as JSONL lines, one at a time, non-ASCII text kept as is."""
     return (json.dumps(o, ensure_ascii=False) + "\n" for o in objs)
+
+
+def is_int(value: Any) -> bool:
+    """An integer that is not a bool (JSON ``true`` decodes as an int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value: Any) -> bool:
+    """A finite number that is not a bool; the exact comparison also rejects
+    integers beyond float range."""
+    return (is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
 
 
 def config_from_json(cls: type, obj: Any, what: str, **convert: Callable[[Any], Any]) -> Any:

@@ -25,22 +25,23 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import accumulate
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
-from .core import AnnotationRecord, DataSourceId, Task, TaskFamily, config_from_json
+from .core import (
+    AnnotationRecord,
+    DataSourceId,
+    Task,
+    TaskFamily,
+    config_from_json,
+    is_int,
+    is_number,
+)
 from .errors import ConfigError, EmptyLeaf, MissingMetrics, NoMetrics
 
 DEFAULT_ALPHA = 0.8
-
-#: Default per-source evaluation subset sizes by family, largest pool first.
-DEFAULT_EVAL_SUBSET_SIZES = {
-    TaskFamily.AGRG: 200,
-    TaskFamily.PG: 150,
-    TaskFamily.GRG: 100,
-}
 
 
 class Strategy(str, Enum):
@@ -83,51 +84,72 @@ class SourceMetrics:
         return self.per_category
 
     def to_json(self) -> dict[str, Any]:
-        obj: dict[str, Any] = {"name": self.source.name, "task": self.source.task.value}
-        if self.iou is not None:
-            obj["iou"] = self.iou
-        if self.text_score is not None:
-            obj["text_score"] = self.text_score
+        obj = {**vars(self.source), **_present(self)}
+        del obj["source"]
         if self.per_category:
-            obj["per_category"] = {
-                c: _entry_to_json(e) for c, e in self.per_category.items()
-            }
+            obj["per_category"] = _entries_to_json(self.per_category)
         if self.per_subtask:
-            obj["per_subtask"] = {
-                t.value: {c: _entry_to_json(e) for c, e in cats.items()}
-                for t, cats in self.per_subtask.items()
-            }
+            obj["per_subtask"] = {t: _entries_to_json(c) for t, c in self.per_subtask.items()}
         return obj
 
     @classmethod
     def from_json(cls, obj: Mapping[str, Any]) -> "SourceMetrics":
-        source = DataSourceId(str(obj["name"]), TaskFamily(obj["task"]))
         return cls(
-            source=source,
-            iou=obj.get("iou"),
-            text_score=obj.get("text_score"),
-            per_category={
-                str(c): _entry_from_json(e)
-                for c, e in obj.get("per_category", {}).items()
-            },
+            source=_source_id(obj),
+            **vars(_entry_from_json(obj)),
+            per_category=_entries_from_json(obj.get("per_category", {})),
             per_subtask={
-                Task(t): {str(c): _entry_from_json(e) for c, e in cats.items()}
+                Task(t): _entries_from_json(cats)
                 for t, cats in obj.get("per_subtask", {}).items()
             },
         )
 
 
-def _entry_to_json(entry: MetricEntry) -> dict[str, float]:
-    obj = {}
-    if entry.iou is not None:
-        obj["iou"] = entry.iou
-    if entry.text_score is not None:
-        obj["text_score"] = entry.text_score
-    return obj
+def _fields(obj: Any, *skip: str) -> dict[str, Any]:
+    """A dataclass's fields in order, without ``skip``: a shallow ``asdict``."""
+    return {k: v for k, v in vars(obj).items() if k not in skip}
+
+
+def _present(obj: Any) -> dict[str, Any]:
+    """A dataclass's fields as a JSON object: a null or empty-object field is left out."""
+    return {k: v for k, v in vars(obj).items() if v is not None and v != {}}
+
+
+def _entries_to_json(entries: Mapping[str, MetricEntry]) -> dict[str, dict[str, Any]]:
+    return {c: _present(e) for c, e in entries.items()}
+
+
+#: Value checks for decoded documents: a predicate and what it asks for.
+_TEXT = (lambda v: isinstance(v, str), "a string")
+_INT = (is_int, "an integer")
+_NUMBER = (is_number, "a finite number")
+_METRIC = (lambda v: v is None or is_number(v), "a finite number or null")
+
+
+def _expect(kind: tuple[Any, str], value: Any, name: str) -> Any:
+    check, what = kind
+    if not check(value):
+        raise ValueError(f"{name} must be {what}, got {value!r:.60}")
+    return value
+
+
+def _expect_list(kind: tuple[Any, str], value: Any, name: str) -> list[Any]:
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list, got {value!r:.60}")
+    return [_expect(kind, v, name) for v in value]
+
+
+def _source_id(obj: Mapping[str, Any]) -> DataSourceId:
+    return DataSourceId(_expect(_TEXT, obj["name"], "name"), TaskFamily(obj["task"]))
 
 
 def _entry_from_json(obj: Mapping[str, Any]) -> MetricEntry:
-    return MetricEntry(iou=obj.get("iou"), text_score=obj.get("text_score"))
+    names = (f.name for f in fields(MetricEntry))
+    return MetricEntry(**{name: _expect(_METRIC, obj.get(name), name) for name in names})
+
+
+def _entries_from_json(obj: Mapping[str, Any]) -> dict[str, MetricEntry]:
+    return {c: _entry_from_json(e) for c, e in obj.items()}
 
 
 def aggregate_score(entry: MetricEntry, alpha: float = DEFAULT_ALPHA) -> float:
@@ -308,28 +330,13 @@ class CurriculumState:
         return {key: s.prob for key, s in self.sources.items()}
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "stage_index": self.stage_index,
-            "sources": {
-                key: {
-                    "name": s.source.name,
-                    "task": s.source.task.value,
-                    "size": s.size,
-                    "prob": s.prob,
-                    "score": s.score,
-                    "error": s.error,
-                    "subtasks": {
-                        st.task.value: {
-                            "categories": st.categories,
-                            "sizes": st.sizes,
-                            "probs": st.probs,
-                        }
-                        for st in s.subtasks.values()
-                    },
-                }
-                for key, s in self.sources.items()
-            },
-        }
+        """Each source flattens its id into ``name`` and ``task``; subtasks are
+        keyed by their task."""
+        sources = {}
+        for key, s in self.sources.items():
+            subtasks = {t: _fields(st, "task") for t, st in s.subtasks.items()}
+            sources[key] = {**vars(s.source), **_fields(s, "source"), "subtasks": subtasks}
+        return {"stage_index": self.stage_index, "sources": sources}
 
     @classmethod
     def from_json(cls, obj: Mapping[str, Any]) -> "CurriculumState":
@@ -340,9 +347,9 @@ class CurriculumState:
                 task = Task(task_value)
                 subtasks[task] = SubtaskState(
                     task=task,
-                    categories=list(st["categories"]),
-                    sizes=[int(x) for x in st["sizes"]],
-                    probs=[float(p) for p in st["probs"]],
+                    categories=_expect_list(_TEXT, st["categories"], "categories"),
+                    sizes=_expect_list(_INT, st["sizes"], "sizes"),
+                    probs=[float(p) for p in _expect_list(_NUMBER, st["probs"], "probs")],
                 )
                 if not len(st["categories"]) == len(st["sizes"]) == len(st["probs"]):
                     raise ValueError(
@@ -350,14 +357,14 @@ class CurriculumState:
                         "probability per category"
                     )
             sources[key] = SourceState(
-                source=DataSourceId(str(s["name"]), TaskFamily(s["task"])),
-                size=int(s["size"]),
-                prob=float(s["prob"]),
-                score=s.get("score"),
-                error=s.get("error"),
+                source=_source_id(s),
+                size=_expect(_INT, s["size"], "size"),
+                prob=float(_expect(_NUMBER, s["prob"], "prob")),
+                score=_expect(_METRIC, s.get("score"), "score"),
+                error=_expect(_METRIC, s.get("error"), "error"),
                 subtasks=subtasks,
             )
-        return cls(stage_index=int(obj["stage_index"]), sources=sources)
+        return cls(stage_index=_expect(_INT, obj["stage_index"], "stage_index"), sources=sources)
 
 
 @dataclass(frozen=True)
@@ -369,11 +376,15 @@ class CurriculumConfig:
     inter_strategy: Strategy = Strategy.CURRICULUM
     intra_strategy: Strategy = Strategy.CURRICULUM
     min_prob: float = 0.0
-    eval_subset_sizes: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
+        steps = (self.warmup_steps, self.reweight_interval, self.total_steps)
+        if not all(map(is_int, steps)):
+            raise ConfigError(f"step counts must be integers, got {steps}")
+        if not (is_number(self.alpha) and 0.0 <= self.alpha <= 1.0):
+            raise ConfigError(f"alpha must be a number in [0, 1], got {self.alpha!r}")
+        if not (is_number(self.min_prob) and 0.0 <= self.min_prob < 1.0):
+            raise ConfigError(f"min_prob must be a number in [0, 1), got {self.min_prob!r}")
         if self.warmup_steps < 0 or self.reweight_interval <= 0:
             raise ConfigError("warmup_steps must be >= 0 and reweight_interval > 0")
         if self.total_steps < self.warmup_steps:
@@ -416,6 +427,34 @@ def initial_state(pool: SamplingPool) -> CurriculumState:
     return CurriculumState(stage_index=0, sources=sources)
 
 
+def _source_score(m: SourceMetrics | None, alpha: float) -> float | None:
+    """A source's aggregate score; None without source-level metrics."""
+    if m is None or (m.iou is None and m.text_score is None):
+        return None
+    return aggregate_score(MetricEntry(m.iou, m.text_score), alpha)
+
+
+def _error(score: float | None) -> float | None:
+    return None if score is None else 1.0 - score
+
+
+def _category_scores(
+    m: SourceMetrics | None, key: str, st: SubtaskState, alpha: float
+) -> list[float]:
+    if m is None:
+        raise MissingMetrics(f"no metrics for source {key!r}")
+    entries = m.entries_for(st.task)
+    scores = []
+    for cat in st.categories:
+        entry = entries.get(cat)
+        if entry is None:
+            raise MissingMetrics(
+                f"source {key!r} subtask {st.task.value!r} lacks metrics for category {cat!r}"
+            )
+        scores.append(aggregate_score(entry, alpha))
+    return scores
+
+
 def advance_stage(
     cfg: CurriculumConfig,
     state: CurriculumState,
@@ -427,83 +466,40 @@ def advance_stage(
     category of every reweighted subtask (intra level) must have metrics;
     anything missing raises :class:`MissingMetrics` naming the gap.
     """
-    keys = list(state.sources.keys())
-
-    scores: list[float | None] = []
-    errors: list[float | None] = []
-    for key in keys:
-        m = metrics.get(key)
-        if m is None:
-            if cfg.inter_strategy is Strategy.CURRICULUM:
-                raise MissingMetrics(f"no metrics for source {key!r}")
-            scores.append(None)
-            errors.append(None)
-            continue
-        try:
-            s = aggregate_score(MetricEntry(m.iou, m.text_score), cfg.alpha)
-        except NoMetrics:
-            if cfg.inter_strategy is Strategy.CURRICULUM:
-                raise MissingMetrics(f"source {key!r} has no source-level metrics")
-            scores.append(None)
-            errors.append(None)
-            continue
-        scores.append(s)
-        errors.append(1.0 - s)
-
+    keys = list(state.sources)
+    scores = [_source_score(metrics.get(key), cfg.alpha) for key in keys]
     if cfg.inter_strategy is Strategy.CURRICULUM:
-        inter = build_distribution(
-            Level.INTER, cfg.inter_strategy, scores=scores, min_prob=cfg.min_prob
-        )
-    else:
-        inter = build_distribution(
-            Level.INTER,
-            cfg.inter_strategy,
-            sizes=[state.sources[k].size for k in keys],
-            min_prob=cfg.min_prob,
-        )
+        for key, score in zip(keys, scores):
+            if score is None and key not in metrics:
+                raise MissingMetrics(f"no metrics for source {key!r}")
+            if score is None:
+                raise MissingMetrics(f"source {key!r} has no source-level metrics")
+    inter = build_distribution(
+        Level.INTER,
+        cfg.inter_strategy,
+        sizes=[state.sources[k].size for k in keys],
+        scores=scores,
+        min_prob=cfg.min_prob,
+    )
 
     new_sources: dict[str, SourceState] = {}
-    for i, key in enumerate(keys):
+    for key, score, prob in zip(keys, scores, inter):
         old = state.sources[key]
         grg = old.source.task is TaskFamily.GRG
+        reweight = cfg.intra_strategy is Strategy.CURRICULUM and not grg
         new_subtasks: dict[Task, SubtaskState] = {}
         for task, st in old.subtasks.items():
-            if cfg.intra_strategy is Strategy.CURRICULUM and not grg:
-                m = metrics.get(key)
-                if m is None:
-                    raise MissingMetrics(f"no metrics for source {key!r}")
-                entries = m.entries_for(task)
-                cat_scores: list[float | None] = []
-                for cat in st.categories:
-                    entry = entries.get(cat)
-                    if entry is None:
-                        raise MissingMetrics(
-                            f"source {key!r} subtask {task.value!r} lacks metrics "
-                            f"for category {cat!r}"
-                        )
-                    cat_scores.append(aggregate_score(entry, cfg.alpha))
-                probs = build_distribution(
-                    Level.INTRA,
-                    cfg.intra_strategy,
-                    scores=cat_scores,
-                    min_prob=cfg.min_prob,
-                )
-            else:
-                probs = build_distribution(
-                    Level.INTRA,
-                    cfg.intra_strategy,
-                    sizes=st.sizes,
-                    grg=grg,
-                    min_prob=cfg.min_prob,
-                )
+            probs = build_distribution(
+                Level.INTRA,
+                cfg.intra_strategy,
+                sizes=st.sizes,
+                scores=_category_scores(metrics.get(key), key, st, cfg.alpha) if reweight else None,
+                grg=grg,
+                min_prob=cfg.min_prob,
+            )
             new_subtasks[task] = SubtaskState(task, list(st.categories), list(st.sizes), probs)
         new_sources[key] = SourceState(
-            source=old.source,
-            size=old.size,
-            prob=inter[i],
-            score=scores[i],
-            error=errors[i],
-            subtasks=new_subtasks,
+            old.source, old.size, prob, score, _error(score), new_subtasks
         )
     return CurriculumState(stage_index=state.stage_index + 1, sources=new_sources)
 
@@ -588,26 +584,18 @@ def draw_samples(
 # Learner boundary
 
 
-@dataclass
-class EvalRequest:
-    """One evaluation round: which instances to score, at which stage."""
-
-    stage_index: int
-    seed: int
-    subsets: dict[str, list[Draw]]
-
-    def sizes(self) -> dict[str, int]:
-        return {k: len(v) for k, v in self.subsets.items()}
-
-
 class Learner(Protocol):
-    """Evaluation provider driven by the curriculum loop."""
+    """Evaluation provider driven by the curriculum loop.
+
+    The learner owns its evaluation set: one that scores a model draws it
+    itself, for example with :func:`select_eval_subset` per source.
+    """
 
     def observe(self, counts: Mapping[tuple[str, Task, str], int]) -> None:
         """Receive the tally of samples drawn in the finished stage."""
 
-    def evaluate(self, request: EvalRequest) -> dict[str, SourceMetrics]:
-        """Score the requested subsets and return metrics per source key."""
+    def evaluate(self) -> dict[str, SourceMetrics]:
+        """Return fresh metrics per source key for the finished stage."""
 
 
 def select_eval_subset(
@@ -637,16 +625,6 @@ def select_eval_subset(
     return chosen
 
 
-def _eval_sizes(cfg: CurriculumConfig, pool: SamplingPool) -> dict[str, int]:
-    sizes = {}
-    for key, ps in pool.sources.items():
-        if key in cfg.eval_subset_sizes:
-            sizes[key] = int(cfg.eval_subset_sizes[key])
-        else:
-            sizes[key] = DEFAULT_EVAL_SUBSET_SIZES.get(ps.source.task, 100)
-    return sizes
-
-
 @dataclass
 class StageLog:
     """Machine-readable record of one curriculum stage."""
@@ -660,15 +638,7 @@ class StageLog:
     errors: dict[str, float | None]
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "stage_index": self.stage_index,
-            "steps": self.steps,
-            "inter_probs": self.inter_probs,
-            "intra_probs": self.intra_probs,
-            "samples": self.samples,
-            "metrics": self.metrics,
-            "errors": self.errors,
-        }
+        return _fields(self)
 
 
 def stage_lengths(cfg: CurriculumConfig) -> list[int]:
@@ -705,14 +675,13 @@ def run_curriculum(
 
     Stage 0 samples uniformly (warmup); each later stage samples from the
     distributions computed out of the previous stage's evaluation. The
-    learner sees the per-leaf sample tally after every stage and then
-    answers one evaluation request drawn with the stage's own seed.
+    learner sees the per-leaf sample tally after every stage and is then
+    asked once for that stage's metrics.
     """
     import numpy as np
     rng = np.random.default_rng(seed)
     state = initial_state(pool)
     logs: list[StageLog] = []
-    sizes = _eval_sizes(cfg, pool)
 
     for steps in stage_lengths(cfg):
         table = DrawTable(state, pool)
@@ -725,18 +694,7 @@ def run_curriculum(
             for (name, task, cat), c in tally.items()
         }
         learner.observe(counts)
-
-        eval_rng = np.random.default_rng([seed, state.stage_index, 0x5EED])
-        subsets = {
-            key: select_eval_subset(ps, sizes[key], eval_rng)
-            for key, ps in pool.sources.items()
-        }
-        request = EvalRequest(
-            stage_index=state.stage_index,
-            seed=seed,
-            subsets=subsets,
-        )
-        metrics = learner.evaluate(request)
+        metrics = learner.evaluate()
 
         samples_nested: dict[str, dict[str, dict[str, int]]] = {}
         for (key, task, cat), c in counts.items():
@@ -749,12 +707,7 @@ def run_curriculum(
                 intra_probs=_intra_probs_of(state),
                 samples=samples_nested,
                 metrics={k: m.to_json() for k, m in metrics.items()},
-                errors={
-                    k: (1.0 - aggregate_score(MetricEntry(m.iou, m.text_score), cfg.alpha))
-                    if (m.iou is not None or m.text_score is not None)
-                    else None
-                    for k, m in metrics.items()
-                },
+                errors={k: _error(_source_score(m, cfg.alpha)) for k, m in metrics.items()},
             )
         )
         state = advance_stage(cfg, state, metrics)
@@ -799,7 +752,7 @@ class SimulatedLearner:
     def category_error(self, key: tuple[str, Task, str]) -> float:
         return decayed_error(self.params[key], self.counts[key])
 
-    def evaluate(self, request: EvalRequest) -> dict[str, SourceMetrics]:
+    def evaluate(self) -> dict[str, SourceMetrics]:
         by_source: dict[str, dict[Task, dict[str, MetricEntry]]] = {}
         for (src_key, task, cat) in self.params:
             error = min(max(self.category_error((src_key, task, cat)), 0.0), 1.0)

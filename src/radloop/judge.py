@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .core import atomic_write, config_from_json
+from .core import atomic_write, config_from_json, is_int, is_number
 from .errors import (
     EmptyInput,
     IllegalValue,
@@ -171,12 +171,18 @@ class EndpointConfig:
     parallelism: int = 4
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
+        if not (is_int(self.max_retries) and self.max_retries >= 0):
+            raise ValueError("max_retries must be an integer >= 0")
+        if not (is_number(self.timeout) and self.timeout > 0):
+            raise ValueError("timeout must be a positive number")
+        if not (is_number(self.backoff) and self.backoff >= 0):
+            raise ValueError("backoff must be a number >= 0")
+        if not (is_int(self.parallelism) and self.parallelism >= 1):
+            raise ValueError("parallelism must be an integer >= 1")
+        if not (isinstance(self.url, str) and isinstance(self.model, str)):
+            raise ValueError("url and model must be strings")
+        if not all(v is None or isinstance(v, str) for v in (self.api_key_env, self.cache_dir)):
+            raise ValueError("api_key_env and cache_dir must be strings or null")
 
     @classmethod
     def from_json(cls, obj: Any) -> "EndpointConfig":

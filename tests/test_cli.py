@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -735,6 +736,14 @@ def test_malformed_inputs_exit_cleanly(case, fuzz_inputs, tmp_path, capsys):
         assert "Traceback" not in err, (body, err)
 
 
+#: Metrics for every source and category of ``records_path``.
+_GOOD_METRICS = [
+    {"name": "pgsrc", "task": "pg", "iou": 0.5, "text_score": 0.7,
+     "per_category": {"a": {"iou": 0.4}, "b": {"iou": 0.6, "text_score": 0.2}}},
+    {"name": "grgsrc", "task": "grg", "text_score": 0.8,
+     "per_category": {"report": {"text_score": 0.8}}},
+]
+
 _SAMPLE_BAD_PLAN = ["sample", "--records", "RECORDS", "--plan", "BAD", "--n", "3", "--seed", "1"]
 
 
@@ -742,6 +751,12 @@ def _plan_doc(**subtask):
     source = {"name": "pgsrc", "task": "pg", "size": 6, "prob": 1.0, "score": None,
               "error": None, "subtasks": {"pg": subtask}}
     return {"state": {"stage_index": 0, "sources": {"pgsrc:pg": source}}}
+
+
+def _plan_source_doc(**source):
+    plan = _plan_doc(categories=["a"], sizes=[6], probs=[1.0])
+    plan["state"]["sources"]["pgsrc:pg"].update(source)
+    return plan
 
 
 @pytest.mark.parametrize(
@@ -770,6 +785,41 @@ def _plan_doc(**subtask):
         (_SAMPLE_BAD_PLAN, json.dumps({"state": {"stage_index": 0, "sources": {}}}), "EmptyLeaf"),
         (_SAMPLE_BAD_PLAN, json.dumps(_plan_doc(categories=["a"], sizes=[6], probs=[])),
          "FormatError"),
+        *((["plan", "--records", "RECORDS", "--metrics", "BAD"],
+           json.dumps([{**_GOOD_METRICS[0], "iou": value}, _GOOD_METRICS[1]]), "FormatError")
+          for value in ("abc", [1], True, "0.5")),
+        (["plan", "--records", "RECORDS", "--metrics", "BAD"],
+         json.dumps([{**_GOOD_METRICS[0], "per_category": {"a": {"iou": False}, "b": {}}},
+                     _GOOD_METRICS[1]]),
+         "FormatError"),
+        *((_SAMPLE_BAD_PLAN, json.dumps(_plan_doc(categories=["a"], sizes=[6], probs=probs)),
+           "FormatError")
+          for probs in (["0.5"], [True])),
+        (_SAMPLE_BAD_PLAN, json.dumps(_plan_doc(categories=["a"], sizes=[6.0], probs=[1.0])),
+         "FormatError"),
+        (_SAMPLE_BAD_PLAN, json.dumps(_plan_doc(categories=[1], sizes=[6], probs=[1.0])),
+         "FormatError"),
+        (_SAMPLE_BAD_PLAN, json.dumps(_plan_source_doc(prob=True)), "FormatError"),
+        (_SAMPLE_BAD_PLAN, json.dumps(_plan_source_doc(score="0.5")), "FormatError"),
+        *((["simulate", "--records", "RECORDS", "--seed", "1", "--config", "BAD"],
+           json.dumps({"curriculum": section}), "ConfigError")
+          for section in (
+              {"warmup_steps": 10, "reweight_interval": 10, "total_steps": 30.5},
+              {"warmup_steps": True},
+              {"alpha": True},
+              {"min_prob": 2.0},
+              {"min_prob": 1.0},
+              {"min_prob": -1.0},
+          )),
+        (["augment", "--records", "RECORDS", "--seed", "1", "--policy", "BAD"],
+         '{"p_crop": true, "p_bypass": false}', "ConfigError"),
+        *((["gen-tasks", "--records", "RECORDS", "--config", "BAD"], body, "ConfigError")
+          for body in ('{"seed": 1.5}', '{"seed": true}', '{"parse_mode": 3}',
+                       '{"version": 2}', '{"version": "1"}', '{"policy": false}')),
+        *((["judge", "--pred", "JUDGED", "--gold", "REPORTS", "--endpoint", "BAD"],
+           json.dumps({"url": "http://127.0.0.1:1/v1", "model": "m", field: True}),
+           "ConfigError")
+          for field in ("timeout", "max_retries", "backoff", "parallelism")),
     ],
 )
 def test_malformed_input_names_the_domain_error(argv, body, error, fuzz_inputs, tmp_path, capsys):
@@ -856,6 +906,95 @@ def test_any_policy_document_is_used_or_rejected_up_front(doc, records_path, tmp
         assert rc == 0, err
     else:
         assert rc == 1 and ("ERROR radloop: ConfigError: " in err or "FormatError" in err), err
+
+
+_GOOD_CONFIG = {
+    "version": 1,
+    "seed": 3,
+    "parse_mode": "lenient",
+    "curriculum": {"alpha": 0.5, "warmup_steps": 10, "reweight_interval": 10,
+                   "total_steps": 30, "inter_strategy": "natural",
+                   "intra_strategy": "curriculum", "min_prob": 0.01},
+    "policy": {"p_crop": 0.5, "clahe_grid": [4, 4]},
+    "endpoint": {"url": "http://127.0.0.1:1/v1", "model": "m", "timeout": 5,
+                 "max_retries": 0, "backoff": 0.1, "parallelism": 2},
+}
+
+#: Per case: the argv, with DOC for the document under test, and its valid
+#: form (None: the plan ``fuzz_inputs`` wrote).
+_DOC_CASES = {
+    "plan-metrics": (["plan", "--records", "RECORDS", "--metrics", "DOC"], _GOOD_METRICS),
+    "sample-plan": (["sample", "--records", "RECORDS", "--plan", "DOC", "--n", "3",
+                     "--seed", "1"], None),
+    "plan-config": (["plan", "--records", "RECORDS", "--metrics", "METRICS",
+                     "--config", "DOC"], _GOOD_CONFIG),
+    "augment-policy": (["augment", "--records", "RECORDS", "--policy", "DOC", "--seed", "1"],
+                       json.loads(json.dumps(dataclasses.asdict(AugPolicy())))),
+}
+
+
+def _positions(doc, path=()):
+    """Every position in a JSON document, the root included."""
+    yield path
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _positions(child, path + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def _doc_case(case, fuzz_inputs, tmp_path):
+    """The case's argv template, its valid document, and the paths to fill in."""
+    argv, good = _DOC_CASES[case]
+    if good is None:
+        good = read_json(fuzz_inputs["PLAN"])
+    metrics = tmp_path / "metrics.json"
+    metrics.write_text(json.dumps(_GOOD_METRICS), encoding="utf-8")
+    return argv, good, {**fuzz_inputs, "METRICS": metrics, "DOC": tmp_path / "doc.json"}
+
+
+def _run_doc(argv, paths, doc, tmp_path, capsys):
+    paths["DOC"].write_text(json.dumps(doc), encoding="utf-8")
+    rc = dispatch([str(paths.get(a, a)) for a in argv] + ["--out", str(tmp_path / "out")])
+    return rc, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(_DOC_CASES))
+def test_the_valid_documents_are_used(case, fuzz_inputs, tmp_path, capsys):
+    argv, good, paths = _doc_case(case, fuzz_inputs, tmp_path)
+    rc, err = _run_doc(argv, paths, good, tmp_path, capsys)
+    assert rc == 0, err
+
+
+@pytest.mark.parametrize("case", sorted(_DOC_CASES))
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+@given(data=st.data())
+def test_any_document_is_used_or_rejected_cleanly(case, data, fuzz_inputs, tmp_path, capsys):
+    # Arbitrary JSON (_policy_values holds any JSON value), or the valid
+    # document with one position (the root, a section, a field, a list item)
+    # replaced by arbitrary JSON.
+    argv, good, paths = _doc_case(case, fuzz_inputs, tmp_path)
+    one_replaced = st.tuples(st.sampled_from(list(_positions(good))), _policy_values).map(
+        lambda change: _replaced(good, *change)
+    )
+    doc = data.draw(_policy_values | one_replaced, label="doc")
+    rc, err = _run_doc(argv, paths, doc, tmp_path, capsys)
+    assert rc in (0, 1), err
+    assert "Traceback" not in err, err
 
 
 # ---------------------------------------------------------------------------

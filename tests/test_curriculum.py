@@ -25,7 +25,9 @@ from radloop.curriculum import (
     SamplingPool,
     SimulatedLearner,
     SourceMetrics,
+    SourceState,
     Strategy,
+    SubtaskState,
     advance_stage,
     aggregate_score,
     build_distribution,
@@ -502,6 +504,26 @@ class TestConfig:
             CurriculumConfig(warmup_steps=100, total_steps=50)
 
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"warmup_steps": 10, "reweight_interval": 10, "total_steps": 30.5},
+            {"warmup_steps": True},
+            {"reweight_interval": 10.0},
+            {"alpha": True},
+            {"alpha": "0.5"},
+            {"alpha": math.nan},
+            {"min_prob": 2.0},
+            {"min_prob": 1.0},
+            {"min_prob": -1.0},
+            {"min_prob": False},
+        ],
+    )
+    def test_wrong_types_and_ranges_are_config_errors(self, fields):
+        with pytest.raises(ConfigError):
+            CurriculumConfig(**fields)
+
+
 class TestStageLengths:
     def test_warmup_then_intervals(self):
         cfg = CurriculumConfig(warmup_steps=100, reweight_interval=50, total_steps=230)
@@ -538,6 +560,50 @@ class TestSourceMetricsJson:
         )
         assert "spine" in m.entries_for(Task.AGRG_LOCATE)
         assert m.entries_for(Task.AGRG_BOTH) == {}
+
+
+#: Metric values as the documents carry them: null, 0.0, or any finite number.
+_metrics = st.none() | st.just(0.0) | st.floats(allow_nan=False, allow_infinity=False) | (
+    st.integers(-(10**6), 10**6)
+)
+_entries = st.dictionaries(
+    st.text(max_size=4), st.builds(MetricEntry, iou=_metrics, text_score=_metrics), max_size=3
+)
+
+
+@given(
+    source=st.builds(DataSourceId, st.text(max_size=4), st.sampled_from(TaskFamily)),
+    iou=_metrics,
+    text_score=_metrics,
+    per_category=_entries,
+    per_subtask=st.dictionaries(st.sampled_from(Task), _entries, max_size=3),
+)
+def test_any_source_metrics_round_trip(source, iou, text_score, per_category, per_subtask):
+    m = SourceMetrics(source, iou, text_score, per_category, per_subtask)
+    assert SourceMetrics.from_json(json.loads(json.dumps(m.to_json()))) == m
+
+
+@st.composite
+def curriculum_states(draw):
+    sources = {}
+    for name in draw(st.lists(st.text(max_size=4), unique=True, max_size=3)):
+        source = DataSourceId(name, draw(st.sampled_from(TaskFamily)))
+        subtasks = {}
+        for task in draw(st.lists(st.sampled_from(Task), unique=True, max_size=3)):
+            cats = draw(st.lists(st.text(max_size=3), unique=True, max_size=3))
+            sizes = draw(st.lists(st.integers(0, 10**6), min_size=len(cats), max_size=len(cats)))
+            probs = draw(st.lists(st.floats(0.0, 1.0), min_size=len(cats), max_size=len(cats)))
+            subtasks[task] = SubtaskState(task, cats, sizes, probs)
+        sources[source.key] = SourceState(
+            source, draw(st.integers(0, 10**6)), draw(st.floats(0.0, 1.0)),
+            draw(_metrics), draw(_metrics), subtasks,
+        )
+    return CurriculumState(draw(st.integers(0, 10**6)), sources)
+
+
+@given(state=curriculum_states())
+def test_any_curriculum_state_round_trips(state):
+    assert CurriculumState.from_json(json.loads(json.dumps(state.to_json()))) == state
 
 
 class TestStateJson:
@@ -605,6 +671,14 @@ class TestRunCurriculum:
         pool2, cfg2, learner2 = self._setup()
         logs_b, _ = run_curriculum(cfg2, pool2, learner2, seed=4)
         assert [entry.to_json() for entry in logs_a] == [entry.to_json() for entry in logs_b]
+
+    def test_learner_is_asked_once_per_stage(self):
+        pool, cfg, learner = self._setup()
+        calls = []
+        evaluate = learner.evaluate
+        learner.evaluate = lambda: calls.append(1) or evaluate()
+        logs, _ = run_curriculum(cfg, pool, learner, seed=1)
+        assert len(calls) == len(logs) == 3
 
     def test_sample_counts_recorded(self):
         pool, cfg, learner = self._setup()
