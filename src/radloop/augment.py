@@ -238,12 +238,7 @@ class IntensityGrid:
         return cls(obj["width"], obj["height"], obj["max_level"], flat)
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "width": self.width,
-            "height": self.height,
-            "max_level": self.max_level,
-            "values": self.values.ravel().tolist(),
-        }
+        return {**vars(self), "values": self.values.ravel().tolist()}
 
 
 def _tile_bounds(size: int, tiles: int) -> list[tuple[int, int]]:
@@ -492,13 +487,7 @@ def augment_instance(
     if crop is not None:
         aug["crop"] = [crop.x1, crop.y1, crop.x2, crop.y2]
     if affine is not None:
-        aug["affine"] = {
-            "tx": affine.tx,
-            "ty": affine.ty,
-            "sx": affine.sx,
-            "sy": affine.sy,
-            "theta": affine.theta,
-        }
+        aug["affine"] = vars(affine).copy()
 
     transformed = _transform_record(instance.structured, crop, affine, policy)
     if transformed is None:

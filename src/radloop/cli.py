@@ -253,6 +253,8 @@ def _cmd_plan(args, config, config_doc) -> None:
 
 def _cmd_sample(args, config, config_doc) -> None:
     import numpy as np
+    if args.n < 0:
+        raise ConfigError(f"--n must be >= 0, got {args.n}")
     seed = _require_seed(args, config)
     pool = SamplingPool.from_records(_records(args.records))
     state = load_json(args.plan, lambda doc: CurriculumState.from_json(doc["state"]))

@@ -446,15 +446,10 @@ def dump_records_jsonl(path: str | Path, records: Iterable[AnnotationRecord]) ->
 
 
 def instance_to_json(inst: InstructionInstance) -> dict[str, Any]:
-    return {
-        "image_id": inst.image_id,
-        "source_id": inst.source_id,
-        "task": inst.task.value,
-        "category": inst.category,
-        "instruction": inst.instruction,
-        "response": inst.response,
-        "structured": record_to_json(inst.structured),
-    }
+    obj = vars(inst).copy()  # the fields in order; copying beats unpacking them
+    obj["task"] = inst.task.value
+    obj["structured"] = record_to_json(inst.structured)
+    return obj
 
 
 def instance_from_json(obj: Any, line: int = 0) -> InstructionInstance:

@@ -139,6 +139,15 @@ def _expect_list(kind: tuple[Any, str], value: Any, name: str) -> list[Any]:
     return [_expect(kind, v, name) for v in value]
 
 
+def _check_level(names: Sequence[str], probs: Sequence[float], level: str) -> None:
+    """A plan level holds no probabilities, or non-negative ones summing to 1 within 1e-6."""
+    for name, p in zip(names, probs):
+        if p < 0:
+            raise ValueError(f"{level}: {name!r} has negative probability {p}")
+    if probs and abs(sum(probs) - 1.0) > 1e-6:
+        raise ValueError(f"{level}: probabilities sum to {sum(probs)}, not 1")
+
+
 def _source_id(obj: Mapping[str, Any]) -> DataSourceId:
     return DataSourceId(_expect(_TEXT, obj["name"], "name"), TaskFamily(obj["task"]))
 
@@ -293,9 +302,6 @@ class SamplingPool:
             cats.setdefault(rec.category, []).append(rec.image_id)
         return pool
 
-    def get(self, key: str) -> PoolSource | None:
-        return self.sources.get(key)
-
 
 # ---------------------------------------------------------------------------
 # Curriculum state
@@ -345,6 +351,7 @@ class CurriculumState:
             subtasks = {}
             for task_value, st in s["subtasks"].items():
                 task = Task(task_value)
+                subtask = f"subtask {task_value!r} of {key!r}"
                 subtasks[task] = SubtaskState(
                     task=task,
                     categories=_expect_list(_TEXT, st["categories"], "categories"),
@@ -352,10 +359,8 @@ class CurriculumState:
                     probs=[float(p) for p in _expect_list(_NUMBER, st["probs"], "probs")],
                 )
                 if not len(st["categories"]) == len(st["sizes"]) == len(st["probs"]):
-                    raise ValueError(
-                        f"subtask {task_value!r} of {key!r} needs one size and one "
-                        "probability per category"
-                    )
+                    raise ValueError(f"{subtask} needs one size and one probability per category")
+                _check_level(st["categories"], subtasks[task].probs, subtask)
             sources[key] = SourceState(
                 source=_source_id(s),
                 size=_expect(_INT, s["size"], "size"),
@@ -364,6 +369,7 @@ class CurriculumState:
                 error=_expect(_METRIC, s.get("error"), "error"),
                 subtasks=subtasks,
             )
+        _check_level(list(sources), [s.prob for s in sources.values()], "the sources")
         return cls(stage_index=_expect(_INT, obj["stage_index"], "stage_index"), sources=sources)
 
 
@@ -397,14 +403,6 @@ class CurriculumConfig:
         )
 
 
-def _source_structure(pool_source: PoolSource) -> dict[Task, tuple[list[str], list[int]]]:
-    out = {}
-    for task, cats in pool_source.subtasks.items():
-        names = list(cats.keys())
-        out[task] = (names, [len(cats[c]) for c in names])
-    return out
-
-
 def initial_state(pool: SamplingPool) -> CurriculumState:
     """Stage 0: uniform distributions at both levels."""
     sources: dict[str, SourceState] = {}
@@ -413,9 +411,10 @@ def initial_state(pool: SamplingPool) -> CurriculumState:
         raise ConfigError("the sampling pool is empty")
     for key, ps in pool.sources.items():
         subtasks = {}
-        for task, (names, sizes) in _source_structure(ps).items():
+        for task, cats in ps.subtasks.items():
+            sizes = [len(ids) for ids in cats.values()]
             probs = build_distribution(Level.INTRA, Strategy.UNIFORM, sizes=sizes)
-            subtasks[task] = SubtaskState(task, names, sizes, probs)
+            subtasks[task] = SubtaskState(task, list(cats), sizes, probs)
         sources[key] = SourceState(
             source=ps.source,
             size=ps.size,
@@ -532,7 +531,7 @@ class DrawTable:
         self.sources: list[list[tuple[list[float], list[tuple]]]] = []
         for src_state in state.sources.values():
             key = src_state.source.key
-            pool_source = pool.get(key)
+            pool_source = pool.sources.get(key)
             if pool_source is None:
                 raise EmptyLeaf(f"source {key!r} has no records")
             subtasks = []

@@ -404,6 +404,8 @@ def get_scorer(name: str) -> Scorer:
 
 @dataclass
 class SampleRow:
+    """One scored prediction; its fields, in order, are the report row's keys."""
+
     id: str
     category: str
     iou: float | None
@@ -441,17 +443,7 @@ class EvalReport:
             "micro_text": self.micro_text,
             "macro_text": self.macro_text,
             "per_class": self.per_class,
-            "rows": [
-                {
-                    "id": r.id,
-                    "category": r.category,
-                    "iou": r.iou,
-                    "text_score": r.text_score,
-                    "parse_failed": r.parse_failed,
-                    "salvaged": r.salvaged,
-                }
-                for r in self.rows
-            ],
+            "rows": [vars(r) for r in self.rows],
         }
 
 
@@ -479,6 +471,10 @@ def _grg_sample_iou(gold: Sequence[Finding], pred: Sequence[Finding]) -> float |
             used.add(best_j)
         scores.append(best)
     return sum(scores) / len(scores)
+
+
+def _mean(values: Sequence[float] | None) -> float | None:
+    return sum(values) / len(values) if values else None
 
 
 def _score_sample(
@@ -550,6 +546,10 @@ def evaluate_task(
 
     rows: list[SampleRow] = []
     parse_failures = 0
+    sizes: dict[str, int] = {}
+    # Keyed in the order a category first scores: the micro means sum in it.
+    ious: dict[str, list[float]] = {}
+    texts: dict[str, list[float]] = {}
     for pid, text in pred_items:
         if pid not in by_id:
             raise UnknownId(f"prediction id {pid!r} not present in gold")
@@ -561,42 +561,29 @@ def evaluate_task(
             parsed = None
             parse_failures += 1
         iou, text_score = _score_sample(record, parsed, task, scorer_fn)
+        category = record.category
         rows.append(
             SampleRow(
                 id=pid,
-                category=record.category,
+                category=category,
                 iou=iou,
                 text_score=text_score,
                 parse_failed=parsed is None,
                 salvaged=bool(parsed.salvaged) if parsed else False,
             )
         )
+        sizes[category] = sizes.get(category, 0) + 1
+        if iou is not None:
+            ious.setdefault(category, []).append(iou)
+        if text_score is not None:
+            texts.setdefault(category, []).append(text_score)
 
-    def _aggregate(values: list[tuple[str, float]]) -> tuple[float | None, float | None]:
-        if not values:
-            return None, None
-        grouped: dict[str, list[float]] = {}
-        for cat, v in values:
-            grouped.setdefault(cat, []).append(v)
-        return aggregate_iou(grouped)
-
-    iou_vals = [(r.category, r.iou) for r in rows if r.iou is not None]
-    text_vals = [(r.category, r.text_score) for r in rows if r.text_score is not None]
-    micro_iou, macro_iou = _aggregate(iou_vals)
-    micro_text, macro_text = _aggregate(text_vals)
-
-    by_category: dict[str, list[SampleRow]] = {}
-    for row in rows:
-        by_category.setdefault(row.category, []).append(row)
-    per_class: dict[str, dict[str, float | int | None]] = {}
-    for cat, cat_rows in by_category.items():
-        cat_iou = [r.iou for r in cat_rows if r.iou is not None]
-        cat_text = [r.text_score for r in cat_rows if r.text_score is not None]
-        per_class[cat] = {
-            "n": len(cat_rows),
-            "iou": sum(cat_iou) / len(cat_iou) if cat_iou else None,
-            "text_score": sum(cat_text) / len(cat_text) if cat_text else None,
-        }
+    micro_iou, macro_iou = aggregate_iou(ious) if ious else (None, None)
+    micro_text, macro_text = aggregate_iou(texts) if texts else (None, None)
+    per_class: dict[str, dict[str, float | int | None]] = {
+        cat: {"n": n, "iou": _mean(ious.get(cat)), "text_score": _mean(texts.get(cat))}
+        for cat, n in sizes.items()
+    }
 
     return EvalReport(
         task=task,

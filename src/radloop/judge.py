@@ -14,7 +14,8 @@ import json
 import logging
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -66,24 +67,6 @@ You must respond ONLY with a single, valid JSON object in the following format. 
     "nli_status": "contradiction" | "entailment" | "neutral"
 }"""
 
-_YES_NO = ("yes", "no")
-_NLI_VALUES = ("contradiction", "entailment", "neutral")
-
-_YES_NO_FIELDS = (
-    "gt_has_abnormalities",
-    "gt_has_devices",
-    "gen_has_abnormalities",
-    "gen_has_devices",
-    "gen_has_correct_abnormalities",
-    "gen_has_hallucinated_abnormalities",
-    "gen_has_correct_devices",
-    "gen_has_hallucinated_devices",
-)
-
-#: Legal values of every enum field of a verdict, in validation order.
-_LEGAL_VALUES = {**dict.fromkeys(_YES_NO_FIELDS, _YES_NO), "nli_status": _NLI_VALUES}
-
-
 def build_judge_prompt(gen: str, gt_report: str) -> str:
     """Assemble the full judge prompt for one (generation, ground truth) pair."""
     if not gen:
@@ -109,11 +92,19 @@ class JudgeVerdict:
     nli_status: str
 
     def to_json(self) -> dict[str, str]:
-        return asdict(self)
+        return vars(self).copy()
 
     @classmethod
     def from_json(cls, obj: Mapping[str, Any]) -> "JudgeVerdict":
         return _verdict_from_mapping(obj, lenient=False)
+
+
+#: Legal values of every enum field of a verdict, in validation order.
+_LEGAL_VALUES = {
+    f.name: ("contradiction", "entailment", "neutral") if f.name == "nli_status" else ("yes", "no")
+    for f in fields(JudgeVerdict)
+    if f.name != "reason"
+}
 
 
 def _verdict_from_mapping(obj: Any, lenient: bool) -> JudgeVerdict:
@@ -121,15 +112,15 @@ def _verdict_from_mapping(obj: Any, lenient: bool) -> JudgeVerdict:
         raise MalformedJson("a verdict must be a JSON object")
     reason = obj.get("reason")
     if reason is None:
-        raise MissingField("reason")
+        raise MissingField("verdict has no field 'reason'")
     values: dict[str, str] = {"reason": str(reason)}
     for name, legal in _LEGAL_VALUES.items():
         raw = obj.get(name)
         if raw is None:
-            raise MissingField(name)
+            raise MissingField(f"verdict has no field {name!r}")
         value = raw.strip().lower() if lenient and isinstance(raw, str) else raw
         if value not in legal:
-            raise IllegalValue(name, raw)
+            raise IllegalValue(f"field {name!r} holds {raw!r:.60}; legal: {', '.join(legal)}")
         values[name] = value
     return JudgeVerdict(**values)
 
@@ -209,14 +200,9 @@ def _default_transport(
 
 
 def _classify_failure(exc: Exception, req_hash: str) -> TransportError:
-    try:
-        import requests
+    import requests
 
-        if isinstance(exc, requests.exceptions.Timeout):
-            return JudgeTimeout(str(exc), req_hash)
-    except ImportError:  # pragma: no cover - requests is a hard dependency
-        pass
-    if isinstance(exc, TimeoutError):
+    if isinstance(exc, (requests.exceptions.Timeout, TimeoutError)):
         return JudgeTimeout(str(exc), req_hash)
     return TransportError(str(exc), req_hash)
 
@@ -298,34 +284,31 @@ def judge_pairs(
 # Aggregation
 
 
+def _rate(name: str, value: str = "yes") -> Any:
+    """A rate field: the percentage of rows whose verdict ``name`` is ``value``."""
+    return field(metadata={"counts": (name, value)})
+
+
 @dataclass(frozen=True)
 class AnatomyStats:
     """Percentage rates for one anatomy (or for the mean row)."""
 
     anatomy: str
     n: int
-    abn_halluc_rate: float
-    abn_correct_rate: float
-    dev_halluc_rate: float
-    dev_correct_rate: float
-    contradiction_rate: float
-    entailment_rate: float
-    neutral_rate: float
+    abn_halluc_rate: float = _rate("gen_has_hallucinated_abnormalities")
+    abn_correct_rate: float = _rate("gen_has_correct_abnormalities")
+    dev_halluc_rate: float = _rate("gen_has_hallucinated_devices")
+    dev_correct_rate: float = _rate("gen_has_correct_devices")
+    contradiction_rate: float = _rate("nli_status", "contradiction")
+    entailment_rate: float = _rate("nli_status", "entailment")
+    neutral_rate: float = _rate("nli_status", "neutral")
 
     def to_json(self) -> dict[str, Any]:
-        rates = {name: round(getattr(self, name), 4) for name in _RATE_FIELDS}
-        return {"anatomy": self.anatomy, "n": self.n, **rates}
+        return {k: round(v, 4) if k in _RATES else v for k, v in vars(self).items()}
 
 
-_RATE_FIELDS = (
-    "abn_halluc_rate",
-    "abn_correct_rate",
-    "dev_halluc_rate",
-    "dev_correct_rate",
-    "contradiction_rate",
-    "entailment_rate",
-    "neutral_rate",
-)
+#: Each rate, in field order: the verdict field it counts and the value that counts.
+_RATES = {f.name: f.metadata["counts"] for f in fields(AnatomyStats) if f.metadata}
 
 
 def aggregate_verdicts(
@@ -337,41 +320,20 @@ def aggregate_verdicts(
     unweighted arithmetic mean of the per-anatomy rates, so it is invariant
     to per-anatomy sample counts. Anatomies appear in first-seen order.
     """
-    counts: dict[str, dict[str, int]] = {}
+    by_anatomy: dict[str, list[JudgeVerdict]] = {}
     for anatomy, verdict in rows:
-        c = counts.setdefault(
-            anatomy,
-            {"n": 0, "abn_h": 0, "abn_c": 0, "dev_h": 0, "dev_c": 0,
-             "contradiction": 0, "entailment": 0, "neutral": 0},
-        )
-        c["n"] += 1
-        c["abn_h"] += verdict.gen_has_hallucinated_abnormalities == "yes"
-        c["abn_c"] += verdict.gen_has_correct_abnormalities == "yes"
-        c["dev_h"] += verdict.gen_has_hallucinated_devices == "yes"
-        c["dev_c"] += verdict.gen_has_correct_devices == "yes"
-        c[verdict.nli_status] += 1
-    if not counts:
+        by_anatomy.setdefault(anatomy, []).append(verdict)
+    if not by_anatomy:
         raise EmptyInput("no verdicts to aggregate")
 
-    stats = [
-        AnatomyStats(
-            anatomy=anatomy,
-            n=c["n"],
-            abn_halluc_rate=100.0 * c["abn_h"] / c["n"],
-            abn_correct_rate=100.0 * c["abn_c"] / c["n"],
-            dev_halluc_rate=100.0 * c["dev_h"] / c["n"],
-            dev_correct_rate=100.0 * c["dev_c"] / c["n"],
-            contradiction_rate=100.0 * c["contradiction"] / c["n"],
-            entailment_rate=100.0 * c["entailment"] / c["n"],
-            neutral_rate=100.0 * c["neutral"] / c["n"],
-        )
-        for anatomy, c in counts.items()
-    ]
+    stats = []
+    for anatomy, verdicts in by_anatomy.items():
+        n = len(verdicts)
+        hits = (list(map(attrgetter(f), verdicts)).count(value) for f, value in _RATES.values())
+        stats.append(AnatomyStats(anatomy, n, *(100.0 * h / n for h in hits)))
     k = len(stats)
     mean = AnatomyStats(
-        anatomy="mean",
-        n=sum(s.n for s in stats),
-        **{f: sum(getattr(s, f) for s in stats) / k for f in _RATE_FIELDS},
+        "mean", sum(s.n for s in stats), *(sum(getattr(s, r) for s in stats) / k for r in _RATES)
     )
     return stats, mean
 

@@ -753,6 +753,16 @@ def _plan_doc(**subtask):
     return {"state": {"stage_index": 0, "sources": {"pgsrc:pg": source}}}
 
 
+def _impossible_plan():
+    """A reproduced plan: source probs 7.0 and 0.5, and subtask probs -1 and 2."""
+    plan = _plan_doc(categories=["a", "b"], sizes=[6, 6], probs=[-1.0, 2.0])
+    plan["state"]["sources"]["pgsrc:pg"]["prob"] = 7.0
+    plan["state"]["sources"]["grgsrc:grg"] = {
+        "name": "grgsrc", "task": "grg", "size": 3, "prob": 0.5, "score": None, "error": None,
+        "subtasks": {"grg": {"categories": ["report"], "sizes": [3], "probs": [1.0]}}}
+    return plan
+
+
 def _plan_source_doc(**source):
     plan = _plan_doc(categories=["a"], sizes=[6], probs=[1.0])
     plan["state"]["sources"]["pgsrc:pg"].update(source)
@@ -820,6 +830,14 @@ def _plan_source_doc(**source):
            json.dumps({"url": "http://127.0.0.1:1/v1", "model": "m", field: True}),
            "ConfigError")
           for field in ("timeout", "max_retries", "backoff", "parallelism")),
+        # Impossible probabilities: negative, or a level that does not sum to 1.
+        (_SAMPLE_BAD_PLAN, json.dumps(_impossible_plan()), "FormatError"),
+        *((_SAMPLE_BAD_PLAN, json.dumps(_plan_source_doc(prob=prob)), "FormatError")
+          for prob in (-1.0, 0.5, 1.001)),
+        *((_SAMPLE_BAD_PLAN,
+           json.dumps(_plan_doc(categories=["a", "b"], sizes=[6, 6], probs=probs)),
+           "FormatError")
+          for probs in ([-1.0, 2.0], [0.5, 0.6], [0.0, 0.0])),
     ],
 )
 def test_malformed_input_names_the_domain_error(argv, body, error, fuzz_inputs, tmp_path, capsys):
@@ -829,6 +847,32 @@ def test_malformed_input_names_the_domain_error(argv, body, error, fuzz_inputs, 
     rc = dispatch([str(paths.get(a, a)) for a in argv] + ["--out", str(tmp_path / "out")])
     assert rc == 1
     assert f"ERROR radloop: {error}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags", [[], ["--metrics", "METRICS"], ["--metrics", "METRICS", "--min-prob", "0.3"]]
+)
+def test_plans_the_plan_command_writes_are_sampled(flags, records_path, tmp_path):
+    metrics = tmp_path / "metrics.json"
+    metrics.write_text(json.dumps(_GOOD_METRICS), encoding="utf-8")
+    plan, out = tmp_path / "plan.json", tmp_path / "draws.jsonl"
+    flags = [str(metrics) if f == "METRICS" else f for f in flags]
+    assert dispatch(["plan", "--records", str(records_path), *flags, "--out", str(plan)]) == 0
+    CurriculumState.from_json(read_json(plan)["state"])
+    assert dispatch(["sample", "--records", str(records_path), "--plan", str(plan),
+                     "--n", "20", "--seed", "1", "--out", str(out)]) == 0
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 20
+
+
+def test_sample_n_counts_from_zero(fuzz_inputs, tmp_path, capsys):
+    out = tmp_path / "draws.jsonl"
+    argv = ["sample", "--records", str(fuzz_inputs["RECORDS"]), "--plan", str(fuzz_inputs["PLAN"]),
+            "--seed", "1", "--out", str(out)]
+    assert dispatch([*argv, "--n", "-3"]) == 1
+    assert capsys.readouterr().err == "ERROR radloop: ConfigError: --n must be >= 0, got -3\n"
+    assert not out.exists()
+    assert dispatch([*argv, "--n", "0"]) == 0
+    assert out.read_bytes() == b""
 
 
 def test_undecodable_bytes_name_their_line(records_path, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -583,20 +584,26 @@ def test_any_source_metrics_round_trip(source, iou, text_score, per_category, pe
     assert SourceMetrics.from_json(json.loads(json.dumps(m.to_json()))) == m
 
 
+def plan_level(draw, n):
+    """``n`` probabilities a plan may hold: non-negative, summing to 1 unless ``n`` is 0."""
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    total = sum(weights)
+    return [w / total if total else 1.0 / n for w in weights]
+
+
 @st.composite
 def curriculum_states(draw):
     sources = {}
-    for name in draw(st.lists(st.text(max_size=4), unique=True, max_size=3)):
+    names = draw(st.lists(st.text(max_size=4), unique=True, max_size=3))
+    for name, prob in zip(names, plan_level(draw, len(names))):
         source = DataSourceId(name, draw(st.sampled_from(TaskFamily)))
         subtasks = {}
         for task in draw(st.lists(st.sampled_from(Task), unique=True, max_size=3)):
             cats = draw(st.lists(st.text(max_size=3), unique=True, max_size=3))
             sizes = draw(st.lists(st.integers(0, 10**6), min_size=len(cats), max_size=len(cats)))
-            probs = draw(st.lists(st.floats(0.0, 1.0), min_size=len(cats), max_size=len(cats)))
-            subtasks[task] = SubtaskState(task, cats, sizes, probs)
+            subtasks[task] = SubtaskState(task, cats, sizes, plan_level(draw, len(cats)))
         sources[source.key] = SourceState(
-            source, draw(st.integers(0, 10**6)), draw(st.floats(0.0, 1.0)),
-            draw(_metrics), draw(_metrics), subtasks,
+            source, draw(st.integers(0, 10**6)), prob, draw(_metrics), draw(_metrics), subtasks,
         )
     return CurriculumState(draw(st.integers(0, 10**6)), sources)
 
@@ -616,6 +623,28 @@ class TestStateJson:
         st_b = state.sources["pgsrc:pg"].subtasks[Task.PG]
         assert st_a.categories == st_b.categories
         assert st_a.probs == st_b.probs
+
+    @pytest.mark.parametrize(
+        "source, subtask_probs, message",
+        [
+            (-0.5, None, "the sources: 'pgsrc:pg' has negative probability -0.5"),
+            (0.9, None, "the sources: probabilities sum to 1.4, not 1"),
+            (0.5000001, None, None),
+            (0.5, [-1.0, 2.0], "subtask 'pg' of 'pgsrc:pg': 'a' has negative probability -1.0"),
+            (0.5, [0.5, 0.6], "subtask 'pg' of 'pgsrc:pg': probabilities sum to 1.1, not 1"),
+            (0.5, [0.25, 0.75], None),
+        ],
+    )
+    def test_levels_must_be_non_negative_and_sum_to_one(self, source, subtask_probs, message):
+        doc = json.loads(json.dumps(initial_state(two_source_pool()).to_json()))
+        doc["sources"]["pgsrc:pg"]["prob"] = source
+        if subtask_probs is not None:
+            doc["sources"]["pgsrc:pg"]["subtasks"]["pg"]["probs"] = subtask_probs
+        if message is None:
+            CurriculumState.from_json(doc)
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                CurriculumState.from_json(doc)
 
 
 class TestDecay:

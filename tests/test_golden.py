@@ -10,6 +10,8 @@ bytes users get, and has to say so.
 import dataclasses
 import hashlib
 import json
+import random
+import re
 
 import numpy as np
 import pytest
@@ -56,13 +58,101 @@ def golden_metrics():
     ]
 
 
+def grg_gold():
+    """GRG records in three categories; 40% have no boxed finding, and some
+    more lose the boxes of their first finding only."""
+    records = make_fixture_dataset(
+        17, {"grgsrc:grg": {"report": 7, "followup": 7, "screening": 6}}
+    )
+    out = []
+    for i, rec in enumerate(records):
+        if i % 5 in (0, 2):
+            rec = dataclasses.replace(rec, findings=tuple(
+                dataclasses.replace(f, boxes=()) for f in rec.findings))
+        elif i % 5 == 3:
+            first, *rest = rec.findings
+            rec = dataclasses.replace(rec, findings=(dataclasses.replace(first, boxes=()), *rest))
+        out.append(rec)
+    return out
+
+
+def drifted_preds(records, drifts):
+    """Rendered responses as predictions in category round-robin order, so a
+    category can score first after another appeared first; every 7th is
+    missing and ``drifts`` maps ``index % len(drifts)`` to an edit."""
+    by_cat = {}
+    for rec in records:
+        by_cat.setdefault(rec.category, []).append(rec)
+    queues = list(by_cat.values())
+    ordered = [q[i] for i in range(max(map(len, queues))) for q in queues if i < len(q)]
+    rows = []
+    for i, rec in enumerate(ordered):
+        if i % 7 == 6:
+            continue
+        output = drifts[i % len(drifts)](render_instruction(rec).response)
+        rows.append({"image_id": rec.image_id, "output": output})
+    return rows
+
+
+def _nudged(response):
+    """Each box coordinate's second decimal moved up by 3 (mod 10)."""
+    return re.sub(r"(\d\.\d)(\d)", lambda m: m[1] + str((int(m[2]) + 3) % 10), response)
+
+
+GRG_DRIFTS = (
+    _nudged,
+    lambda r: r.rstrip("."),
+    _nudged,
+    lambda r: _nudged(r).replace(",", ", "),
+    lambda r: "no acute findings" if len(r) % 2 else _nudged(r),
+)
+AGRG_DRIFTS = (lambda r: r, lambda r: r.replace(": [", " at ["), lambda r: r.lower())
+
+
+def golden_verdicts():
+    """Seeded judge rows over five anatomies; every seventh row failed validation."""
+    rng = random.Random(5)
+    anatomies = ("lung", "heart", "spine", "pleura", "mediastinum")
+    rows = []
+    for i in range(90):
+        row = {"image_id": f"img-{i:03d}", "anatomy": anatomies[rng.randrange(5)]}
+        if i % 7 == 3:
+            row.update(error="nli_status", raw="{}")
+        else:
+            verdict = {"reason": f"row {i}"}
+            for name in JUDGE_FIELDS:
+                verdict[name] = rng.choice(("yes", "no"))
+            verdict["nli_status"] = rng.choice(("contradiction", "entailment", "neutral"))
+            row["verdict"] = verdict
+        rows.append(row)
+    return rows
+
+
+JUDGE_FIELDS = (
+    "gt_has_abnormalities", "gt_has_devices", "gen_has_abnormalities", "gen_has_devices",
+    "gen_has_correct_abnormalities", "gen_has_hallucinated_abnormalities",
+    "gen_has_correct_devices", "gen_has_hallucinated_devices",
+)
+
+
+def write_jsonl(path, rows):
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+
+
 @pytest.fixture(scope="module")
 def golden_inputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("golden")
     records = golden_corpus()
     paths = {name: d / name for name in
-             ("records.jsonl", "metrics.json", "preds.jsonl", "grid.json", "plan.json")}
+             ("records.jsonl", "metrics.json", "preds.jsonl", "grid.json", "plan.json",
+              "grg_gold.jsonl", "grg_preds.jsonl", "agrg_preds.jsonl", "verdicts.jsonl")}
     dump_records_jsonl(paths["records.jsonl"], records)
+    gold = grg_gold()
+    dump_records_jsonl(paths["grg_gold.jsonl"], gold)
+    write_jsonl(paths["grg_preds.jsonl"], drifted_preds(gold, GRG_DRIFTS))
+    agrg_both = [rec for rec in records if rec.task is Task.AGRG_BOTH]
+    write_jsonl(paths["agrg_preds.jsonl"], drifted_preds(agrg_both, AGRG_DRIFTS))
+    write_jsonl(paths["verdicts.jsonl"], golden_verdicts())
     paths["metrics.json"].write_text(json.dumps(golden_metrics()), encoding="utf-8")
     preds = [
         {"image_id": rec.image_id, "output": render_instruction(rec).response}
@@ -93,6 +183,14 @@ GOLDEN_CASES = {
     "eval-lenient": ["eval", "--pred", "PREDS", "--gold", "RECORDS", "--task", "pg",
                      "--mode", "lenient"],
     "preprocess": ["preprocess", "--in", "GRID", "--resize-w", "9", "--resize-h", "7"],
+    "eval-grg-strict": ["eval", "--pred", "GRG_PREDS", "--gold", "GRG_GOLD", "--task", "grg"],
+    "eval-grg-lenient": ["eval", "--pred", "GRG_PREDS", "--gold", "GRG_GOLD", "--task", "grg",
+                         "--mode", "lenient"],
+    "eval-agrg-both-strict": ["eval", "--pred", "AGRG_PREDS", "--gold", "RECORDS", "--task",
+                              "agrg_both"],
+    "eval-agrg-both-lenient": ["eval", "--pred", "AGRG_PREDS", "--gold", "RECORDS", "--task",
+                               "agrg_both", "--mode", "lenient"],
+    "judge-aggregate": ["judge-aggregate", "--in", "VERDICTS"],
 }
 
 GOLDEN_DIGESTS = {
@@ -107,6 +205,12 @@ GOLDEN_DIGESTS = {
     "preprocess": "ddd5f07e8089e9d20ef70da8c24b5484d453858a0f3086f23db9b44f33bf17fc",
     "sample": "ec96a5ff4f87ef17e120cbba40a811ca211a083257810b4d1cbb45b1cdb1cfe0",
     "simulate": "5bb8bff30673348b691ba6b0c4bf0b16aa58b08be0ae79a119445d7547e37e7b",
+    # Recorded at 0.2.0, before each output's field lists were derived from its dataclass.
+    "eval-agrg-both-lenient": "13c7abf4b1a19f53398dc156d8ee53c8f0d071909dd25d90df0ffaaae35d4885",
+    "eval-agrg-both-strict": "99ce1ed40a5f2059bc074948ddb5d1c24f1519b220db388e948cb0eb0c51a567",
+    "eval-grg-lenient": "bb6bbce3b3694e72b871a6ae632e3293ab82a6e219c18d1e15b557b09aa8ee3c",
+    "eval-grg-strict": "700395e85b2097eff8143f5efc3248b5126103197c8c955839854659ba4f2e0a",
+    "judge-aggregate": "42058f542e1758504ba874dd8175cab87aa88a87815a57b5815396d609620c6c",
 }
 
 

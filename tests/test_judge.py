@@ -4,6 +4,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, strategies as st
 
 from radloop.errors import (
     ConfigError,
@@ -116,6 +117,31 @@ class TestValidateVerdict:
             validate_verdict(raw)
         with pytest.raises(IllegalValue):
             validate_verdict(raw, lenient=True)
+
+    @pytest.mark.parametrize(
+        "edit, error, message",
+        [
+            ({"nli_status": "Maybe"}, IllegalValue,
+             "field 'nli_status' holds 'Maybe'; legal: contradiction, entailment, neutral"),
+            ({"gt_has_devices": 1}, IllegalValue, "field 'gt_has_devices' holds 1; legal: yes, no"),
+            ({"reason": None}, MissingField, "verdict has no field 'reason'"),
+            ({"gen_has_devices": None}, MissingField, "verdict has no field 'gen_has_devices'"),
+        ],
+    )
+    def test_errors_name_the_field_and_its_legal_values(self, edit, error, message):
+        raw = json.dumps(verdict_dict(**edit))
+        for lenient in (False, True):
+            with pytest.raises(error) as info:
+                validate_verdict(raw, lenient=lenient)
+            assert str(info.value) == message
+
+    def test_fields_are_checked_in_declaration_order(self):
+        raw = json.dumps(verdict_dict(gt_has_abnormalities="x", nli_status="y", reason=None))
+        with pytest.raises(MissingField, match="'reason'"):
+            validate_verdict(raw)
+        raw = json.dumps(verdict_dict(gen_has_devices="x", nli_status="y"))
+        with pytest.raises(IllegalValue, match="'gen_has_devices'"):
+            validate_verdict(raw)
 
     def test_text_around_json_tolerated(self):
         raw = "Sure, here is the JSON:\n" + json.dumps(verdict_dict()) + "\nHope that helps!"
@@ -394,3 +420,44 @@ class TestAggregation:
         doc = s.to_json()
         assert doc["abn_halluc_rate"] == 33.3333
         assert doc["contradiction_rate"] == 66.6667
+
+
+#: Each rate and the verdict field value it counts, stated apart from the code under test.
+REFERENCE_RATES = {
+    "abn_halluc_rate": ("gen_has_hallucinated_abnormalities", "yes"),
+    "abn_correct_rate": ("gen_has_correct_abnormalities", "yes"),
+    "dev_halluc_rate": ("gen_has_hallucinated_devices", "yes"),
+    "dev_correct_rate": ("gen_has_correct_devices", "yes"),
+    "contradiction_rate": ("nli_status", "contradiction"),
+    "entailment_rate": ("nli_status", "entailment"),
+    "neutral_rate": ("nli_status", "neutral"),
+}
+
+_verdicts = st.fixed_dictionaries(
+    {
+        **{name: st.sampled_from(("yes", "no")) for name in ALL_FIELDS[1:-1]},
+        "nli_status": st.sampled_from(("contradiction", "entailment", "neutral")),
+    }
+).map(lambda values: make_verdict(**values))
+
+
+@given(rows=st.lists(
+    st.tuples(st.sampled_from(("lung", "heart", "mean")) | st.text(max_size=3), _verdicts),
+    min_size=1, max_size=80,
+))
+def test_rates_are_reference_counts_and_the_mean_row_their_mean(rows):
+    stats, mean = aggregate_verdicts(rows)
+    assert [s.anatomy for s in stats] == list(dict.fromkeys(anatomy for anatomy, _ in rows))
+    for s in stats:
+        own = [verdict for anatomy, verdict in rows if anatomy == s.anatomy]
+        assert s.n == len(own)
+        for rate, (name, value) in REFERENCE_RATES.items():
+            hits = 0
+            for verdict in own:
+                if getattr(verdict, name) == value:
+                    hits += 1
+            assert getattr(s, rate) == 100.0 * hits / len(own)
+    assert (mean.anatomy, mean.n) == ("mean", len(rows))
+    for rate in REFERENCE_RATES:
+        assert getattr(mean, rate) == sum(getattr(s, rate) for s in stats) / len(stats)
+    assert list(aggregation_table(stats, mean)["mean"]) == ["anatomy", "n", *REFERENCE_RATES]
