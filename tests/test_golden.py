@@ -95,7 +95,8 @@ def drifted_preds(records, drifts):
 
 
 def _nudged(response):
-    """Each box coordinate's second decimal moved up by 3 (mod 10)."""
+    """Each box coordinate's second decimal moved up by 3 (mod 10): the IoUs become
+    irregular floats, so the order they are summed in shows in the bytes."""
     return re.sub(r"(\d\.\d)(\d)", lambda m: m[1] + str((int(m[2]) + 3) % 10), response)
 
 
@@ -107,6 +108,13 @@ GRG_DRIFTS = (
     lambda r: "no acute findings" if len(r) % 2 else _nudged(r),
 )
 AGRG_DRIFTS = (lambda r: r, lambda r: r.replace(": [", " at ["), lambda r: r.lower())
+
+
+JUDGE_FIELDS = (
+    "gt_has_abnormalities", "gt_has_devices", "gen_has_abnormalities", "gen_has_devices",
+    "gen_has_correct_abnormalities", "gen_has_hallucinated_abnormalities",
+    "gen_has_correct_devices", "gen_has_hallucinated_devices",
+)
 
 
 def golden_verdicts():
@@ -126,13 +134,6 @@ def golden_verdicts():
             row["verdict"] = verdict
         rows.append(row)
     return rows
-
-
-JUDGE_FIELDS = (
-    "gt_has_abnormalities", "gt_has_devices", "gen_has_abnormalities", "gen_has_devices",
-    "gen_has_correct_abnormalities", "gen_has_hallucinated_abnormalities",
-    "gen_has_correct_devices", "gen_has_hallucinated_devices",
-)
 
 
 def write_jsonl(path, rows):
@@ -160,7 +161,7 @@ def golden_inputs(tmp_path_factory):
     ]
     for row in preds[::5]:
         row["output"] = row["output"].replace(": [", " at [")
-    paths["preds.jsonl"].write_text("".join(json.dumps(r) + "\n" for r in preds), encoding="utf-8")
+    write_jsonl(paths["preds.jsonl"], preds)
     rng = np.random.default_rng(4)
     grid = {"width": 20, "height": 12, "max_level": 255,
             "values": [int(v) for v in rng.integers(0, 256, size=240)]}
