@@ -2,7 +2,9 @@
 
 Coordinates are stored as double precision fractions of the image size in
 center format (cx, cy, w, h). All types here are plain immutable dataclasses
-and can be shared freely across threads.
+and can be shared freely across threads. The record types carry no ``__dict__``
+(slots; records stay weak-referenceable), and the record decoder interns
+``source_id`` and ``category``, so a loaded file holds each name once.
 
 JSONL record schema (one object per line):
 
@@ -86,7 +88,7 @@ class Split(str, Enum):
     TEST = "test"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormBox:
     """Axis-aligned box in normalized center format.
 
@@ -148,7 +150,7 @@ def clamp_box(box: NormBox) -> NormBox:
     return NormBox.from_corners(nx1, ny1, nx2, ny2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Finding:
     """One grounded-report finding: a phrase and the boxes attached to it.
 
@@ -159,8 +161,14 @@ class Finding:
     boxes: tuple[NormBox, ...] = ()
 
 
-@dataclass(frozen=True)
-class AnnotationRecord:
+class _Weakrefable:
+    """Lends ``__weakref__`` to a slotted dataclass; ``weakref_slot=True`` needs 3.11."""
+
+    __slots__ = ("__weakref__",)
+
+
+@dataclass(frozen=True, slots=True)
+class AnnotationRecord(_Weakrefable):
     """One annotation in the common schema all pipeline stages exchange.
 
     ``findings`` is populated for GRG records only and preserves the
@@ -424,9 +432,9 @@ def record_from_json(obj: Any, line: int = 0) -> AnnotationRecord:
         raise FormatError(line, "meta must be an object")
     return AnnotationRecord(
         image_id=obj["image_id"],
-        source_id=obj["source_id"],
+        source_id=sys.intern(obj["source_id"]),
         task=task,
-        category=obj["category"],
+        category=sys.intern(obj["category"]),
         text=text,
         boxes=boxes_from_json(obj.get("boxes"), line),
         split=split,

@@ -140,7 +140,11 @@ def _expect_list(kind: tuple[Any, str], value: Any, name: str) -> list[Any]:
 
 
 def _check_level(names: Sequence[str], probs: Sequence[float], level: str) -> None:
-    """A plan level holds no probabilities, or non-negative ones summing to 1 within 1e-6."""
+    """A plan level names each entry once and holds no probabilities, or
+    non-negative ones summing to 1 within 1e-6."""
+    if len(set(names)) < len(names):
+        twice = next(name for i, name in enumerate(names) if name in names[:i])
+        raise ValueError(f"{level}: {twice!r} is listed twice")
     for name, p in zip(names, probs):
         if p < 0:
             raise ValueError(f"{level}: {name!r} has negative probability {p}")

@@ -838,6 +838,10 @@ def _plan_source_doc(**source):
            json.dumps(_plan_doc(categories=["a", "b"], sizes=[6, 6], probs=probs)),
            "FormatError")
           for probs in ([-1.0, 2.0], [0.5, 0.6], [0.0, 0.0])),
+        # A repeated category: such a plan drew it in place of one the pool holds.
+        (_SAMPLE_BAD_PLAN,
+         json.dumps(_plan_doc(categories=["a", "a", "b"], sizes=[6, 6, 6], probs=[0.5, 0.25, 0.25])),
+         "FormatError: line 0: bad document: ValueError: subtask 'pg' of 'pgsrc:pg'"),
     ],
 )
 def test_malformed_input_names_the_domain_error(argv, body, error, fuzz_inputs, tmp_path, capsys):

@@ -1,8 +1,11 @@
+import dataclasses
+import gc
 import json
 import math
 import os
 import stat
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -244,6 +247,70 @@ class TestRecordJson:
         good = json.dumps(record_to_json(_sample_records()[0]))
         path.write_text("\n" + good + "\n\n", encoding="utf-8")
         assert len(load_records_jsonl(path)) == 1
+
+
+class TestRecordLayout:
+    """The record types are slotted and frozen, records stay weak-referenceable,
+    and the decoder shares repeated names."""
+
+    def _objects(self):
+        rec = _sample_records()[1]
+        return [rec, rec.findings[0], rec.findings[0].boxes[0]]
+
+    def test_no_instance_dict(self):
+        for obj in self._objects():
+            assert not hasattr(obj, "__dict__"), type(obj).__name__
+
+    def test_fields_cannot_be_assigned(self):
+        rec, finding, box = self._objects()
+        for obj, name in ((rec, "category"), (finding, "text"), (box, "cx")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, "x")
+        # A name outside the fields is refused too, as a TypeError: the frozen
+        # __setattr__ that dataclasses generates calls super() on the pre-slots class.
+        with pytest.raises((AttributeError, TypeError)):
+            rec.other = "x"
+        assert not hasattr(rec, "other")
+
+    def test_records_are_weak_referenceable(self):
+        rec = _sample_records()[0]
+        ref = weakref.ref(rec)
+        assert ref() is rec
+        del rec
+        gc.collect()
+        assert ref() is None
+
+    def test_replace_eq_hash_and_repr(self):
+        rec = _sample_records()[0]
+        box = rec.boxes[0]
+        finding = Finding("No pneumothorax", (box,))
+        moved = dataclasses.replace(rec, text="Clear", boxes=())
+        assert (moved.text, moved.boxes, moved.category) == ("Clear", (), "pneumonia")
+        assert rec.text == "Right basilar consolidation"
+        assert moved != rec and dataclasses.replace(moved, text=rec.text, boxes=rec.boxes) == rec
+        assert NormBox(0.7, 0.6, 0.2, 0.3) == box and box != (0.7, 0.6, 0.2, 0.3)
+        assert hash(box) == hash((0.7, 0.6, 0.2, 0.3))
+        assert hash(finding) == hash(("No pneumothorax", (box,)))
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(rec)  # meta is a dict
+        assert repr(finding) == (
+            "Finding(text='No pneumothorax', boxes=(NormBox(cx=0.7, cy=0.6, w=0.2, h=0.3),))"
+        )
+        assert repr(rec) == (
+            "AnnotationRecord(image_id='img-1', source_id='ms-cxr', task=<Task.PG: 'pg'>, "
+            "category='pneumonia', text='Right basilar consolidation', "
+            "boxes=(NormBox(cx=0.7, cy=0.6, w=0.2, h=0.3),), split=<Split.TRAIN: 'train'>, "
+            "findings=(), meta={})"
+        )
+
+    def test_decoded_records_share_names(self, tmp_path):
+        first = _sample_records()[0]
+        second = dataclasses.replace(first, image_id="img-9")
+        path = tmp_path / "records.jsonl"
+        dump_records_jsonl(path, [first, second])
+        a, b = load_records_jsonl(path)
+        assert (a, b) == (first, second)
+        assert a.source_id is b.source_id and a.category is b.category
 
 
 class TestAtomicWrite:

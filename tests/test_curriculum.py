@@ -646,6 +646,13 @@ class TestStateJson:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 CurriculumState.from_json(doc)
 
+    def test_a_level_names_each_category_once(self):
+        doc = json.loads(json.dumps(initial_state(two_source_pool()).to_json()))
+        doc["sources"]["pgsrc:pg"]["subtasks"]["pg"]["categories"] = ["a", "a"]
+        message = "subtask 'pg' of 'pgsrc:pg': 'a' is listed twice"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CurriculumState.from_json(doc)
+
 
 class TestDecay:
     def test_decayed_error(self):
