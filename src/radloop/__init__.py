@@ -3,7 +3,7 @@ box-aware augmentation, error-aware curriculum sampling, grounded-output
 parsing, union-merge IoU evaluation, and LLM-judge hallucination analysis.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .core import (
     AnnotationRecord,

@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass, replace
 from itertools import islice
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import __version__
 from .augment import (
@@ -42,8 +42,11 @@ from .core import (
     is_int,
     iter_jsonl,
     jsonl_lines,
+    judge_gold_from_json,
+    judge_pred_from_json,
     load_json,
     load_records_jsonl,
+    prediction_from_json,
     record_from_json,
     record_to_json,
 )
@@ -71,6 +74,7 @@ from .judge import (
     build_judge_prompt,
     call_judge,
     validate_verdict,
+    verdict_row_from_json,
 )
 from .taskgen import expand_padchest_labels, render_instruction
 
@@ -149,11 +153,14 @@ def _config_hash(args: argparse.Namespace, config_doc: Mapping[str, Any] | None)
     return hashlib.sha256(blob).hexdigest()
 
 
-def _write_manifest(
+def _emit(
     out_path: str | Path,
+    text: str | Iterable[str],
     args: argparse.Namespace,
     config_doc: Mapping[str, Any] | None,
 ) -> None:
+    """Write a primary output, then its sibling ``<out>.manifest.json``."""
+    atomic_write(out_path, text)
     manifest = {
         "schema_version": 1,
         "tool": "radloop",
@@ -164,16 +171,6 @@ def _write_manifest(
         "created_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
     }
     atomic_write(f"{out_path}.manifest.json", _json_doc(manifest))
-
-
-def _emit(
-    out_path: str | Path,
-    text: str | Iterable[str],
-    args: argparse.Namespace,
-    config_doc: Mapping[str, Any] | None,
-) -> None:
-    atomic_write(out_path, text)
-    _write_manifest(out_path, args, config_doc)
     log.info("wrote %s", out_path)
 
 
@@ -290,23 +287,20 @@ def _cmd_simulate(args, config, config_doc) -> None:
     _emit(args.out, _json_doc(doc), args, config_doc)
 
 
-def _load_predictions(path: str | Path) -> dict[str, str]:
-    preds: dict[str, str] = {}
+def _by_id(path: str | Path, decode: Callable[..., tuple[str, str]], what: str) -> dict[str, str]:
+    """Decode ``(image_id, text)`` rows into a dict; a repeated id is a FormatError."""
+    texts: dict[str, str] = {}
     for line_no, obj in iter_jsonl(path):
-        pid = obj.get("image_id") or obj.get("id")
-        text = obj.get("output") if obj.get("output") is not None else obj.get("text")
-        if not pid or text is None:
-            raise FormatError(line_no, "prediction rows need image_id and output fields")
-        pid = str(pid)
-        if pid in preds:
-            raise FormatError(line_no, f"duplicate prediction id {pid!r}")
-        preds[pid] = str(text)
-    return preds
+        image_id, text = decode(obj, line_no)
+        if image_id in texts:
+            raise FormatError(line_no, f"duplicate {what} id {image_id!r}")
+        texts[image_id] = text
+    return texts
 
 
 def _cmd_eval(args, config, config_doc) -> None:
     mode = args.mode or config.parse_mode
-    preds = _load_predictions(args.pred)
+    preds = _by_id(args.pred, prediction_from_json, "prediction")
     gold = load_records_jsonl(args.gold)
     report = evaluate_task(preds, gold, Task(args.task), mode=mode, scorer=args.scorer)
     _emit(args.out, _json_doc(report.to_json()), args, config_doc)
@@ -322,25 +316,15 @@ def _endpoint_config(args, config: ToolConfig) -> EndpointConfig:
 
 def _cmd_judge(args, config, config_doc) -> None:
     endpoint = _endpoint_config(args, config)
-    gold: dict[str, str] = {}
-    for line_no, obj in iter_jsonl(args.gold):
-        text = obj.get("text") if obj.get("text") is not None else obj.get("report")
-        if not obj.get("image_id") or text is None:
-            raise FormatError(line_no, "gold rows need image_id and text fields")
-        gold[str(obj["image_id"])] = str(text)
+    gold = _by_id(args.gold, judge_gold_from_json, "gold")
 
     def verdict_rows() -> Iterator[dict[str, Any]]:
         failures = 0
         for total, (line_no, obj) in enumerate(iter_jsonl(args.pred), start=1):
-            image_id = obj.get("image_id")
-            anatomy = obj.get("anatomy")
-            text = obj.get("text")
-            if not image_id or not anatomy or text is None:
-                raise FormatError(line_no, "pred rows need image_id, anatomy and text fields")
-            if str(image_id) not in gold:
+            image_id, anatomy, text = judge_pred_from_json(obj, line_no)
+            if image_id not in gold:
                 raise FormatError(line_no, f"no gold report for image {image_id!r}")
-            prompt = build_judge_prompt(str(text), gold[str(image_id)])
-            raw = call_judge(prompt, endpoint)
+            raw = call_judge(build_judge_prompt(text, gold[image_id]), endpoint)
             row: dict[str, Any] = {"image_id": image_id, "anatomy": anatomy}
             try:
                 row["verdict"] = validate_verdict(raw, lenient=args.lenient).to_json()
@@ -360,12 +344,11 @@ def _cmd_judge_aggregate(args, config, config_doc) -> None:
     pairs: list[tuple[str, JudgeVerdict]] = []
     failures = 0
     for line_no, obj in iter_jsonl(args.in_path):
-        if "error" in obj:
+        anatomy, verdict = verdict_row_from_json(obj, line_no)
+        if verdict is None:
             failures += 1
-            continue
-        if "anatomy" not in obj or "verdict" not in obj:
-            raise FormatError(line_no, "verdict rows need anatomy and verdict fields")
-        pairs.append((str(obj["anatomy"]), JudgeVerdict.from_json(obj["verdict"])))
+        else:
+            pairs.append((anatomy, verdict))
     stats, mean = aggregate_verdicts(pairs)
     _emit(args.out, _json_doc(aggregation_table(stats, mean, failures)), args, config_doc)
 
@@ -518,10 +501,7 @@ def dispatch(argv: Sequence[str]) -> int:
             config_doc = load_json(args.config)
             config = ToolConfig.from_json(config_doc)
         args.handler(args, config, config_doc)
-    except RadloopError as exc:
-        log.error("%s: %s", type(exc).__name__, exc)
-        return 1
-    except (OSError, ValueError, KeyError) as exc:
+    except (RadloopError, OSError, ValueError, KeyError) as exc:
         log.error("%s: %s", type(exc).__name__, exc)
         return 1
     return 0

@@ -20,14 +20,14 @@ not need them serialize with exactly the seven fixed field names.
 
 Every file the package reads or writes goes through the functions at the
 end of this module: :func:`iter_jsonl` for JSONL lines, :func:`load_json`
-for whole-file documents, the record and instance codecs, and
+for whole-file documents, the record, instance, prediction and judge row
+decoders (all built on :func:`get_str`, which coerces nothing), and
 :func:`atomic_write` for output.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -124,13 +124,6 @@ class NormBox:
 
     def to_list(self) -> list[float]:
         return [self.cx, self.cy, self.w, self.h]
-
-    @classmethod
-    def from_list(cls, values: Iterable[float]) -> "NormBox":
-        vals = list(values)
-        if len(vals) != 4:
-            raise ValueError(f"a box needs exactly 4 numbers, got {len(vals)}")
-        return cls(float(vals[0]), float(vals[1]), float(vals[2]), float(vals[3]))
 
 
 def clamp_box(box: NormBox) -> NormBox:
@@ -325,7 +318,7 @@ def is_int(value: Any) -> bool:
 def is_number(value: Any) -> bool:
     """A finite number that is not a bool; the exact comparison also rejects
     integers beyond float range."""
-    return (is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+    return (isinstance(value, float) or is_int(value)) and abs(value) <= sys.float_info.max
 
 
 def config_from_json(cls: type, obj: Any, what: str, **convert: Callable[[Any], Any]) -> Any:
@@ -347,23 +340,42 @@ def config_from_json(cls: type, obj: Any, what: str, **convert: Callable[[Any], 
         raise ConfigError(f"bad {what}: {exc}") from exc
 
 
+#: The ``default`` of a required :func:`get_str` field.
+REQUIRED: Any = object()
+
+
+def get_str(obj: Mapping[str, Any], key: str, line: int, default: Any = REQUIRED,
+            empty: bool = False) -> Any:
+    """The string field ``key`` of a decoded row: the one field check of every decoder.
+
+    An absent optional field gives its ``default``, and so does ``null`` if
+    that default is None. Any other non-string, or ``""`` unless ``empty``,
+    is a :class:`FormatError` naming the line and the field.
+    """
+    value = obj.get(key)
+    if isinstance(value, str) and (value or empty):
+        return value
+    if default is not REQUIRED and (key not in obj or (value is None and default is None)):
+        return default
+    if key not in obj:
+        raise FormatError(line, f"missing field {key!r}")
+    raise FormatError(line, f"field {key!r} must be a {'string' if empty else 'non-empty string'}")
+
+
 def boxes_from_json(values: Any, line: int) -> tuple[NormBox, ...]:
-    """Decode a list of [cx, cy, w, h] arrays; null means no boxes."""
+    """Decode a list of [cx, cy, w, h] arrays of JSON numbers; null means no boxes."""
     if values is None:
         return ()
     if not isinstance(values, list):
         raise FormatError(line, "boxes must be a list of 4-number arrays")
     out = []
     for v in values:
-        if not isinstance(v, list) or len(v) != 4:
-            raise FormatError(line, f"each box must be an array of 4 numbers, got {v!r}")
+        if not (isinstance(v, list) and len(v) == 4 and all(map(is_number, v))):
+            raise FormatError(line, f"each box must be an array of 4 finite numbers, got {v!r}")
         try:
-            box = NormBox.from_list(v)
-        except (TypeError, ValueError, OverflowError) as exc:
+            out.append(NormBox(*map(float, v)))
+        except ValueError as exc:
             raise FormatError(line, f"bad box {v!r}: {exc}") from exc
-        if not all(map(math.isfinite, (box.cx, box.cy, box.w, box.h))):
-            raise FormatError(line, f"bad box {v!r}: coordinates must be finite")
-        out.append(box)
     return tuple(out)
 
 
@@ -371,10 +383,7 @@ def finding_from_json(obj: Any, line: int) -> Finding:
     """Decode one ``{"text": str, "boxes": [...]?}`` finding."""
     if not isinstance(obj, dict):
         raise FormatError(line, "each finding must be an object")
-    text = obj.get("text")
-    if not isinstance(text, str) or not text:
-        raise FormatError(line, "finding field 'text' must be a non-empty string")
-    return Finding(text, boxes_from_json(obj.get("boxes"), line))
+    return Finding(get_str(obj, "text", line), boxes_from_json(obj.get("boxes"), line))
 
 
 def _boxes_to_json(boxes: Iterable[NormBox]) -> list[list[float]]:
@@ -410,20 +419,14 @@ def _task_from_json(value: Any, line: int) -> Task:
 def record_from_json(obj: Any, line: int = 0) -> AnnotationRecord:
     if not isinstance(obj, dict):
         raise FormatError(line, "each line must hold a JSON object")
-    for name in ("image_id", "source_id", "task", "category", "split"):
+    for name in ("task", "split"):
         if name not in obj:
             raise FormatError(line, f"missing field {name!r}")
-    for name in ("image_id", "source_id", "category"):
-        if not isinstance(obj[name], str):
-            raise FormatError(line, f"field {name!r} must be a string")
     task = _task_from_json(obj["task"], line)
     try:
         split = Split(obj["split"])
     except ValueError as exc:
         raise FormatError(line, f"unknown split {obj['split']!r}") from exc
-    text = obj.get("text")
-    if text is not None and not isinstance(text, str):
-        raise FormatError(line, "text must be a string or null")
     findings = obj.get("findings", [])
     if not isinstance(findings, list):
         raise FormatError(line, "findings must be a list of objects")
@@ -431,11 +434,11 @@ def record_from_json(obj: Any, line: int = 0) -> AnnotationRecord:
     if not isinstance(meta, dict):
         raise FormatError(line, "meta must be an object")
     return AnnotationRecord(
-        image_id=obj["image_id"],
-        source_id=sys.intern(obj["source_id"]),
+        image_id=get_str(obj, "image_id", line, empty=True),
+        source_id=sys.intern(get_str(obj, "source_id", line, empty=True)),
         task=task,
-        category=sys.intern(obj["category"]),
-        text=text,
+        category=sys.intern(get_str(obj, "category", line, empty=True)),
+        text=get_str(obj, "text", line, None, empty=True),
         boxes=boxes_from_json(obj.get("boxes"), line),
         split=split,
         findings=tuple(finding_from_json(f, line) for f in findings),
@@ -463,15 +466,27 @@ def instance_to_json(inst: InstructionInstance) -> dict[str, Any]:
 def instance_from_json(obj: Any, line: int = 0) -> InstructionInstance:
     if not isinstance(obj, dict):
         raise FormatError(line, "each line must hold a JSON object")
-    for name in ("image_id", "source_id", "task", "category", "instruction", "response", "structured"):
+    for name in ("task", "structured"):
         if name not in obj:
             raise FormatError(line, f"missing field {name!r}")
+    texts = ("image_id", "source_id", "category", "instruction", "response")
     return InstructionInstance(
-        image_id=str(obj["image_id"]),
-        source_id=str(obj["source_id"]),
         task=_task_from_json(obj["task"], line),
-        category=str(obj["category"]),
-        instruction=str(obj["instruction"]),
-        response=str(obj["response"]),
         structured=record_from_json(obj["structured"], line),
+        **{name: get_str(obj, name, line, empty=True) for name in texts},
     )
+
+
+def prediction_from_json(obj: Mapping[str, Any], line: int) -> tuple[str, str]:
+    """Decode one ``eval --pred`` row ``{"image_id": str, "output": str}``."""
+    return get_str(obj, "image_id", line), get_str(obj, "output", line, empty=True)
+
+
+def judge_gold_from_json(obj: Mapping[str, Any], line: int) -> tuple[str, str]:
+    """Decode one ``judge --gold`` row ``{"image_id": str, "text": str}``."""
+    return get_str(obj, "image_id", line), get_str(obj, "text", line)
+
+
+def judge_pred_from_json(obj: Mapping[str, Any], line: int) -> tuple[str, str, str]:
+    """Decode one ``judge --pred`` row ``{"image_id": str, "anatomy": str, "text": str}``."""
+    return get_str(obj, "image_id", line), get_str(obj, "anatomy", line), get_str(obj, "text", line)

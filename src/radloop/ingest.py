@@ -26,8 +26,10 @@ Four input formats are supported, all JSONL, one object per line:
     labels become text-only findings). The emitted source ids get ``-pg``
     and ``-grg`` suffixes so the two derived tasks stay separate sources.
 
-Any malformed line raises :class:`FormatError` with its line number; nothing
-is skipped silently.
+String fields are non-empty JSON strings, never coerced. An absent optional
+field takes its default; ``null`` means none for ``box``, ``boxes``,
+``sentence`` and ``label`` and is an error elsewhere. Any malformed line
+raises :class:`FormatError` with its line number; nothing is skipped silently.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .core import (
     boxes_from_json,
     clamp_box,
     finding_from_json,
+    get_str,
     iter_jsonl,
 )
 from .errors import EmptyAfterClamp, FormatError, InsufficientStratum
@@ -94,21 +97,13 @@ def expand_label(label: str) -> str:
     return LABEL_PHRASES.get(label, label)
 
 
-def _get_str(obj: Mapping[str, Any], key: str, line: int) -> str:
-    value = obj.get(key)
-    if not isinstance(value, str) or not value:
-        raise FormatError(line, f"field {key!r} must be a non-empty string")
-    return value
-
-
 def _get_split(obj: Mapping[str, Any], line: int, default: Split) -> Split:
-    raw = obj.get("split")
-    if raw is None:
+    if "split" not in obj:
         return default
     try:
-        return Split(raw)
+        return Split(obj["split"])
     except ValueError as exc:
-        raise FormatError(line, f"unknown split {raw!r}") from exc
+        raise FormatError(line, f"unknown split {obj['split']!r}") from exc
 
 
 def _clamped(boxes: tuple[NormBox, ...], line: int) -> tuple[NormBox, ...]:
@@ -120,15 +115,13 @@ def _clamped(boxes: tuple[NormBox, ...], line: int) -> tuple[NormBox, ...]:
 
 
 def _scene_graph_records(obj: Mapping[str, Any], line: int) -> list[AnnotationRecord]:
-    image_id = _get_str(obj, "image_id", line)
-    location = _get_str(obj, "location", line)
-    source_id = str(obj.get("source_id", "cig"))
+    image_id = get_str(obj, "image_id", line)
+    location = get_str(obj, "location", line)
+    source_id = get_str(obj, "source_id", line, "cig")
     split = _get_split(obj, line, Split.TRAIN)
     raw_box = obj.get("box")
     box = None if raw_box is None else _clamped(boxes_from_json([raw_box], line), line)[0]
-    sentence = obj.get("sentence")
-    if sentence is not None and (not isinstance(sentence, str) or not sentence):
-        raise FormatError(line, "field 'sentence' must be a non-empty string")
+    sentence = get_str(obj, "sentence", line, None)
     if box is None and sentence is None:
         raise FormatError(line, "a scene_graph row needs a box, a sentence, or both")
 
@@ -146,31 +139,28 @@ def _scene_graph_records(obj: Mapping[str, Any], line: int) -> list[AnnotationRe
 
 
 def _phrase_boxes_records(obj: Mapping[str, Any], line: int) -> list[AnnotationRecord]:
-    image_id = _get_str(obj, "image_id", line)
-    phrase = _get_str(obj, "phrase", line)
+    image_id = get_str(obj, "image_id", line)
+    phrase = get_str(obj, "phrase", line)
     boxes = _clamped(boxes_from_json(obj.get("boxes"), line), line)
     if not boxes:
         raise FormatError(line, "a phrase_boxes row needs at least one box")
-    category = str(obj.get("category", phrase))
-    meta = {}
-    if obj.get("label"):
-        meta["label"] = str(obj["label"])
+    label = get_str(obj, "label", line, None)
     return [
         AnnotationRecord(
             image_id=image_id,
-            source_id=str(obj.get("source_id", "pg")),
+            source_id=get_str(obj, "source_id", line, "pg"),
             task=Task.PG,
-            category=category,
+            category=get_str(obj, "category", line, phrase),
             text=phrase,
             boxes=boxes,
             split=_get_split(obj, line, Split.TRAIN),
-            meta=meta,
+            meta={} if label is None else {"label": label},
         )
     ]
 
 
 def _grounded_report_records(obj: Mapping[str, Any], line: int) -> list[AnnotationRecord]:
-    image_id = _get_str(obj, "image_id", line)
+    image_id = get_str(obj, "image_id", line)
     raw_findings = obj.get("findings")
     if not isinstance(raw_findings, list) or not raw_findings:
         raise FormatError(line, "field 'findings' must be a non-empty list")
@@ -181,7 +171,7 @@ def _grounded_report_records(obj: Mapping[str, Any], line: int) -> list[Annotati
     return [
         AnnotationRecord(
             image_id=image_id,
-            source_id=str(obj.get("source_id", "grg")),
+            source_id=get_str(obj, "source_id", line, "grg"),
             task=Task.GRG,
             category="report",
             findings=findings,
@@ -191,19 +181,19 @@ def _grounded_report_records(obj: Mapping[str, Any], line: int) -> list[Annotati
 
 
 def _detection_records(obj: Mapping[str, Any], line: int) -> list[AnnotationRecord]:
-    image_id = _get_str(obj, "image_id", line)
+    image_id = get_str(obj, "image_id", line)
     raw_findings = obj.get("findings")
     if not isinstance(raw_findings, list) or not raw_findings:
         raise FormatError(line, "field 'findings' must be a non-empty list")
-    source = str(obj.get("source_id", "detection"))
+    source = get_str(obj, "source_id", line, "detection")
     split = _get_split(obj, line, Split.TEST)
 
     records = []
     report_findings = []
     for raw in raw_findings:
-        if not isinstance(raw, dict) or not raw.get("label"):
-            raise FormatError(line, "each finding needs a 'label'")
-        label = str(raw["label"])
+        if not isinstance(raw, dict):
+            raise FormatError(line, "each finding must be an object")
+        label = get_str(raw, "label", line)
         phrase = expand_label(label)
         boxes = _clamped(boxes_from_json(raw.get("boxes"), line), line)
         if boxes:

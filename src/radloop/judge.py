@@ -19,9 +19,10 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .core import atomic_write, config_from_json, is_int, is_number
+from .core import atomic_write, config_from_json, get_str, is_int, is_number
 from .errors import (
     EmptyInput,
+    FormatError,
     IllegalValue,
     JudgeTimeout,
     MalformedJson,
@@ -107,13 +108,13 @@ _LEGAL_VALUES = {
 }
 
 
-def _verdict_from_mapping(obj: Any, lenient: bool) -> JudgeVerdict:
-    if not isinstance(obj, dict):
-        raise MalformedJson("a verdict must be a JSON object")
+def _verdict_from_mapping(obj: Mapping[str, Any], lenient: bool) -> JudgeVerdict:
     reason = obj.get("reason")
     if reason is None:
         raise MissingField("verdict has no field 'reason'")
-    values: dict[str, str] = {"reason": str(reason)}
+    if not isinstance(reason, str):
+        raise IllegalValue(f"field 'reason' holds {reason!r:.60}; it must be a string")
+    values: dict[str, str] = {"reason": reason}
     for name, legal in _LEGAL_VALUES.items():
         raw = obj.get(name)
         if raw is None:
@@ -140,6 +141,20 @@ def validate_verdict(raw: str, lenient: bool = False) -> JudgeVerdict:
     except json.JSONDecodeError as exc:
         raise MalformedJson(f"invalid JSON in response: {exc}") from exc
     return _verdict_from_mapping(obj, lenient=lenient)
+
+
+def verdict_row_from_json(obj: Mapping[str, Any], line: int) -> tuple[str, JudgeVerdict | None]:
+    """Decode one ``judge`` output row, ``{"image_id", "anatomy", "verdict": {...}}``
+    or ``{"image_id", "anatomy", "error": str}``, into (anatomy, verdict or None)."""
+    get_str(obj, "image_id", line)
+    anatomy = get_str(obj, "anatomy", line)
+    if "error" in obj:
+        get_str(obj, "error", line)
+        return anatomy, None
+    verdict = obj.get("verdict")
+    if not isinstance(verdict, dict):
+        raise FormatError(line, "field 'verdict' must be an object")
+    return anatomy, JudgeVerdict.from_json(verdict)
 
 
 # ---------------------------------------------------------------------------

@@ -416,6 +416,8 @@ def judge_server():
             hits.append(gen)
             if gen == "garble":
                 body = b"no json here"
+            elif gen == "numeric reason":
+                body = json.dumps({**VERDICT, "reason": 5}).encode("utf-8")
             else:
                 body = json.dumps(VERDICT).encode("utf-8")
             self.send_response(200)
@@ -428,7 +430,7 @@ def judge_server():
             pass
 
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/v1", hits
     server.shutdown()
@@ -516,6 +518,21 @@ class TestJudgeCommands:
         assert dispatch(args + ["--out", str(tmp_path / "v2.jsonl")]) == 0
         assert len(hits) == first
         assert (tmp_path / "v1.jsonl").read_bytes() == (tmp_path / "v2.jsonl").read_bytes()
+
+    def test_a_numeric_reason_fails_validation(self, tmp_path, judge_server):
+        url, hits = judge_server
+        endpoint, gold, _ = self._write_judge_inputs(tmp_path, url)
+        pred = tmp_path / "numeric.jsonl"
+        pred.write_text(
+            json.dumps({"image_id": "im1", "anatomy": "lung", "text": "numeric reason"}) + "\n",
+            encoding="utf-8",
+        )
+        verdicts = tmp_path / "verdicts.jsonl"
+        argv = ["judge", "--pred", str(pred), "--gold", str(gold), "--endpoint", str(endpoint)]
+        assert dispatch(argv + ["--out", str(verdicts)]) == 0
+        (row,) = read_jsonl(verdicts)
+        assert row["error"] == "field 'reason' holds 5; it must be a string"
+        assert hits == ["numeric reason"]
 
     def test_judge_unreachable_endpoint(self, tmp_path):
         endpoint, gold, pred = self._write_judge_inputs(
@@ -708,6 +725,7 @@ def fuzz_inputs(records_path, tmp_path):
         "PREDS": [{"image_id": "i", "output": "x: [0.50,0.50,0.20,0.20]"}],
         "REPORTS": [{"image_id": "im1", "text": "Normal."}],
         "JUDGED": [{"image_id": "im1", "anatomy": "a", "text": "Clear."}],
+        "JUDGED_5": [{"image_id": "5", "anatomy": "a", "text": "Clear."}],
     }
     for name, body in rows.items():
         paths[name] = tmp_path / f"{name.lower()}.jsonl"
@@ -745,6 +763,9 @@ _GOOD_METRICS = [
 ]
 
 _SAMPLE_BAD_PLAN = ["sample", "--records", "RECORDS", "--plan", "BAD", "--n", "3", "--seed", "1"]
+_EVAL_BAD_PRED = ["eval", "--pred", "BAD", "--gold", "RECORDS", "--task", "pg"]
+#: An image id of ``records_path``.
+_GOLD_ID = "pgsrc-pg-a-00000"
 
 
 def _plan_doc(**subtask):
@@ -842,15 +863,62 @@ def _plan_source_doc(**source):
         (_SAMPLE_BAD_PLAN,
          json.dumps(_plan_doc(categories=["a", "a", "b"], sizes=[6, 6, 6], probs=[0.5, 0.25, 0.25])),
          "FormatError: line 0: bad document: ValueError: subtask 'pg' of 'pgsrc:pg'"),
+        # Each row kind has one type per field: no coercion, no aliases, no fall-through.
+        *((_EVAL_BAD_PRED, json.dumps(row) + "\n", "FormatError: line 1")
+          for row in (
+              {"image_id": _GOLD_ID, "output": [1]},
+              {"id": _GOLD_ID, "text": "a: [0.50,0.50,0.20,0.20]"},
+              {"image_id": "", "id": _GOLD_ID, "output": "a: [0.50,0.50,0.20,0.20]"},
+          )),
+        (["judge", "--pred", "BAD", "--gold", "REPORTS", "--endpoint", "ENDPOINT"],
+         json.dumps({"image_id": "im1", "anatomy": "a", "text": 7}) + "\n",
+         "FormatError: line 1"),
+        (["judge", "--pred", "JUDGED_5", "--gold", "BAD", "--endpoint", "ENDPOINT"],
+         json.dumps({"image_id": 5, "text": "Normal."}) + "\n",
+         "FormatError: line 1"),
+        (["judge", "--pred", "JUDGED", "--gold", "BAD", "--endpoint", "ENDPOINT"],
+         json.dumps({"image_id": "im1", "report": "Normal."}) + "\n",
+         "FormatError: line 1"),
+        (["judge", "--pred", "JUDGED", "--gold", "BAD", "--endpoint", "ENDPOINT"],
+         json.dumps({"image_id": "im1", "text": "Normal."}) + "\n"
+         + json.dumps({"image_id": "im1", "text": "Effusion."}) + "\n",
+         "FormatError: line 2"),
+        (["judge-aggregate", "--in", "BAD"],
+         json.dumps({"image_id": "im1", "anatomy": ["a"], "verdict": VERDICT}) + "\n",
+         "FormatError: line 1"),
+        (["judge-aggregate", "--in", "BAD"],
+         json.dumps({"image_id": "im1", "anatomy": "a", "error": None}) + "\n",
+         "FormatError: line 1"),
+        (["judge-aggregate", "--in", "BAD"],
+         json.dumps({"image_id": "im1", "anatomy": "a", "verdict": {**VERDICT, "reason": 5}}) + "\n",
+         "IllegalValue"),
+        (["ingest", "--in", "BAD", "--format", "phrase_boxes"],
+         json.dumps({"image_id": "i", "phrase": "p", "boxes": [[0.5, 0.5, 0.2, 0.2]],
+                     "category": ["c"]}) + "\n",
+         "FormatError: line 1"),
+        (["ingest", "--in", "BAD", "--format", "detection"],
+         json.dumps({"image_id": "i", "source_id": None,
+                     "findings": [{"label": "x", "boxes": [[0.5, 0.5, 0.2, 0.2]]}]}) + "\n",
+         "FormatError: line 1"),
+        *((["gen-tasks", "--records", "BAD"], json.dumps({**_GOOD_RECORD, "boxes": [box]}) + "\n",
+           "FormatError: line 1")
+          for box in (["0.5", "0.5", "0.2", "0.2"], [True, 0.5, True, 0.2])),
     ],
 )
-def test_malformed_input_names_the_domain_error(argv, body, error, fuzz_inputs, tmp_path, capsys):
+def test_malformed_input_names_the_domain_error(
+    argv, body, error, fuzz_inputs, judge_server, tmp_path, capsys
+):
     bad = tmp_path / "bad"
     bad.write_text(body, encoding="utf-8")
-    paths = {**fuzz_inputs, "BAD": bad}
+    # A judge row that got past its decoder would reach this endpoint.
+    url, hits = judge_server
+    endpoint = tmp_path / "stub_endpoint.json"
+    endpoint.write_text(json.dumps({"url": url, "model": "m", "max_retries": 0}), encoding="utf-8")
+    paths = {**fuzz_inputs, "BAD": bad, "ENDPOINT": endpoint}
     rc = dispatch([str(paths.get(a, a)) for a in argv] + ["--out", str(tmp_path / "out")])
     assert rc == 1
     assert f"ERROR radloop: {error}:" in capsys.readouterr().err
+    assert hits == []
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import stat
+import sys
 import tracemalloc
 import weakref
 
@@ -20,13 +21,17 @@ from radloop.core import (
     Task,
     TaskFamily,
     atomic_write,
+    boxes_from_json,
     clamp_box,
     dump_records_jsonl,
     instance_from_json,
     instance_to_json,
     iter_jsonl,
     jsonl_lines,
+    judge_gold_from_json,
+    judge_pred_from_json,
     load_records_jsonl,
+    prediction_from_json,
     record_from_json,
     record_to_json,
 )
@@ -59,10 +64,6 @@ class TestNormBox:
             NormBox(0.5, 0.5, 0.0, 0.2)
         with pytest.raises(ValueError):
             NormBox(0.5, 0.5, 0.2, -0.1)
-
-    def test_from_list_length(self):
-        with pytest.raises(ValueError):
-            NormBox.from_list([0.5, 0.5, 0.4])
 
     def test_area(self):
         assert NormBox(0.5, 0.5, 0.5, 0.5).area() == 0.25
@@ -492,3 +493,162 @@ class TestInstanceJson:
         with pytest.raises(FormatError):
             instance_from_json(obj)
 
+
+    @pytest.mark.parametrize(
+        "field, value", [("category", [2]), ("instruction", {}), ("image_id", 5), ("response", None)]
+    )
+    def test_wrong_typed_texts_rejected(self, field, value):
+        obj = instance_to_json(render_instruction(_sample_records()[0]))
+        obj[field] = value
+        with pytest.raises(FormatError, match=f"field '{field}' must be a string") as err:
+            instance_from_json(obj, line=6)
+        assert err.value.line == 6
+
+
+def _is_json_number(value):
+    """A JSON number as the box decoder takes it: finite, not a bool, within float range."""
+    if type(value) is int:
+        return abs(value) <= sys.float_info.max
+    return type(value) is float and math.isfinite(value)
+
+
+class TestBoxesFromJson:
+    @pytest.mark.parametrize(
+        "box",
+        [
+            ["0.5", "0.5", "0.2", "0.2"],
+            [True, 0.5, True, 0.2],
+            [0.5, 0.5, 0.2, None],
+            [0.5, 0.5, float("nan"), 0.2],
+            [0.5, 0.5, 2**1024, 0.2],
+            [0.5, 0.5, 0.2],
+            [0.5, 0.5, 0.0, 0.2],
+        ],
+    )
+    def test_each_coordinate_is_a_json_number(self, box):
+        with pytest.raises(FormatError) as err:
+            boxes_from_json([box], line=9)
+        assert err.value.line == 9
+
+    def test_integer_coordinates_decode_as_floats(self):
+        (box,) = boxes_from_json([[1, 0, 1, 1]], line=1)
+        assert [type(v) for v in box.to_list()] == [float] * 4
+        assert json.dumps(box.to_list()) == "[1.0, 0.0, 1.0, 1.0]"
+
+    @given(st.lists(st.integers() | st.floats() | json_values, min_size=3, max_size=5))
+    def test_a_box_is_accepted_exactly_when_it_holds_four_numbers(self, values):
+        fits = len(values) == 4 and all(map(_is_json_number, values))
+        expected = fits and values[2] > 0 and values[3] > 0
+        try:
+            (box,) = boxes_from_json([values], line=1)
+        except FormatError:
+            assert not expected
+        else:
+            assert expected and box.to_list() == [float(v) for v in values]
+
+
+#: Marks a field left out of a generated row.
+_ABSENT = object()
+_field_values = st.just(_ABSENT) | st.text(max_size=4) | json_values
+
+
+def _fits(spec, row, name):
+    """Whether field ``name`` of ``row`` has its schema type.
+
+    ``spec`` is ``text`` (a non-empty string) or ``any text`` (any string),
+    ending in ``?`` when the field may be absent and in ``|null`` when it
+    may be absent or null.
+    """
+    if name not in row:
+        return spec.endswith(("?", "|null"))
+    if row[name] is None:
+        return spec.endswith("|null")
+    return isinstance(row[name], str) and (row[name] != "" or spec.startswith("any"))
+
+
+def _draw_row(data, base, schema):
+    row = dict(base)
+    for name in schema:
+        value = data.draw(_field_values, label=name)
+        if value is _ABSENT:
+            row.pop(name, None)
+        else:
+            row[name] = value
+    return row
+
+
+_INSTANCE_TEXTS = ("image_id", "source_id", "category", "instruction", "response")
+
+#: Row kind: its decoder, a valid row the drawn fields replace, and the schema of those fields.
+_ROW_KINDS = {
+    "record": (
+        record_from_json,
+        record_to_json(_sample_records()[0]),
+        {"image_id": "any text", "source_id": "any text", "category": "any text",
+         "text": "any text|null"},
+    ),
+    "instance": (
+        instance_from_json,
+        instance_to_json(render_instruction(_sample_records()[0])),
+        dict.fromkeys(_INSTANCE_TEXTS, "any text"),
+    ),
+    "prediction": (prediction_from_json, {}, {"image_id": "text", "output": "any text"}),
+    "judge gold": (judge_gold_from_json, {}, {"image_id": "text", "text": "text"}),
+    "judge pred": (judge_pred_from_json, {}, {"image_id": "text", "anatomy": "text", "text": "text"}),
+}
+
+#: The same for the raw ingest formats; their defaults are checked in test_ingest.
+_RAW_KINDS = {
+    "scene_graph": (
+        {"image_id": "i", "location": "spine", "box": [0.5, 0.5, 0.2, 0.2]},
+        {"image_id": "text", "location": "text", "source_id": "text?", "sentence": "text|null"},
+    ),
+    "phrase_boxes": (
+        {"image_id": "i", "phrase": "p", "boxes": [[0.5, 0.5, 0.2, 0.2]]},
+        {"image_id": "text", "phrase": "text", "category": "text?", "source_id": "text?",
+         "label": "text|null"},
+    ),
+    "grounded_report": (
+        {"image_id": "i", "findings": [{"text": "t"}]},
+        {"image_id": "text", "source_id": "text?"},
+    ),
+    "detection": (
+        {"image_id": "i", "findings": [{"label": "x"}]},
+        {"image_id": "text", "source_id": "text?"},
+    ),
+}
+
+
+class TestRowSchemas:
+    """Each row kind is accepted exactly when every field has its schema type."""
+
+    @pytest.mark.parametrize("kind", sorted(_ROW_KINDS))
+    @given(data=st.data())
+    def test_decoded_rows(self, kind, data):
+        decode, base, schema = _ROW_KINDS[kind]
+        row = _draw_row(data, base, schema)
+        fits = all(_fits(spec, row, name) for name, spec in schema.items())
+        try:
+            decoded = decode(row, 3)
+        except FormatError as err:
+            assert not fits and err.line == 3
+        else:
+            assert fits
+            got = decoded if isinstance(decoded, tuple) else [getattr(decoded, n) for n in schema]
+            assert list(got) == [row.get(name) for name in schema]
+
+    @pytest.mark.parametrize("fmt", sorted(_RAW_KINDS))
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_raw_ingest_rows(self, fmt, data, tmp_path):
+        base, schema = _RAW_KINDS[fmt]
+        row = _draw_row(data, base, schema)
+        fits = all(_fits(spec, row, name) for name, spec in schema.items())
+        path = tmp_path / "raw.jsonl"
+        path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        try:
+            records = load_records(path, fmt)
+        except FormatError as err:
+            assert not fits and err.line == 1
+        else:
+            assert fits and {r.image_id for r in records} == {row["image_id"]}

@@ -233,6 +233,56 @@ class TestDetection:
             load_records(path, "detection")
 
 
+_BOX = [0.5, 0.5, 0.2, 0.2]
+
+
+class TestFieldTypes:
+    """Raw rows are decoded by one field check: nothing is coerced."""
+
+    @pytest.mark.parametrize(
+        "fmt, row",
+        [
+            ("phrase_boxes", {"image_id": "i", "phrase": "p", "boxes": [_BOX], "category": ["c"]}),
+            ("phrase_boxes", {"image_id": "i", "phrase": "p", "boxes": [_BOX], "label": 5}),
+            ("phrase_boxes", {"image_id": "i", "phrase": "p", "boxes": [_BOX], "label": ""}),
+            ("phrase_boxes", {"image_id": "i", "phrase": "p", "boxes": [["0.5", 0.5, 0.2, 0.2]]}),
+            ("detection", {"image_id": "i", "source_id": None,
+                           "findings": [{"label": "x", "boxes": [_BOX]}]}),
+            ("detection", {"image_id": "i", "findings": [{"label": ["x"]}]}),
+            ("scene_graph", {"image_id": "i", "location": "spine", "box": _BOX, "source_id": 7}),
+            ("scene_graph", {"image_id": "i", "location": "spine", "box": _BOX, "split": None}),
+            ("scene_graph", {"image_id": "i", "location": "spine", "box": [True, 0.5, True, 0.2]}),
+            ("grounded_report", {"image_id": 5, "findings": [{"text": "t"}]}),
+        ],
+    )
+    def test_wrong_typed_fields_rejected(self, fmt, row, tmp_path):
+        path = write_jsonl(tmp_path / "raw.jsonl", [row])
+        with pytest.raises(FormatError) as err:
+            load_records(path, fmt)
+        assert err.value.line == 1
+
+    def test_absent_optional_fields_take_their_defaults(self, tmp_path):
+        path = write_jsonl(tmp_path / "det.jsonl", [{"image_id": "i", "findings": [{"label": "x"}]}])
+        (report,) = load_records(path, "detection")
+        assert (report.source_id, report.split) == ("detection-grg", Split.TEST)
+        path = write_jsonl(tmp_path / "pb.jsonl", [{"image_id": "i", "phrase": "p", "boxes": [_BOX]}])
+        (rec,) = load_records(path, "phrase_boxes")
+        assert (rec.source_id, rec.category, rec.meta) == ("pg", "p", {})
+
+    def test_null_means_none(self, tmp_path):
+        row = {"image_id": "i", "phrase": "p", "boxes": [_BOX], "label": None}
+        (rec,) = load_records(write_jsonl(tmp_path / "pb.jsonl", [row]), "phrase_boxes")
+        assert rec.meta == {}
+        row = {"image_id": "i", "location": "spine", "box": _BOX, "sentence": None}
+        (rec,) = load_records(write_jsonl(tmp_path / "sg.jsonl", [row]), "scene_graph")
+        assert rec.task is Task.AGRG_LOCATE
+
+    def test_integer_box_coordinates_write_as_floats(self, tmp_path):
+        row = {"image_id": "i", "phrase": "p", "boxes": [[0.5, 0.5, 1, 1]]}
+        (rec,) = load_records(write_jsonl(tmp_path / "pb.jsonl", [row]), "phrase_boxes")
+        assert json.dumps(rec.boxes[0].to_list()) == "[0.5, 0.5, 1.0, 1.0]"
+
+
 class TestLoadRecords:
     def test_unknown_format(self, tmp_path):
         path = write_jsonl(tmp_path / "x.jsonl", [])

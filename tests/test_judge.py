@@ -9,10 +9,12 @@ from hypothesis import given, strategies as st
 from radloop.errors import (
     ConfigError,
     EmptyInput,
+    FormatError,
     IllegalValue,
     JudgeTimeout,
     MalformedJson,
     MissingField,
+    RadloopError,
     RetriesExhausted,
     TransportError,
 )
@@ -28,6 +30,7 @@ from radloop.judge import (
     judge_pairs,
     request_hash,
     validate_verdict,
+    verdict_row_from_json,
 )
 
 ALL_FIELDS = (
@@ -126,6 +129,8 @@ class TestValidateVerdict:
             ({"gt_has_devices": 1}, IllegalValue, "field 'gt_has_devices' holds 1; legal: yes, no"),
             ({"reason": None}, MissingField, "verdict has no field 'reason'"),
             ({"gen_has_devices": None}, MissingField, "verdict has no field 'gen_has_devices'"),
+            ({"reason": 5}, IllegalValue, "field 'reason' holds 5; it must be a string"),
+            ({"reason": ["r"]}, IllegalValue, "field 'reason' holds ['r']; it must be a string"),
         ],
     )
     def test_errors_name_the_field_and_its_legal_values(self, edit, error, message):
@@ -461,3 +466,67 @@ def test_rates_are_reference_counts_and_the_mean_row_their_mean(rows):
     for rate in REFERENCE_RATES:
         assert getattr(mean, rate) == sum(getattr(s, rate) for s in stats) / len(stats)
     assert list(aggregation_table(stats, mean)["mean"]) == ["anatomy", "n", *REFERENCE_RATES]
+
+
+class TestVerdictRows:
+    def test_a_verdict_and_an_error_row(self):
+        row = {"image_id": "im1", "anatomy": "lung", "verdict": verdict_dict()}
+        assert verdict_row_from_json(row, 1) == ("lung", make_verdict())
+        row = {"image_id": "im1", "anatomy": "lung", "error": "no JSON object", "raw": "x"}
+        assert verdict_row_from_json(row, 1) == ("lung", None)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            {"image_id": "im1", "anatomy": ["a"], "verdict": verdict_dict()},
+            {"image_id": "im1", "anatomy": "a", "error": None},
+            {"image_id": "im1", "anatomy": "a"},
+            {"anatomy": "a", "verdict": verdict_dict()},
+            {"image_id": "im1", "anatomy": "a", "verdict": [verdict_dict()]},
+        ],
+    )
+    def test_wrong_typed_fields_are_format_errors(self, row):
+        with pytest.raises(FormatError) as err:
+            verdict_row_from_json(row, 8)
+        assert err.value.line == 8
+
+    def test_a_verdict_reason_must_be_a_string(self):
+        row = {"image_id": "im1", "anatomy": "a", "verdict": verdict_dict(reason=5)}
+        with pytest.raises(IllegalValue, match="'reason'"):
+            verdict_row_from_json(row, 1)
+
+
+#: Marks a field left out of a generated row.
+_ABSENT = object()
+_row_values = (
+    st.just(_ABSENT) | st.none() | st.booleans() | st.integers() | st.text(max_size=3)
+    | st.lists(st.text(max_size=2), max_size=2) | st.just(verdict_dict())
+    | st.dictionaries(st.sampled_from(ALL_FIELDS), st.sampled_from(("no", "x", 1)), max_size=10)
+)
+
+
+@given(data=st.data())
+def test_a_verdict_row_is_accepted_exactly_when_its_fields_have_their_types(data):
+    row = {}
+    for name in ("image_id", "anatomy", "error", "verdict"):
+        value = data.draw(_row_values, label=name)
+        if value is not _ABSENT:
+            row[name] = value
+
+    def text(name):
+        return isinstance(row.get(name), str) and row[name] != ""
+
+    is_error = "error" in row
+    fits = text("image_id") and text("anatomy") and (
+        text("error") if is_error else isinstance(row.get("verdict"), dict)
+    )
+    try:
+        anatomy, verdict = verdict_row_from_json(row, 2)
+    except FormatError as err:
+        assert not fits and err.line == 2
+    except RadloopError:
+        # Every field has its type, but the verdict object is not a valid verdict.
+        assert fits and not is_error and row["verdict"] != verdict_dict()
+    else:
+        assert fits and anatomy == row["anatomy"]
+        assert verdict == (None if is_error else JudgeVerdict(**row["verdict"]))
