@@ -1,35 +1,30 @@
 """Toolkit for grounded-radiology instruction data: task generation,
 box-aware augmentation, error-aware curriculum sampling, grounded-output
 parsing, union-merge IoU evaluation, and LLM-judge hallucination analysis.
+The names below load their module at first use (PEP 562), not at import.
 """
+
+import importlib
 
 __version__ = "0.4.0"
 
-from .core import (
-    AnnotationRecord,
-    DataSourceId,
-    Finding,
-    InstructionInstance,
-    NormBox,
-    Split,
-    Task,
-    TaskFamily,
-    clamp_box,
-    load_records_jsonl,
-)
-from .errors import RadloopError
+_EXPORTS = {
+    **dict.fromkeys(("AnnotationRecord", "DataSourceId", "Finding", "InstructionInstance",
+                     "NormBox", "Split", "Task", "TaskFamily", "clamp_box",
+                     "load_records_jsonl"), "core"),
+    "RadloopError": "errors",
+}
 
-__all__ = [
-    "AnnotationRecord",
-    "DataSourceId",
-    "Finding",
-    "InstructionInstance",
-    "NormBox",
-    "RadloopError",
-    "Split",
-    "Task",
-    "TaskFamily",
-    "clamp_box",
-    "load_records_jsonl",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

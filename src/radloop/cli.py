@@ -14,17 +14,120 @@ unreachable endpoint), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import sys
+
+from . import __version__
+
+#: The parser's choices, literal so that parsing imports no subcommand module.
+_TASKS = ("pg", "grg", "agrg_locate", "agrg_describe", "agrg_both", "detection")
+_STRATEGIES = ("natural", "uniform", "curriculum")
+_INGEST_FORMATS = ("scene_graph", "phrase_boxes", "grounded_report", "detection")
+
+
+# ---------------------------------------------------------------------------
+# Parser
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="radloop",
+        description="Grounded-radiology task generation, curriculum sampling and evaluation.",
+    )
+    parser.add_argument("--version", action="version", version=f"radloop {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p: argparse.ArgumentParser, *, seed: bool = True) -> None:
+        p.add_argument("--config", help="JSON config file; flags override its fields")
+        p.add_argument("--out", required=True, help="output file path")
+        p.add_argument("--log", choices=("plain", "json"), default="plain")
+        if seed:
+            p.add_argument("--seed", type=int, default=None)
+
+    p = sub.add_parser("ingest", help="convert a raw annotation file to records")
+    p.add_argument("--in", dest="in_path", required=True)
+    p.add_argument("--format", required=True, choices=_INGEST_FORMATS)
+    common(p)
+
+    p = sub.add_parser("gen-tasks", help="render records into instruction triplets")
+    p.add_argument("--records", required=True)
+    p.add_argument("--expand-labels", action="store_true")
+    common(p)
+
+    p = sub.add_parser("augment", help="augment records and re-render responses")
+    p.add_argument("--records", required=True)
+    p.add_argument("--policy", help="JSON augmentation policy file")
+    common(p)
+
+    p = sub.add_parser("plan", help="compute sampling distributions for the next stage")
+    p.add_argument("--records", required=True)
+    p.add_argument("--metrics", help="JSON array of per-source metrics")
+    p.add_argument("--inter", choices=_STRATEGIES)
+    p.add_argument("--intra", choices=_STRATEGIES)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--min-prob", dest="min_prob", type=float)
+    common(p)
+
+    p = sub.add_parser("sample", help="draw instances from a sampling plan")
+    p.add_argument("--records", required=True)
+    p.add_argument("--plan", required=True)
+    p.add_argument("--n", type=int, required=True)
+    common(p)
+
+    p = sub.add_parser("simulate", help="run the closed loop with a simulated learner")
+    p.add_argument("--records", required=True)
+    p.add_argument("--inter", choices=_STRATEGIES)
+    p.add_argument("--intra", choices=_STRATEGIES)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--warmup-steps", dest="warmup_steps", type=int)
+    p.add_argument("--reweight-interval", dest="reweight_interval", type=int)
+    p.add_argument("--total-steps", dest="total_steps", type=int)
+    p.add_argument("--e0", type=float, default=0.5)
+    p.add_argument("--rate", type=float, default=1e-3)
+    p.add_argument("--floor", type=float, default=0.05)
+    common(p)
+
+    p = sub.add_parser("eval", help="score predictions against gold records")
+    p.add_argument("--pred", required=True)
+    p.add_argument("--gold", required=True)
+    p.add_argument("--task", required=True, choices=_TASKS)
+    p.add_argument("--mode", choices=("strict", "lenient"))
+    p.add_argument("--scorer", default="lexical")
+    common(p, seed=False)
+
+    p = sub.add_parser("judge", help="collect judge verdicts for generated reports")
+    p.add_argument("--pred", required=True)
+    p.add_argument("--gold", required=True)
+    p.add_argument("--endpoint", help="JSON endpoint config file")
+    p.add_argument("--lenient", action="store_true")
+    common(p, seed=False)
+
+    p = sub.add_parser("judge-aggregate", help="aggregate verdicts into a rate table")
+    p.add_argument("--in", dest="in_path", required=True)
+    common(p, seed=False)
+
+    p = sub.add_parser("preprocess", help="run the deterministic evaluation image path")
+    p.add_argument("--in", dest="in_path", required=True)
+    p.add_argument("--resize-w", type=int, default=448)
+    p.add_argument("--resize-h", type=int, default=448)
+    common(p, seed=False)
+
+    return parser
+
+
+# Run as ``__main__``, the module parses argv before it imports the subcommand
+# modules below, so --version, --help and usage errors exit loading none.
+if __name__ == "__main__":
+    _MAIN_ARGS = _build_parser().parse_args()
+
 import datetime as _dt
 import hashlib
 import json
 import logging
-import sys
 from dataclasses import dataclass, replace
 from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from . import __version__
 from .augment import (
     DEFAULT_POLICY,
     AugPolicy,
@@ -79,8 +182,6 @@ from .judge import (
 from .taskgen import expand_padchest_labels, render_instruction
 
 log = logging.getLogger("radloop")
-
-_INGEST_FORMATS = ("scene_graph", "phrase_boxes", "grounded_report", "detection")
 
 
 @dataclass(frozen=True)
@@ -142,11 +243,7 @@ def _records(path: str | Path) -> Iterator[AnnotationRecord]:
 
 def _config_hash(args: argparse.Namespace, config_doc: Mapping[str, Any] | None) -> str:
     effective = {
-        "args": {
-            k: v
-            for k, v in sorted(vars(args).items())
-            if k not in ("handler", "log") and not callable(v)
-        },
+        "args": {k: v for k, v in sorted(vars(args).items()) if k != "log"},
         "config": config_doc,
     }
     blob = json.dumps(effective, sort_keys=True, default=str).encode("utf-8")
@@ -318,12 +415,18 @@ def _cmd_judge(args, config, config_doc) -> None:
     endpoint = _endpoint_config(args, config)
     gold = _by_id(args.gold, judge_gold_from_json, "gold")
 
-    def verdict_rows() -> Iterator[dict[str, Any]]:
-        failures = 0
-        for total, (line_no, obj) in enumerate(iter_jsonl(args.pred), start=1):
+    def pred_rows() -> Iterator[tuple[str, str, str]]:
+        for line_no, obj in iter_jsonl(args.pred):
             image_id, anatomy, text = judge_pred_from_json(obj, line_no)
             if image_id not in gold:
                 raise FormatError(line_no, f"no gold report for image {image_id!r}")
+            yield image_id, anatomy, text
+
+    total = sum(1 for _ in pred_rows())  # every row is checked before the first request
+
+    def verdict_rows() -> Iterator[dict[str, Any]]:
+        failures = 0
+        for image_id, anatomy, text in pred_rows():
             raw = call_judge(build_judge_prompt(text, gold[image_id]), endpoint)
             row: dict[str, Any] = {"image_id": image_id, "anatomy": anatomy}
             try:
@@ -359,104 +462,11 @@ def _cmd_preprocess(args, config, config_doc) -> None:
     _emit(args.out, _json_doc(out.to_json()), args, config_doc)
 
 
-# ---------------------------------------------------------------------------
-# Parser
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="radloop",
-        description="Grounded-radiology task generation, curriculum sampling and evaluation.",
-    )
-    parser.add_argument("--version", action="version", version=f"radloop {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, *, seed: bool = True) -> None:
-        p.add_argument("--config", help="JSON config file; flags override its fields")
-        p.add_argument("--out", required=True, help="output file path")
-        p.add_argument("--log", choices=("plain", "json"), default="plain")
-        if seed:
-            p.add_argument("--seed", type=int, default=None)
-
-    p = sub.add_parser("ingest", help="convert a raw annotation file to records")
-    p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--format", required=True, choices=_INGEST_FORMATS)
-    common(p)
-    p.set_defaults(handler=_cmd_ingest)
-
-    p = sub.add_parser("gen-tasks", help="render records into instruction triplets")
-    p.add_argument("--records", required=True)
-    p.add_argument("--expand-labels", action="store_true")
-    common(p)
-    p.set_defaults(handler=_cmd_gen_tasks)
-
-    p = sub.add_parser("augment", help="augment records and re-render responses")
-    p.add_argument("--records", required=True)
-    p.add_argument("--policy", help="JSON augmentation policy file")
-    common(p)
-    p.set_defaults(handler=_cmd_augment)
-
-    p = sub.add_parser("plan", help="compute sampling distributions for the next stage")
-    p.add_argument("--records", required=True)
-    p.add_argument("--metrics", help="JSON array of per-source metrics")
-    p.add_argument("--inter", choices=[s.value for s in Strategy])
-    p.add_argument("--intra", choices=[s.value for s in Strategy])
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--min-prob", dest="min_prob", type=float)
-    common(p)
-    p.set_defaults(handler=_cmd_plan)
-
-    p = sub.add_parser("sample", help="draw instances from a sampling plan")
-    p.add_argument("--records", required=True)
-    p.add_argument("--plan", required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_sample)
-
-    p = sub.add_parser("simulate", help="run the closed loop with a simulated learner")
-    p.add_argument("--records", required=True)
-    p.add_argument("--inter", choices=[s.value for s in Strategy])
-    p.add_argument("--intra", choices=[s.value for s in Strategy])
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--warmup-steps", dest="warmup_steps", type=int)
-    p.add_argument("--reweight-interval", dest="reweight_interval", type=int)
-    p.add_argument("--total-steps", dest="total_steps", type=int)
-    p.add_argument("--e0", type=float, default=0.5)
-    p.add_argument("--rate", type=float, default=1e-3)
-    p.add_argument("--floor", type=float, default=0.05)
-    common(p)
-    p.set_defaults(handler=_cmd_simulate)
-
-    p = sub.add_parser("eval", help="score predictions against gold records")
-    p.add_argument("--pred", required=True)
-    p.add_argument("--gold", required=True)
-    p.add_argument("--task", required=True, choices=[t.value for t in Task])
-    p.add_argument("--mode", choices=("strict", "lenient"))
-    p.add_argument("--scorer", default="lexical")
-    common(p, seed=False)
-    p.set_defaults(handler=_cmd_eval)
-
-    p = sub.add_parser("judge", help="collect judge verdicts for generated reports")
-    p.add_argument("--pred", required=True)
-    p.add_argument("--gold", required=True)
-    p.add_argument("--endpoint", help="JSON endpoint config file")
-    p.add_argument("--lenient", action="store_true")
-    common(p, seed=False)
-    p.set_defaults(handler=_cmd_judge)
-
-    p = sub.add_parser("judge-aggregate", help="aggregate verdicts into a rate table")
-    p.add_argument("--in", dest="in_path", required=True)
-    common(p, seed=False)
-    p.set_defaults(handler=_cmd_judge_aggregate)
-
-    p = sub.add_parser("preprocess", help="run the deterministic evaluation image path")
-    p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--resize-w", type=int, default=448)
-    p.add_argument("--resize-h", type=int, default=448)
-    common(p, seed=False)
-    p.set_defaults(handler=_cmd_preprocess)
-
-    return parser
+_HANDLERS = {
+    "ingest": _cmd_ingest, "gen-tasks": _cmd_gen_tasks, "augment": _cmd_augment,
+    "plan": _cmd_plan, "sample": _cmd_sample, "simulate": _cmd_simulate, "eval": _cmd_eval,
+    "judge": _cmd_judge, "judge-aggregate": _cmd_judge_aggregate, "preprocess": _cmd_preprocess,
+}
 
 
 class _JsonLogFormatter(logging.Formatter):
@@ -484,14 +494,8 @@ def _setup_logging(mode: str) -> None:
     root.setLevel(logging.INFO)
 
 
-def dispatch(argv: Sequence[str]) -> int:
-    """Parse argv, run the named subcommand, and map errors to exit codes."""
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+def _run(args: argparse.Namespace) -> int:
+    """Run a parsed subcommand and map errors to exit codes."""
     _setup_logging(args.log)
 
     config_doc: dict[str, Any] | None = None
@@ -500,11 +504,20 @@ def dispatch(argv: Sequence[str]) -> int:
         if args.config:
             config_doc = load_json(args.config)
             config = ToolConfig.from_json(config_doc)
-        args.handler(args, config, config_doc)
+        _HANDLERS[args.command](args, config, config_doc)
     except (RadloopError, OSError, ValueError, KeyError) as exc:
         log.error("%s: %s", type(exc).__name__, exc)
         return 1
     return 0
+
+
+def dispatch(argv: Sequence[str]) -> int:
+    """Parse argv, run the named subcommand, and map errors to exit codes."""
+    try:
+        args = _build_parser().parse_args(list(argv))
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
+    return _run(args)
 
 
 def main() -> None:
@@ -512,4 +525,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(_run(_MAIN_ARGS))

@@ -11,10 +11,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import radloop
+from radloop import cli, core, errors, ingest
+from radloop import judge as judge_module
 from radloop.augment import AugPolicy, IntensityGrid
 from radloop.cli import dispatch
-from radloop.core import DataSourceId, TaskFamily, dump_records_jsonl, load_json, load_records_jsonl
-from radloop.curriculum import CurriculumState, MetricEntry, SourceMetrics
+from radloop.core import (
+    DataSourceId, Task, TaskFamily, dump_records_jsonl, load_json, load_records_jsonl,
+)
+from radloop.curriculum import CurriculumState, MetricEntry, SourceMetrics, Strategy
 from radloop.errors import RadloopError
 from radloop.ingest import make_fixture_dataset
 from radloop.taskgen import render_instruction
@@ -52,6 +56,37 @@ class TestUsageErrors:
 
     def test_version_flag(self):
         assert dispatch(["--version"]) == 0
+
+    def test_console_script_exits_through_main(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["radloop", "--version"])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"radloop {radloop.__version__}\n"
+
+
+def test_parser_choices_are_their_sources_in_order():
+    # The parser states its choices literally so that parsing imports no
+    # subcommand module; the order is the order --help lists them in.
+    assert cli._TASKS == tuple(t.value for t in Task)
+    assert cli._STRATEGIES == tuple(s.value for s in Strategy)
+    assert cli._INGEST_FORMATS == tuple(ingest._FORMATS)
+    (sub,) = [a for a in cli._build_parser()._actions if a.dest == "command"]
+    assert list(sub.choices) == list(cli._HANDLERS)
+
+
+def test_manifest_config_hash_is_pinned(records_path, tmp_path, monkeypatch):
+    # The hash covers the parsed flags and the config document. Relative paths
+    # keep it independent of where the test runs.
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps({"version": 1, "seed": 7}), encoding="utf-8")
+    argv = ["gen-tasks", "--records", records_path.name, "--expand-labels",
+            "--config", "config.json", "--seed", "7", "--out", "out.jsonl"]
+    assert dispatch(argv) == 0
+    manifest = read_json("out.jsonl.manifest.json")
+    assert manifest["config_hash"] == (
+        "822660d24e0b156fc82c9067c77a0ebfbd3460435fb043da35f347e2e6e7cb9a"
+    )
 
 
 def test_pyproject_version_is_the_package_version():
@@ -533,6 +568,42 @@ class TestJudgeCommands:
         (row,) = read_jsonl(verdicts)
         assert row["error"] == "field 'reason' holds 5; it must be a string"
         assert hits == ["numeric reason"]
+
+    def _judge_four_preds(self, tmp_path, monkeypatch, last_text):
+        """Judge four pred rows through a stub transport that counts its calls."""
+        prompts = []
+
+        def transport(url, payload, timeout, headers):
+            prompts.append(payload["prompt"])
+            return json.dumps(VERDICT)
+
+        monkeypatch.setattr(judge_module, "_default_transport", transport)
+        endpoint, gold, _ = self._write_judge_inputs(tmp_path, "http://judge.invalid/v1")
+        rows = [
+            {"image_id": "im1", "anatomy": "left lung", "text": "Clear."},
+            {"image_id": "im2", "anatomy": "right lung", "text": "Effusion."},
+            {"image_id": "im1", "anatomy": "spine", "text": "Normal."},
+            {"image_id": "im2", "anatomy": "heart", "text": last_text},
+        ]
+        pred, out = tmp_path / "four.jsonl", tmp_path / "verdicts.jsonl"
+        pred.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        argv = ["judge", "--pred", str(pred), "--gold", str(gold), "--endpoint", str(endpoint)]
+        return dispatch(argv + ["--out", str(out)]), prompts, rows, out
+
+    def test_valid_preds_give_one_verdict_row_each(self, tmp_path, monkeypatch):
+        rc, prompts, rows, out = self._judge_four_preds(tmp_path, monkeypatch, "Enlarged.")
+        assert rc == 0
+        assert len(prompts) == 4
+        expected = [
+            {"image_id": r["image_id"], "anatomy": r["anatomy"], "verdict": VERDICT} for r in rows
+        ]
+        assert out.read_bytes() == "".join(json.dumps(r) + "\n" for r in expected).encode()
+
+    def test_a_malformed_late_pred_row_sends_no_request(self, tmp_path, monkeypatch):
+        rc, prompts, _, out = self._judge_four_preds(tmp_path, monkeypatch, 7)
+        assert rc == 1
+        assert prompts == []
+        assert not out.exists()
 
     def test_judge_unreachable_endpoint(self, tmp_path):
         endpoint, gold, pred = self._write_judge_inputs(
@@ -1188,16 +1259,21 @@ except SystemExit as exc:
 """
 
 
+def run_fresh(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this tree's radloop."""
+    path = [str(Path(radloop.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
 def loaded_after(script, *args):
     """Run ``script`` in a fresh interpreter; return which of numpy and the
     judge's thread pool (``concurrent.futures``) it imported."""
-    path = [str(Path(radloop.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     watched = ("numpy", "concurrent.futures")
     code = f"import sys\n{script}\nprint(*[m for m in {watched!r} if m in sys.modules], sep=',')"
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = run_fresh(code, *args)
     assert proc.returncode == 0, proc.stderr
     return set(filter(None, proc.stdout.splitlines()[-1].split(",")))
 
@@ -1206,6 +1282,64 @@ def test_import_and_version_leave_numpy_unloaded():
     # Nor the judge's thread pool: only judge_pairs imports concurrent.futures.
     assert loaded_after("import radloop.cli") == set()
     assert loaded_after(_RUN_VERSION) == set()
+
+
+# The last line of stderr lists the radloop submodules the run loaded.
+_RUN_MAIN = """
+import runpy, sys
+sys.argv = ["radloop", *sys.argv[1:]]
+try:
+    runpy.run_module("radloop.cli", run_name="__main__", alter_sys=True)
+finally:
+    print("loaded:", *sorted(m for m in sys.modules if m.startswith("radloop.")), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code", [(["--version"], 0), (["--help"], 0), (["frobnicate", "--out", "x"], 2)]
+)
+def test_parse_only_runs_load_no_submodule(argv, code, capsys):
+    proc = run_fresh(_RUN_MAIN, *argv)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "loaded:"
+    assert dispatch(argv) == code
+    assert proc.stdout == capsys.readouterr().out
+    if argv == ["--version"]:
+        assert proc.stdout == f"radloop {radloop.__version__}\n"
+
+
+def test_a_subcommand_run_as_main_parses_then_runs(records_path, tmp_path):
+    outs = [tmp_path / "main.jsonl", tmp_path / "dispatch.jsonl"]
+    argv = ["gen-tasks", "--records", str(records_path), "--out"]
+    proc = run_fresh(_RUN_MAIN, *argv, str(outs[0]))
+    assert proc.returncode == 0, proc.stderr
+    assert "radloop.taskgen" in proc.stderr.splitlines()[-1]
+    assert dispatch(argv + [str(outs[1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    proc = run_fresh(_RUN_MAIN, "gen-tasks", "--records", str(tmp_path / "missing"), "--out", "x")
+    assert proc.returncode == 1
+    assert "ERROR radloop: FileNotFoundError" in proc.stderr
+
+
+def test_bare_import_loads_no_submodule():
+    code = "import sys, radloop\nprint(*[m for m in sys.modules if m.startswith('radloop.')])"
+    proc = run_fresh(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
+
+
+def test_package_names_resolve_to_their_defining_module():
+    for name in set(radloop.__all__) - {"__version__"}:
+        home = errors if name == "RadloopError" else core
+        assert getattr(radloop, name) is getattr(home, name), name
+        assert name in dir(radloop)
+    namespace = {}
+    exec("from radloop import *", namespace)
+    assert {n: namespace[n] for n in radloop.__all__} == {
+        n: getattr(radloop, n) for n in radloop.__all__
+    }
+    with pytest.raises(AttributeError):
+        radloop.no_such_name
 
 
 def test_only_array_subcommands_load_numpy(chain_inputs, tmp_path):
