@@ -17,6 +17,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Any, Mapping, Sequence
 
 from .core import (
@@ -27,6 +28,7 @@ from .core import (
     clamp_box,
     config_from_json,
     is_number,
+    spread,
 )
 from .errors import EmptyAfterClamp, FormatError, GridTooFine
 from .taskgen import render_instruction
@@ -243,14 +245,8 @@ class IntensityGrid:
 
 def _tile_bounds(size: int, tiles: int) -> list[tuple[int, int]]:
     # Integer partition: the first (size % tiles) tiles get one extra pixel.
-    base, extra = divmod(size, tiles)
-    bounds = []
-    start = 0
-    for i in range(tiles):
-        stop = start + base + (1 if i < extra else 0)
-        bounds.append((start, stop))
-        start = stop
-    return bounds
+    stops = list(accumulate(spread(size, tiles)))
+    return list(zip([0] + stops, stops))
 
 
 def _tile_lut(tile: np.ndarray, bins: int, max_level: int, clip_limit: float | None) -> np.ndarray:

@@ -143,6 +143,12 @@ def clamp_box(box: NormBox) -> NormBox:
     return NormBox.from_corners(nx1, ny1, nx2, ny2)
 
 
+def spread(total: int, parts: int) -> list[int]:
+    """Split ``total`` into ``parts`` near-equal counts; the earliest get the remainder."""
+    base, extra = divmod(total, parts)
+    return [base + (1 if i < extra else 0) for i in range(parts)]
+
+
 @dataclass(frozen=True, slots=True)
 class Finding:
     """One grounded-report finding: a phrase and the boxes attached to it.

@@ -38,6 +38,7 @@ from .core import (
     config_from_json,
     is_int,
     is_number,
+    spread,
 )
 from .errors import ConfigError, EmptyLeaf, MissingMetrics, NoMetrics
 
@@ -616,11 +617,10 @@ def select_eval_subset(
             cats.append((task, cat, ids))
     if not cats:
         return []
-    base, extra = divmod(n, len(cats))
     name = pool_source.source.name
     chosen: list[Draw] = []
-    for i, (task, cat, ids) in enumerate(cats):
-        want = min(base + (1 if i < extra else 0), len(ids))
+    for (task, cat, ids), share in zip(cats, spread(n, len(cats))):
+        want = min(share, len(ids))
         if want == 0:
             continue
         idx = rng.choice(len(ids), size=want, replace=False)

@@ -98,12 +98,8 @@ class TransportError(RadloopError):
         self.request_hash = request_hash
 
 
-class JudgeTimeout(RadloopError):
+class JudgeTimeout(TransportError):
     """The judge endpoint did not answer within the configured timeout."""
-
-    def __init__(self, message: str, request_hash: str):
-        super().__init__(f"{message} (request {request_hash})")
-        self.request_hash = request_hash
 
 
 class RetriesExhausted(RadloopError):

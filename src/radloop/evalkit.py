@@ -1,8 +1,14 @@
 """Parsing and scoring of grounded model outputs.
 
 The strict parser walks :data:`radloop.taskgen.RESPONSE_GRAMMAR` and so
-accepts exactly the productions of the response templates; anything else
-raises :class:`ParseError` with the failing position. The lenient parser
+accepts exactly the productions of the response templates. A box is four
+ASCII decimals (a fraction of any length) in brackets, split by commas, with
+no spaces; a box run joins boxes by nothing or one space; a GRG finding is a
+phrase free of ``[`` and ``.``, then optionally one space and a box run, then
+``.``, and findings are one space apart. Anything else raises
+:class:`ParseError`, whose ``position`` is the offset where the failing
+construct starts: a literal, a field, a box run, a finding, or the text after
+a finding or after the template. The lenient parser
 first tries the strict grammar and then falls back to scanning for bracketed
 4-tuples anywhere in the text, marking the result ``salvaged``.
 Out-of-range coordinates are clamped and reported through
@@ -53,21 +59,11 @@ class ParsedOutput:
 # Strict grammar
 
 
-def _scan_number(text: str, pos: int) -> tuple[float, int]:
-    start = pos
-    n = len(text)
-    while pos < n and text[pos].isdigit():
-        pos += 1
-    if pos == start:
-        raise ParseError(start, "a decimal numeral")
-    if pos < n and text[pos] == ".":
-        pos += 1
-        frac_start = pos
-        while pos < n and text[pos].isdigit():
-            pos += 1
-        if pos == frac_start:
-            raise ParseError(frac_start, "digits after the decimal point")
-    return float(text[start:pos]), pos
+# The box, box run and GRG finding that the module docstring states.
+_NUM = r"([0-9]+(?:\.[0-9]+)?)"
+_BOX = re.compile(r"\[" + ",".join([_NUM] * 4) + r"\]")
+_BOX_RUN = re.compile(r"{0}(?: ?{0})*".format(_BOX.pattern))
+_FINDING = re.compile(r"([^\[.]+)(?: ({}))?\.".format(_BOX_RUN.pattern))
 
 
 def _make_box(vals: Sequence[float], warnings: list[str]) -> NormBox:
@@ -93,106 +89,64 @@ def _make_box(vals: Sequence[float], warnings: list[str]) -> NormBox:
     return NormBox(cx, cy, w, h)
 
 
-def _parse_box(text: str, pos: int, warnings: list[str]) -> tuple[NormBox, int]:
-    if pos >= len(text) or text[pos] != "[":
-        raise ParseError(pos, "'['")
-    pos += 1
-    vals = []
-    for i in range(4):
-        if i:
-            if pos >= len(text) or text[pos] != ",":
-                raise ParseError(pos, "','")
-            pos += 1
-        value, pos = _scan_number(text, pos)
-        vals.append(value)
-    if pos >= len(text) or text[pos] != "]":
-        raise ParseError(pos, "']'")
-    return _make_box(vals, warnings), pos + 1
-
-
 def _parse_box_run(text: str, pos: int, warnings: list[str]) -> tuple[list[NormBox], int]:
-    """Parse one or more box groups separated by nothing or a single space."""
-    boxes = []
-    box, pos = _parse_box(text, pos, warnings)
-    boxes.append(box)
+    """Parse one or more boxes separated by nothing or a single space."""
+    m = _BOX_RUN.match(text, pos)
+    if m is None:
+        raise ParseError(pos, "a box")
+    boxes = [_make_box([float(v) for v in box.groups()], warnings)
+             for box in _BOX.finditer(text, pos, m.end())]
+    return boxes, m.end()
+
+
+def _parse_grg_strict(text: str, pos: int, warnings: list[str]) -> tuple[list[Finding], int]:
+    """Parse findings, one space apart, from ``pos`` to the end of the output."""
+    findings = []
     while True:
-        if pos < len(text) and text[pos] == "[":
-            box, pos = _parse_box(text, pos, warnings)
-            boxes.append(box)
-        elif pos + 1 < len(text) and text[pos] == " " and text[pos + 1] == "[":
-            box, pos = _parse_box(text, pos + 1, warnings)
-            boxes.append(box)
-        else:
-            return boxes, pos
+        m = _FINDING.match(text, pos)
+        if m is None:
+            raise ParseError(pos, "a finding")
+        boxes = _parse_box_run(text, m.start(2), warnings)[0] if m.group(2) else []
+        findings.append(Finding(m.group(1), tuple(boxes)))
+        pos = m.end()
+        if pos == len(text):
+            return findings, pos
+        if text[pos] != " ":
+            raise ParseError(pos, "' ' or end of output")
+        pos += 1
 
 
-def _parse_grg_strict(text: str, pos: int, out: ParsedOutput) -> int:
-    """Parse findings from ``pos`` to the end of the output."""
-    n = len(text)
-    findings: list[Finding] = []
-    while pos < n:
-        i = pos
-        while i < n and text[i] not in "[.":
-            i += 1
-        if i == n:
-            raise ParseError(n, "'.' ending the finding")
-        if text[i] == ".":
-            phrase = text[pos:i]
-            if not phrase:
-                raise ParseError(pos, "a finding phrase")
-            findings.append(Finding(phrase, ()))
-            pos = i + 1
-        else:
-            if i == pos or text[i - 1] != " ":
-                raise ParseError(i, "' ' before the box group")
-            phrase = text[pos : i - 1]
-            if not phrase:
-                raise ParseError(pos, "a finding phrase")
-            boxes, pos = _parse_box_run(text, i, out.warnings)
-            if pos >= n or text[pos] != ".":
-                raise ParseError(pos, "'.'")
-            findings.append(Finding(phrase, tuple(boxes)))
-            pos += 1
-        if pos < n:
-            if text[pos] != " ":
-                raise ParseError(pos, "' ' or end of output")
-            pos += 1
-            if pos >= n:
-                raise ParseError(pos, "another finding")
-    if not findings:
-        raise ParseError(pos, "at least one finding")
-    out.findings = findings
-    out.boxes = [b for f in findings for b in f.boxes]
-    return pos
-
-
-def _parse_strict(text: str, grammar: tuple, out: ParsedOutput) -> None:
+def _parse_strict(text: str, grammar: tuple) -> dict:
     """Match ``text`` against a response template's ``grammar``.
 
     Literals match exactly. A text field is non-empty and ends at the first
     occurrence of its end text, or at the end of the output when it has none;
     boxes and findings follow their own grammars. Nothing may follow the
-    template.
+    template. Returns the parsed fields and clamp warnings by their
+    :class:`ParsedOutput` names.
     """
+    values: dict = {"warnings": []}
     pos = 0
     for literal, name, end in grammar:
         if not text.startswith(literal, pos):
             raise ParseError(pos, repr(literal))
         pos += len(literal)
         if name == "boxes":
-            out.boxes, pos = _parse_box_run(text, pos, out.warnings)
+            values["boxes"], pos = _parse_box_run(text, pos, values["warnings"])
         elif name == "findings":
-            pos = _parse_grg_strict(text, pos, out)
+            values["findings"], pos = _parse_grg_strict(text, pos, values["warnings"])
+            values["boxes"] = [b for f in values["findings"] for b in f.boxes]
         elif name is not None:
             k = len(text) if end is None else text.find(end, pos)
             if k == -1:
-                raise ParseError(len(text), f"{end!r} ending the {name}")
+                raise ParseError(pos, f"{end!r} ending the {name}")
             if k == pos:
                 raise ParseError(pos, f"a {name}")
-            setattr(out, name, text[pos:k])
+            values[name] = text[pos:k]
             pos = k
     if pos != len(text):
         raise ParseError(pos, "end of output")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +165,11 @@ def _clean_fragment(fragment: str) -> str:
     return fragment.strip().strip(".:;").strip()
 
 
-def _salvage(text: str, task: Task, out: ParsedOutput) -> None:
-    out.salvaged = True
+def _salvage(text: str, task: Task) -> dict:
+    warnings: list[str] = []
     matches = list(_BOX_RE.finditer(text))
-    boxes = [
-        _make_box([float(g) for g in m.groups()], out.warnings) for m in matches
-    ]
-    out.boxes = boxes
+    boxes = [_make_box([float(g) for g in m.groups()], warnings) for m in matches]
+    values: dict = {"boxes": boxes, "warnings": warnings, "salvaged": True}
 
     if task is Task.GRG:
         findings: list[Finding] = []
@@ -233,17 +185,17 @@ def _salvage(text: str, task: Task, out: ParsedOutput) -> None:
         tail = _clean_fragment(text[cursor:])
         if tail:
             findings.append(Finding(tail, ()))
-        out.findings = findings
-        return
+        values["findings"] = findings
+        return values
 
     loc_match = _LOCATION_RE.search(text)
     if loc_match:
-        out.location = loc_match.group(1).strip()
+        values["location"] = loc_match.group(1).strip()
 
     if task is Task.PG:
         head = text[: matches[0].start()] if matches else text
-        out.phrase = _clean_fragment(head) or None
-        return
+        values["phrase"] = _clean_fragment(head) or None
+        return values
 
     if task in (Task.AGRG_DESCRIBE, Task.AGRG_BOTH):
         desc_match = None
@@ -253,7 +205,8 @@ def _salvage(text: str, task: Task, out: ParsedOutput) -> None:
             description = text[desc_match.end() :].strip()
         else:
             description = _BOX_RE.sub(" ", text).strip()
-        out.description = description or None
+        values["description"] = description or None
+    return values
 
 
 def parse_output(text: str, task: Task, mode: str = "strict") -> ParsedOutput:
@@ -268,16 +221,13 @@ def parse_output(text: str, task: Task, mode: str = "strict") -> ParsedOutput:
         raise UnsupportedTask(f"no output grammar for task {task.value!r}")
     if mode not in ("strict", "lenient"):
         raise ValueError(f"mode must be 'strict' or 'lenient', got {mode!r}")
-    out = ParsedOutput(task=task)
     try:
-        _parse_strict(text, grammar, out)
-        return out
+        values = _parse_strict(text, grammar)
     except ParseError:
         if mode == "strict":
             raise
-    out = ParsedOutput(task=task)
-    _salvage(text, task, out)
-    return out
+        values = _salvage(text, task)
+    return ParsedOutput(task, **values)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@ from .core import (
     finding_from_json,
     get_str,
     iter_jsonl,
+    spread,
 )
 from .errors import EmptyAfterClamp, FormatError, InsufficientStratum
 from .taskgen import RESPONSE_FIELDS
@@ -341,11 +342,6 @@ class BenchmarkSubsetSpec:
     n_without_findings: int = 300
 
 
-def _alloc(total: int, buckets: int) -> list[int]:
-    base, extra = divmod(total, buckets)
-    return [base + (1 if i < extra else 0) for i in range(buckets)]
-
-
 def build_benchmark_subset(
     records: Sequence[AnnotationRecord],
     spec: BenchmarkSubsetSpec,
@@ -389,7 +385,7 @@ def _draw_spread(
     if not groups:
         raise InsufficientStratum(name, 0, total)
     chosen: list[AnnotationRecord] = []
-    for key, want in zip(groups, _alloc(total, len(groups))):
+    for key, want in zip(groups, spread(total, len(groups))):
         pool = groups[key]
         if want > len(pool):
             raise InsufficientStratum(key, len(pool), want)

@@ -1,0 +1,8 @@
+from hypothesis import settings
+
+# One profile for every property test. No per-example deadline: on a loaded
+# host a single example can stall far past the default 200 ms (the first one
+# also pays hypothesis' own lazy imports), and a deadline failure there says
+# nothing about the code under test.
+settings.register_profile("radloop", deadline=None)
+settings.load_profile("radloop")

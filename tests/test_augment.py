@@ -525,7 +525,7 @@ def _within(value, lo, hi, rel=1e-9):
 
 
 class TestDrawRanges:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(policy=_policies(), seed=st.integers(0, 2**64 - 1))
     def test_every_recorded_draw_lies_in_its_policy_range(self, policy, seed):
         rec = AnnotationRecord(

@@ -404,6 +404,19 @@ class TestEval:
         assert doc["micro_iou"] == pytest.approx(1.0, abs=1e-9)
         assert doc["macro_iou"] == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("mode", ["strict", "lenient"])
+    def test_a_non_ascii_digit_fails_one_row_not_the_file(self, tmp_path, mode):
+        gold, pred = self._write_eval_inputs(tmp_path)
+        rows = read_jsonl(pred)
+        rows[3]["output"] = "mass: [0.50,0.50,0.20,0.2\u00b2]"
+        pred.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        out = tmp_path / "report.json"
+        argv = ["eval", "--pred", str(pred), "--gold", str(gold), "--task", "pg", "--mode", mode]
+        assert dispatch(argv + ["--out", str(out)]) == 0
+        doc = read_json(out)
+        assert doc["counts"] == {"n": 10, "parse_failures": 1 if mode == "strict" else 0}
+        assert [r["salvaged"] for r in doc["rows"]] == [mode == "lenient" and i == 3 for i in range(10)]
+
     def test_duplicate_prediction_fails(self, tmp_path):
         gold, pred = self._write_eval_inputs(tmp_path)
         rows = read_jsonl(pred)
@@ -1070,7 +1083,7 @@ _policy_docs = (
 )
 
 
-@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=_policy_docs)
 @example(doc={"crop_scale_range": [0.8, 0.9, 1.0], "p_crop": 1.0})
 @example(doc={"clahe_clip_range": [2.0]})
@@ -1168,7 +1181,7 @@ def test_the_valid_documents_are_used(case, fuzz_inputs, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", sorted(_DOC_CASES))
-@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_any_document_is_used_or_rejected_cleanly(case, data, fuzz_inputs, tmp_path, capsys):
     # Arbitrary JSON (_policy_values holds any JSON value), or the valid

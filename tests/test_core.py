@@ -34,6 +34,7 @@ from radloop.core import (
     prediction_from_json,
     record_from_json,
     record_to_json,
+    spread,
 )
 from radloop.errors import EmptyAfterClamp, FormatError
 from radloop.ingest import load_records
@@ -108,6 +109,14 @@ class TestClampBox:
         except EmptyAfterClamp:
             return
         assert clamped.area() <= box.area() + 1e-12
+
+
+@given(total=st.integers(0, 10**6), parts=st.integers(1, 50))
+def test_spread_gives_the_remainder_to_the_earliest_parts(total, parts):
+    shares = spread(total, parts)
+    assert sum(shares) == total
+    assert shares == sorted(shares, reverse=True)
+    assert shares[0] - shares[-1] <= 1
 
 
 class TestDataSourceId:

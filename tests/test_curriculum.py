@@ -443,7 +443,7 @@ def drawn_plans(draw):
 
 
 class TestDrawStream:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(plan=drawn_plans(), seed=st.integers(0, 2**63 - 1))
     def test_compiled_table_draws_what_the_linear_walk_draws(self, plan, seed):
         state, pool = plan

@@ -386,6 +386,12 @@ class TestEvaluateTask:
         assert report.rows[0].salvaged
         assert report.micro_iou == pytest.approx(1.0, abs=1e-9)
 
+    def test_lenient_counts_no_parse_failure_for_empty_or_box_free_output(self):
+        gold = _pg_gold(2)
+        report = evaluate_task({"img-0": "", "img-1": "no boxes here"}, gold, Task.PG, mode="lenient")
+        assert report.parse_failures == 0
+        assert [(r.parse_failed, r.salvaged, r.iou) for r in report.rows] == [(False, True, 0.0)] * 2
+
     def test_duplicate_pred_id(self):
         gold = _pg_gold(2)
         with pytest.raises(DuplicateId):

@@ -229,6 +229,13 @@ class TestCallJudge:
         with pytest.raises(JudgeTimeout):
             call_judge("prompt", config(max_retries=0), transport, sleep=lambda s: None)
 
+    def test_timeout_is_a_transport_error(self):
+        transport = CountingTransport([TimeoutError("too slow")])
+        with pytest.raises(TransportError) as err:
+            call_judge("prompt", config(max_retries=0), transport, sleep=lambda s: None)
+        assert isinstance(err.value, JudgeTimeout)
+        assert err.value.request_hash == request_hash("prompt", "judge-model")
+
     def test_cache_round_trip(self, tmp_path):
         cfg = config(cache_dir=str(tmp_path))
         transport = CountingTransport(["cached body"])

@@ -215,7 +215,7 @@ class TestTemplateSet:
             render_instruction(rec)
         assert f"{task.value} {field} {value!r} holds {held}" in str(err.value)
 
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=400)
     @given(
         task=st.sampled_from([Task.PG, Task.AGRG_LOCATE, Task.AGRG_DESCRIBE, Task.AGRG_BOTH]),
         text=_texts,
@@ -250,7 +250,7 @@ class TestTemplateSet:
             for g, w in zip(got.to_list(), want.to_list()):
                 assert abs(g - w) <= TEXT_ROUNDTRIP_TOL + 1e-9
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(
         task=st.sampled_from([Task.PG, Task.AGRG_LOCATE]),
         boxes=st.lists(
