@@ -27,6 +27,7 @@ from .core import (
     NormBox,
     clamp_box,
     config_from_json,
+    intersection,
     is_number,
     spread,
 )
@@ -48,15 +49,24 @@ _BLEND_BAND_PIXELS = 1 << 16
 #: Narrowest crop window side a policy may draw, as a fraction of the frame.
 MIN_CROP_SIDE = 1e-6
 
+#: The training-time range of each affine parameter, in draw order.
+AFFINE_POLICY_RANGES = {
+    "tx": (-0.10, 0.10),
+    "ty": (-0.10, 0.10),
+    "sx": (0.90, 1.10),
+    "sy": (0.90, 1.10),
+    "theta": (-15.0, 15.0),
+}
+
 
 @dataclass(frozen=True)
 class AffineParams:
     """Affine transform about the image center: scale, then rotate, then shift.
 
     The transform itself accepts arbitrary values; the training-time sampler
-    draws translations as fractions of the image size with |tx|, |ty| <= 0.10,
-    scales in [0.90, 1.10] and rotations in [-15, 15] degrees
-    (:func:`in_policy_range` checks those bounds).
+    draws from :data:`AFFINE_POLICY_RANGES`, which :func:`in_policy_range`
+    checks: |tx|, |ty| <= 0.10 (fractions of the image size), scales in
+    [0.90, 1.10] and rotations in [-15, 15] degrees.
     """
 
     tx: float = 0.0
@@ -66,13 +76,7 @@ class AffineParams:
     theta: float = 0.0
 
     def in_policy_range(self) -> bool:
-        return (
-            abs(self.tx) <= 0.10
-            and abs(self.ty) <= 0.10
-            and 0.90 <= self.sx <= 1.10
-            and 0.90 <= self.sy <= 1.10
-            and abs(self.theta) <= 15.0
-        )
+        return all(lo <= getattr(self, k) <= hi for k, (lo, hi) in AFFINE_POLICY_RANGES.items())
 
 
 @dataclass(frozen=True)
@@ -175,11 +179,10 @@ def random_resized_crop(
     ch = crop.y2 - crop.y1
     out: list[NormBox] = []
     for box in boxes:
-        x1, y1, x2, y2 = box.corners()
-        ix1, iy1 = max(x1, crop.x1), max(y1, crop.y1)
-        ix2, iy2 = min(x2, crop.x2), min(y2, crop.y2)
-        if ix2 <= ix1 or iy2 <= iy1:
+        inside = intersection(box.corners(), (crop.x1, crop.y1, crop.x2, crop.y2))
+        if inside is None:
             continue
+        ix1, iy1, ix2, iy2 = inside
         visibility = ((ix2 - ix1) * (iy2 - iy1)) / box.area()
         if visibility < min_box_visibility:
             continue
@@ -387,13 +390,8 @@ def _uniform(rng: random.Random, lo: float, hi: float) -> float:
 
 
 def _sample_affine(rng: random.Random) -> AffineParams:
-    return AffineParams(
-        tx=_uniform(rng, -0.10, 0.10),
-        ty=_uniform(rng, -0.10, 0.10),
-        sx=_uniform(rng, 0.90, 1.10),
-        sy=_uniform(rng, 0.90, 1.10),
-        theta=_uniform(rng, -15.0, 15.0),
-    )
+    ranges = AFFINE_POLICY_RANGES.items()
+    return AffineParams(**{name: _uniform(rng, lo, hi) for name, (lo, hi) in ranges})
 
 
 def _sample_crop(rng: random.Random, policy: AugPolicy) -> CropParams:
@@ -412,43 +410,24 @@ def _transform_record(
     affine: AffineParams | None,
     policy: AugPolicy,
 ) -> AnnotationRecord | None:
-    """Apply spatial transforms to a record's boxes; None means fall back."""
+    """Apply spatial transforms to a record's boxes; None means a box group lost them all."""
 
-    def transform_group(boxes: tuple[NormBox, ...]) -> tuple[NormBox, ...] | None:
-        current = list(boxes)
-        if crop is not None and current:
-            current, lost = random_resized_crop(current, crop, policy.min_box_visibility)
+    def moved(boxes: Sequence[NormBox]) -> tuple[NormBox, ...]:
+        if crop is not None and boxes:
+            boxes, lost = random_resized_crop(boxes, crop, policy.min_box_visibility)
             if lost:
-                return None
-        if affine is not None and current:
-            moved = []
-            for box in current:
-                try:
-                    moved.append(apply_affine_to_box(box, affine))
-                except EmptyAfterClamp:
-                    return None
-            current = moved
-        return tuple(current)
+                raise EmptyAfterClamp("the crop window holds none of the boxes")
+        if affine is not None:
+            boxes = [apply_affine_to_box(box, affine) for box in boxes]
+        return tuple(boxes)
 
-    if record.findings:
-        new_findings = []
-        for finding in record.findings:
-            if not finding.boxes:
-                new_findings.append(finding)
-                continue
-            boxes = transform_group(finding.boxes)
-            if boxes is None or not boxes:
-                return None
-            new_findings.append(Finding(finding.text, boxes))
-        return replace(record, findings=tuple(new_findings))
-
-    if record.boxes:
-        boxes = transform_group(record.boxes)
-        if boxes is None or not boxes:
-            return None
-        return replace(record, boxes=boxes)
-
-    return record
+    try:
+        if record.findings:
+            findings = tuple(Finding(f.text, moved(f.boxes)) for f in record.findings)
+            return replace(record, findings=findings)
+        return replace(record, boxes=moved(record.boxes))
+    except EmptyAfterClamp:
+        return None
 
 
 def augment_instance(

@@ -19,7 +19,7 @@ import sys
 from . import __version__
 
 #: The parser's choices, literal so that parsing imports no subcommand module.
-_TASKS = ("pg", "grg", "agrg_locate", "agrg_describe", "agrg_both", "detection")
+_TASKS = ("pg", "grg", "agrg_locate", "agrg_describe", "agrg_both")
 _STRATEGIES = ("natural", "uniform", "curriculum")
 _INGEST_FORMATS = ("scene_graph", "phrase_boxes", "grounded_report", "detection")
 
@@ -280,23 +280,24 @@ def _require_seed(args: argparse.Namespace, config: ToolConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each returns its primary output's chunks, which _run
+# writes with the manifest.
 
 
-def _cmd_ingest(args, config, config_doc) -> None:
+def _cmd_ingest(args, config) -> Iterable[str]:
     records = load_records(args.in_path, args.format)
-    _emit(args.out, jsonl_lines(record_to_json(r) for r in records), args, config_doc)
+    return jsonl_lines(record_to_json(r) for r in records)
 
 
-def _cmd_gen_tasks(args, config, config_doc) -> None:
+def _cmd_gen_tasks(args, config) -> Iterable[str]:
     records = _records(args.records)
     if args.expand_labels:
         records = expand_padchest_labels(records)
     instances = (render_instruction(rec) for rec in records)
-    _emit(args.out, jsonl_lines(instance_to_json(i) for i in instances), args, config_doc)
+    return jsonl_lines(instance_to_json(i) for i in instances)
 
 
-def _cmd_augment(args, config, config_doc) -> None:
+def _cmd_augment(args, config) -> Iterable[str]:
     seed = _require_seed(args, config)
     policy = config.policy or DEFAULT_POLICY
     if args.policy:
@@ -306,7 +307,7 @@ def _cmd_augment(args, config, config_doc) -> None:
         augment_instance(render_instruction(rec), policy, instance_seed(seed, rec.image_id, index))
         for index, rec in enumerate(records)
     )
-    _emit(args.out, jsonl_lines(instance_to_json(i) for i in instances), args, config_doc)
+    return jsonl_lines(instance_to_json(i) for i in instances)
 
 
 def _metrics_from_json(doc: Any) -> dict[str, SourceMetrics]:
@@ -335,17 +336,17 @@ def _curriculum_config(args, config: ToolConfig) -> CurriculumConfig:
     return replace(cfg, **overrides)
 
 
-def _cmd_plan(args, config, config_doc) -> None:
+def _cmd_plan(args, config) -> Iterable[str]:
     pool = SamplingPool.from_records(_records(args.records))
     cfg = _curriculum_config(args, config)
     state = initial_state(pool)
     if args.metrics:
         state = advance_stage(cfg, state, load_json(args.metrics, _metrics_from_json))
     doc = {"schema_version": 1, "state": state.to_json()}
-    _emit(args.out, _json_doc(doc), args, config_doc)
+    return _json_doc(doc)
 
 
-def _cmd_sample(args, config, config_doc) -> None:
+def _cmd_sample(args, config) -> Iterable[str]:
     import numpy as np
     if args.n < 0:
         raise ConfigError(f"--n must be >= 0, got {args.n}")
@@ -362,10 +363,10 @@ def _cmd_sample(args, config, config_doc) -> None:
         }
         for draw in draw_samples(state, pool, args.n, rng)
     )
-    _emit(args.out, jsonl_lines(rows), args, config_doc)
+    return jsonl_lines(rows)
 
 
-def _cmd_simulate(args, config, config_doc) -> None:
+def _cmd_simulate(args, config) -> Iterable[str]:
     seed = _require_seed(args, config)
     pool = SamplingPool.from_records(_records(args.records))
     cfg = _curriculum_config(args, config)
@@ -381,7 +382,7 @@ def _cmd_simulate(args, config, config_doc) -> None:
         "stages": [entry.to_json() for entry in logs],
         "final_state": state.to_json(),
     }
-    _emit(args.out, _json_doc(doc), args, config_doc)
+    return _json_doc(doc)
 
 
 def _by_id(path: str | Path, decode: Callable[..., tuple[str, str]], what: str) -> dict[str, str]:
@@ -395,12 +396,12 @@ def _by_id(path: str | Path, decode: Callable[..., tuple[str, str]], what: str) 
     return texts
 
 
-def _cmd_eval(args, config, config_doc) -> None:
+def _cmd_eval(args, config) -> Iterable[str]:
     mode = args.mode or config.parse_mode
     preds = _by_id(args.pred, prediction_from_json, "prediction")
     gold = load_records_jsonl(args.gold)
     report = evaluate_task(preds, gold, Task(args.task), mode=mode, scorer=args.scorer)
-    _emit(args.out, _json_doc(report.to_json()), args, config_doc)
+    return _json_doc(report.to_json())
 
 
 def _endpoint_config(args, config: ToolConfig) -> EndpointConfig:
@@ -411,7 +412,7 @@ def _endpoint_config(args, config: ToolConfig) -> EndpointConfig:
     raise ConfigError("the judge command needs --endpoint (or a config endpoint)")
 
 
-def _cmd_judge(args, config, config_doc) -> None:
+def _cmd_judge(args, config) -> Iterable[str]:
     endpoint = _endpoint_config(args, config)
     gold = _by_id(args.gold, judge_gold_from_json, "gold")
 
@@ -440,10 +441,10 @@ def _cmd_judge(args, config, config_doc) -> None:
         if failures:
             log.warning("%d of %d verdicts failed validation", failures, total)
 
-    _emit(args.out, jsonl_lines(verdict_rows()), args, config_doc)
+    return jsonl_lines(verdict_rows())
 
 
-def _cmd_judge_aggregate(args, config, config_doc) -> None:
+def _cmd_judge_aggregate(args, config) -> Iterable[str]:
     pairs: list[tuple[str, JudgeVerdict]] = []
     failures = 0
     for line_no, obj in iter_jsonl(args.in_path):
@@ -453,13 +454,13 @@ def _cmd_judge_aggregate(args, config, config_doc) -> None:
         else:
             pairs.append((anatomy, verdict))
     stats, mean = aggregate_verdicts(pairs)
-    _emit(args.out, _json_doc(aggregation_table(stats, mean, failures)), args, config_doc)
+    return _json_doc(aggregation_table(stats, mean, failures))
 
 
-def _cmd_preprocess(args, config, config_doc) -> None:
+def _cmd_preprocess(args, config) -> Iterable[str]:
     grid = load_json(args.in_path, IntensityGrid.from_json)
     out = preprocess_eval(grid, resize=(args.resize_w, args.resize_h))
-    _emit(args.out, _json_doc(out.to_json()), args, config_doc)
+    return _json_doc(out.to_json())
 
 
 _HANDLERS = {
@@ -504,7 +505,7 @@ def _run(args: argparse.Namespace) -> int:
         if args.config:
             config_doc = load_json(args.config)
             config = ToolConfig.from_json(config_doc)
-        _HANDLERS[args.command](args, config, config_doc)
+        _emit(args.out, _HANDLERS[args.command](args, config), args, config_doc)
     except (RadloopError, OSError, ValueError, KeyError) as exc:
         log.error("%s: %s", type(exc).__name__, exc)
         return 1

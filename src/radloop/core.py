@@ -21,8 +21,8 @@ not need them serialize with exactly the seven fixed field names.
 Every file the package reads or writes goes through the functions at the
 end of this module: :func:`iter_jsonl` for JSONL lines, :func:`load_json`
 for whole-file documents, the record, instance, prediction and judge row
-decoders (all built on :func:`get_str`, which coerces nothing), and
-:func:`atomic_write` for output.
+decoders (all built on :func:`get_str` and :func:`enum_from_json`, which
+coerce nothing), and :func:`atomic_write` for output.
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ class Task(str, Enum):
 
     The three ``AGRG_*`` members are the subtasks of anatomy-guided report
     generation; they share one data source and are sampled uniformly within
-    it. ``DETECTION`` marks raw detector annotations that ingestion converts
-    into phrase-grounding and pseudo-report records, so it never renders.
+    it.
     """
 
     PG = "pg"
@@ -58,7 +57,6 @@ class Task(str, Enum):
     AGRG_LOCATE = "agrg_locate"
     AGRG_DESCRIBE = "agrg_describe"
     AGRG_BOTH = "agrg_both"
-    DETECTION = "detection"
 
     @property
     def family(self) -> "TaskFamily":
@@ -79,7 +77,6 @@ class TaskFamily(str, Enum):
     PG = "pg"
     GRG = "grg"
     AGRG = "agrg"
-    DETECTION = "detection"
 
 
 class Split(str, Enum):
@@ -126,6 +123,15 @@ class NormBox:
         return [self.cx, self.cy, self.w, self.h]
 
 
+def intersection(a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...] | None:
+    """The overlap of two (x1, y1, x2, y2) rectangles, or None when it has no area."""
+    x1, y1 = max(a[0], b[0]), max(a[1], b[1])
+    x2, y2 = min(a[2], b[2]), min(a[3], b[3])
+    if x2 > x1 and y2 > y1:
+        return x1, y1, x2, y2
+    return None
+
+
 def clamp_box(box: NormBox) -> NormBox:
     """Intersect a box with the unit square.
 
@@ -136,11 +142,10 @@ def clamp_box(box: NormBox) -> NormBox:
     x1, y1, x2, y2 = box.corners()
     if x1 >= -EPSILON and y1 >= -EPSILON and x2 <= 1 + EPSILON and y2 <= 1 + EPSILON:
         return box
-    nx1, ny1 = max(x1, 0.0), max(y1, 0.0)
-    nx2, ny2 = min(x2, 1.0), min(y2, 1.0)
-    if nx2 - nx1 <= 0 or ny2 - ny1 <= 0:
+    inside = intersection((x1, y1, x2, y2), (0.0, 0.0, 1.0, 1.0))
+    if inside is None:
         raise EmptyAfterClamp(f"box {box.to_list()} lies outside the unit square")
-    return NormBox.from_corners(nx1, ny1, nx2, ny2)
+    return NormBox.from_corners(*inside)
 
 
 def spread(total: int, parts: int) -> list[int]:
@@ -346,7 +351,7 @@ def config_from_json(cls: type, obj: Any, what: str, **convert: Callable[[Any], 
         raise ConfigError(f"bad {what}: {exc}") from exc
 
 
-#: The ``default`` of a required :func:`get_str` field.
+#: The ``default`` of a required :func:`get_str` or :func:`enum_from_json` field.
 REQUIRED: Any = object()
 
 
@@ -366,6 +371,19 @@ def get_str(obj: Mapping[str, Any], key: str, line: int, default: Any = REQUIRED
     if key not in obj:
         raise FormatError(line, f"missing field {key!r}")
     raise FormatError(line, f"field {key!r} must be a {'string' if empty else 'non-empty string'}")
+
+
+def enum_from_json(kind: type[Enum], obj: Mapping[str, Any], key: str, line: int,
+                   default: Any = REQUIRED) -> Any:
+    """The field ``key`` of a decoded row as a member of ``kind``: an absent
+    field is handled as :func:`get_str` handles it, and a value that names no
+    member is a :class:`FormatError`."""
+    if key not in obj:
+        return get_str(obj, key, line, default)
+    try:
+        return kind(obj[key])
+    except ValueError as exc:
+        raise FormatError(line, f"unknown {key} {obj[key]!r}") from exc
 
 
 def boxes_from_json(values: Any, line: int) -> tuple[NormBox, ...]:
@@ -415,24 +433,11 @@ def record_to_json(rec: AnnotationRecord) -> dict[str, Any]:
     return obj
 
 
-def _task_from_json(value: Any, line: int) -> Task:
-    try:
-        return Task(value)
-    except ValueError as exc:
-        raise FormatError(line, f"unknown task {value!r}") from exc
-
-
 def record_from_json(obj: Any, line: int = 0) -> AnnotationRecord:
     if not isinstance(obj, dict):
         raise FormatError(line, "each line must hold a JSON object")
-    for name in ("task", "split"):
-        if name not in obj:
-            raise FormatError(line, f"missing field {name!r}")
-    task = _task_from_json(obj["task"], line)
-    try:
-        split = Split(obj["split"])
-    except ValueError as exc:
-        raise FormatError(line, f"unknown split {obj['split']!r}") from exc
+    task = enum_from_json(Task, obj, "task", line)
+    split = enum_from_json(Split, obj, "split", line)
     findings = obj.get("findings", [])
     if not isinstance(findings, list):
         raise FormatError(line, "findings must be a list of objects")
@@ -472,12 +477,12 @@ def instance_to_json(inst: InstructionInstance) -> dict[str, Any]:
 def instance_from_json(obj: Any, line: int = 0) -> InstructionInstance:
     if not isinstance(obj, dict):
         raise FormatError(line, "each line must hold a JSON object")
-    for name in ("task", "structured"):
-        if name not in obj:
-            raise FormatError(line, f"missing field {name!r}")
+    task = enum_from_json(Task, obj, "task", line)
+    if "structured" not in obj:
+        raise FormatError(line, "missing field 'structured'")
     texts = ("image_id", "source_id", "category", "instruction", "response")
     return InstructionInstance(
-        task=_task_from_json(obj["task"], line),
+        task=task,
         structured=record_from_json(obj["structured"], line),
         **{name: get_str(obj, name, line, empty=True) for name in texts},
     )

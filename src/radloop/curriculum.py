@@ -36,6 +36,7 @@ from .core import (
     Task,
     TaskFamily,
     config_from_json,
+    enum_from_json,
     is_int,
     is_number,
     spread,
@@ -95,12 +96,15 @@ class SourceMetrics:
 
     @classmethod
     def from_json(cls, obj: Mapping[str, Any]) -> "SourceMetrics":
+        """Decode one source's metrics; every metric is null or lies in [0, 1]."""
+        source = _source_id(obj)
+        where = f"source {source.key!r}"
         return cls(
-            source=_source_id(obj),
-            **vars(_entry_from_json(obj)),
-            per_category=_entries_from_json(obj.get("per_category", {})),
+            source=source,
+            **vars(_entry_from_json(obj, where)),
+            per_category=_entries_from_json(obj.get("per_category", {}), where),
             per_subtask={
-                Task(t): _entries_from_json(cats)
+                Task(t): _entries_from_json(cats, f"{where} subtask {t!r}")
                 for t, cats in obj.get("per_subtask", {}).items()
             },
         )
@@ -125,6 +129,7 @@ _TEXT = (lambda v: isinstance(v, str), "a string")
 _INT = (is_int, "an integer")
 _NUMBER = (is_number, "a finite number")
 _METRIC = (lambda v: v is None or is_number(v), "a finite number or null")
+_UNIT_METRIC = (lambda v: v is None or (is_number(v) and 0 <= v <= 1), "in [0, 1] or null")
 
 
 def _expect(kind: tuple[Any, str], value: Any, name: str) -> Any:
@@ -154,16 +159,17 @@ def _check_level(names: Sequence[str], probs: Sequence[float], level: str) -> No
 
 
 def _source_id(obj: Mapping[str, Any]) -> DataSourceId:
-    return DataSourceId(_expect(_TEXT, obj["name"], "name"), TaskFamily(obj["task"]))
+    name = _expect(_TEXT, obj["name"], "name")
+    return DataSourceId(name, enum_from_json(TaskFamily, obj, "task", 0))
 
 
-def _entry_from_json(obj: Mapping[str, Any]) -> MetricEntry:
+def _entry_from_json(obj: Mapping[str, Any], where: str) -> MetricEntry:
     names = (f.name for f in fields(MetricEntry))
-    return MetricEntry(**{name: _expect(_METRIC, obj.get(name), name) for name in names})
+    return MetricEntry(**{n: _expect(_UNIT_METRIC, obj.get(n), f"{where}: {n}") for n in names})
 
 
-def _entries_from_json(obj: Mapping[str, Any]) -> dict[str, MetricEntry]:
-    return {c: _entry_from_json(e) for c, e in obj.items()}
+def _entries_from_json(obj: Mapping[str, Any], where: str) -> dict[str, MetricEntry]:
+    return {c: _entry_from_json(e, f"{where} category {c!r}") for c, e in obj.items()}
 
 
 def aggregate_score(entry: MetricEntry, alpha: float = DEFAULT_ALPHA) -> float:
@@ -366,8 +372,11 @@ class CurriculumState:
                 if not len(st["categories"]) == len(st["sizes"]) == len(st["probs"]):
                     raise ValueError(f"{subtask} needs one size and one probability per category")
                 _check_level(st["categories"], subtasks[task].probs, subtask)
+            source = _source_id(s)
+            if source.key != key:
+                raise ValueError(f"source {key!r} names {source.key!r}")
             sources[key] = SourceState(
-                source=_source_id(s),
+                source=source,
                 size=_expect(_INT, s["size"], "size"),
                 prob=float(_expect(_NUMBER, s["prob"], "prob")),
                 score=_expect(_METRIC, s.get("score"), "score"),

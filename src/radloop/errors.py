@@ -45,10 +45,6 @@ class Unrenderable(RadloopError):
     """A record field holds text its response template could not parse back."""
 
 
-class UnsupportedTask(RadloopError):
-    """The requested operation is not defined for this task."""
-
-
 class ParseError(RadloopError):
     """Model output does not match the strict task grammar."""
 

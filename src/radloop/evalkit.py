@@ -26,13 +26,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .core import AnnotationRecord, Finding, NormBox, Task
+from .core import AnnotationRecord, Finding, NormBox, Task, intersection
 from .errors import (
     DuplicateId,
     EmptyGroundTruth,
     ParseError,
     UnknownId,
-    UnsupportedTask,
 )
 from .taskgen import RESPONSE_FIELDS, RESPONSE_GRAMMAR
 
@@ -172,16 +171,18 @@ def _salvage(text: str, task: Task) -> dict:
     values: dict = {"boxes": boxes, "warnings": warnings, "salvaged": True}
 
     if task is Task.GRG:
-        findings: list[Finding] = []
+        # Gather a finding's boxes, then build it once: growing its box tuple
+        # one box at a time is quadratic in the boxes of one finding.
+        groups: list[tuple[str, list[NormBox]]] = []
         cursor = 0
         for m, box in zip(matches, boxes):
             fragment = _clean_fragment(text[cursor : m.start()])
-            if fragment or not findings:
-                findings.append(Finding(fragment, (box,)))
+            if fragment or not groups:
+                groups.append((fragment, [box]))
             else:
-                prev = findings[-1]
-                findings[-1] = Finding(prev.text, prev.boxes + (box,))
+                groups[-1][1].append(box)
             cursor = m.end()
+        findings = [Finding(phrase, tuple(group)) for phrase, group in groups]
         tail = _clean_fragment(text[cursor:])
         if tail:
             findings.append(Finding(tail, ()))
@@ -216,13 +217,10 @@ def parse_output(text: str, task: Task, mode: str = "strict") -> ParsedOutput:
     :class:`ParseError`; lenient parsing never raises and sets ``salvaged``
     whenever the strict grammar did not match.
     """
-    grammar = RESPONSE_GRAMMAR.get(task)
-    if grammar is None:
-        raise UnsupportedTask(f"no output grammar for task {task.value!r}")
     if mode not in ("strict", "lenient"):
         raise ValueError(f"mode must be 'strict' or 'lenient', got {mode!r}")
     try:
-        values = _parse_strict(text, grammar)
+        values = _parse_strict(text, RESPONSE_GRAMMAR[task])
     except ParseError:
         if mode == "strict":
             raise
@@ -261,16 +259,6 @@ def union_area(boxes: Sequence[NormBox]) -> float:
     return total
 
 
-def _intersect(a: NormBox, b: NormBox) -> NormBox | None:
-    ax1, ay1, ax2, ay2 = a.corners()
-    bx1, by1, bx2, by2 = b.corners()
-    x1, y1 = max(ax1, bx1), max(ay1, by1)
-    x2, y2 = min(ax2, bx2), min(ay2, by2)
-    if x2 > x1 and y2 > y1:
-        return NormBox.from_corners(x1, y1, x2, y2)
-    return None
-
-
 def grounding_iou(gt_boxes: Sequence[NormBox], pred_boxes: Sequence[NormBox]) -> float:
     """IoU between the merged ground-truth region and the merged prediction.
 
@@ -286,9 +274,9 @@ def grounding_iou(gt_boxes: Sequence[NormBox], pred_boxes: Sequence[NormBox]) ->
     inters = []
     for g in gt_boxes:
         for p in pred_boxes:
-            box = _intersect(g, p)
+            box = intersection(g.corners(), p.corners())
             if box is not None:
-                inters.append(box)
+                inters.append(NormBox.from_corners(*box))
     inter_area = union_area(inters)
     total = union_area(list(gt_boxes) + list(pred_boxes))
     return inter_area / total

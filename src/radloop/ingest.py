@@ -47,6 +47,7 @@ from .core import (
     Task,
     boxes_from_json,
     clamp_box,
+    enum_from_json,
     finding_from_json,
     get_str,
     iter_jsonl,
@@ -98,13 +99,12 @@ def expand_label(label: str) -> str:
     return LABEL_PHRASES.get(label, label)
 
 
-def _get_split(obj: Mapping[str, Any], line: int, default: Split) -> Split:
-    if "split" not in obj:
-        return default
-    try:
-        return Split(obj["split"])
-    except ValueError as exc:
-        raise FormatError(line, f"unknown split {obj['split']!r}") from exc
+def _findings(obj: Mapping[str, Any], line: int) -> list[Any]:
+    """The raw ``findings`` of a row, which must be a non-empty list."""
+    raw = obj.get("findings")
+    if not isinstance(raw, list) or not raw:
+        raise FormatError(line, "field 'findings' must be a non-empty list")
+    return raw
 
 
 def _clamped(boxes: tuple[NormBox, ...], line: int) -> tuple[NormBox, ...]:
@@ -119,7 +119,7 @@ def _scene_graph_records(obj: Mapping[str, Any], line: int) -> list[AnnotationRe
     image_id = get_str(obj, "image_id", line)
     location = get_str(obj, "location", line)
     source_id = get_str(obj, "source_id", line, "cig")
-    split = _get_split(obj, line, Split.TRAIN)
+    split = enum_from_json(Split, obj, "split", line, Split.TRAIN)
     raw_box = obj.get("box")
     box = None if raw_box is None else _clamped(boxes_from_json([raw_box], line), line)[0]
     sentence = get_str(obj, "sentence", line, None)
@@ -154,7 +154,7 @@ def _phrase_boxes_records(obj: Mapping[str, Any], line: int) -> list[AnnotationR
             category=get_str(obj, "category", line, phrase),
             text=phrase,
             boxes=boxes,
-            split=_get_split(obj, line, Split.TRAIN),
+            split=enum_from_json(Split, obj, "split", line, Split.TRAIN),
             meta={} if label is None else {"label": label},
         )
     ]
@@ -162,12 +162,9 @@ def _phrase_boxes_records(obj: Mapping[str, Any], line: int) -> list[AnnotationR
 
 def _grounded_report_records(obj: Mapping[str, Any], line: int) -> list[AnnotationRecord]:
     image_id = get_str(obj, "image_id", line)
-    raw_findings = obj.get("findings")
-    if not isinstance(raw_findings, list) or not raw_findings:
-        raise FormatError(line, "field 'findings' must be a non-empty list")
     findings = tuple(
         Finding(f.text, _clamped(f.boxes, line))
-        for f in (finding_from_json(raw, line) for raw in raw_findings)
+        for f in (finding_from_json(raw, line) for raw in _findings(obj, line))
     )
     return [
         AnnotationRecord(
@@ -176,18 +173,16 @@ def _grounded_report_records(obj: Mapping[str, Any], line: int) -> list[Annotati
             task=Task.GRG,
             category="report",
             findings=findings,
-            split=_get_split(obj, line, Split.TRAIN),
+            split=enum_from_json(Split, obj, "split", line, Split.TRAIN),
         )
     ]
 
 
 def _detection_records(obj: Mapping[str, Any], line: int) -> list[AnnotationRecord]:
     image_id = get_str(obj, "image_id", line)
-    raw_findings = obj.get("findings")
-    if not isinstance(raw_findings, list) or not raw_findings:
-        raise FormatError(line, "field 'findings' must be a non-empty list")
+    raw_findings = _findings(obj, line)
     source = get_str(obj, "source_id", line, "detection")
-    split = _get_split(obj, line, Split.TEST)
+    split = enum_from_json(Split, obj, "split", line, Split.TEST)
 
     records = []
     report_findings = []
@@ -290,9 +285,7 @@ def make_fixture_dataset(
         for category, count in spec[task_key].items():
             for i in range(count):
                 for task in tasks:
-                    fields = RESPONSE_FIELDS.get(task)
-                    if fields is None:
-                        raise ValueError(f"cannot generate fixtures for task {task.value!r}")
+                    fields = RESPONSE_FIELDS[task]
                     image_id = f"{source_id}-{task.value}-{category}-{i:05d}"
                     meta = {
                         "has_abnormality": bool(rng.random() < 0.5),

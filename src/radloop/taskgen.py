@@ -1,8 +1,8 @@
 """Instruction and response rendering for the grounded task suite.
 
 :data:`TEMPLATES` holds the fixed instruction and response template of each
-of the five renderable tasks. It is the one statement of the response
-format: the renderer fills it, :mod:`radloop.evalkit` parses strictly by
+of the five tasks. It is the one statement of the response format: the
+renderer fills it, :mod:`radloop.evalkit` parses strictly by
 :data:`RESPONSE_GRAMMAR`, and the scorer and the fixture generator read each
 task's fields from :data:`RESPONSE_FIELDS`. GRG's ``{findings}`` renders as
 one sentence per finding with its boxes inline.
@@ -20,12 +20,13 @@ augmentation can regenerate them instead of editing strings.
 
 from __future__ import annotations
 
+import re
 import string
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
 from .core import AnnotationRecord, Finding, InstructionInstance, NormBox, Split, Task
-from .errors import MissingField, Unrenderable, UnsupportedTask
+from .errors import MissingField, Unrenderable
 
 TEMPLATES: dict[Task, tuple[str, str]] = {
     Task.PG: ("Ground the phrase: {phrase}", "{phrase}: {boxes}"),
@@ -108,13 +109,10 @@ def render_instruction(record: AnnotationRecord) -> InstructionInstance:
     """Render a record into an (instruction, response) training instance.
 
     Raises :class:`MissingField` when the record lacks a field its template
-    needs, :class:`Unrenderable` when a text field holds the text that ends
-    it in the response, and :class:`UnsupportedTask` for detection records,
-    which are ingest-time precursors rather than renderable tasks.
+    needs, and :class:`Unrenderable` when a text field holds the text that
+    ends it in the response.
     """
     task = record.task
-    if task not in TEMPLATES:
-        raise UnsupportedTask("detection records are converted at ingest and never rendered")
     values = {}
     for _, name, end in RESPONSE_GRAMMAR[task]:
         if name is None:
@@ -182,9 +180,6 @@ class LocationSet:
 
     def __len__(self) -> int:
         return len(self.locations)
-
-    def index(self, location: str) -> int:
-        return self.locations.index(location)
 
 
 AGRG9 = LocationSet(
@@ -255,14 +250,9 @@ def order_by_location(
 
     Locations outside the set keep their relative order and sort last.
     """
-    indexed = list(items)
-    n = len(location_set)
-
-    def sort_key(pair: tuple[str, object]) -> int:
-        loc = pair[0]
-        return location_set.index(loc) if loc in location_set else n
-
-    return [payload for _, payload in sorted(indexed, key=sort_key)]
+    rank = {loc: i for i, loc in enumerate(location_set.locations)}
+    n = len(rank)
+    return [payload for _, payload in sorted(items, key=lambda pair: rank.get(pair[0], n))]
 
 
 # ---------------------------------------------------------------------------
@@ -276,25 +266,22 @@ def _is_coordinate_group(body: str) -> bool:
     return all(ch.isdigit() or ch in ".,- " for ch in body)
 
 
+#: A bracket group that holds no other bracket.
+_BRACKET_GROUP = re.compile(r"\[([^\[\]]*)\]")
+
+
 def strip_box_groups(text: str) -> str:
     """Remove inline ``[..]`` coordinate groups and tidy the whitespace.
 
     Bracket groups that are not coordinate groups (for example a bracketed
-    abbreviation inside a sentence) are kept. Runs on a character scanner,
-    so nested or unbalanced brackets degrade gracefully.
+    abbreviation inside a sentence) are kept. Only a group that holds no
+    other bracket can be a coordinate group, so nested or unbalanced
+    brackets degrade gracefully.
     """
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "[":
-            end = text.find("]", i + 1)
-            if end != -1 and _is_coordinate_group(text[i + 1 : end]):
-                i = end + 1
-                continue
-        out.append(ch)
-        i += 1
-    collapsed = " ".join("".join(out).split())
+    kept = _BRACKET_GROUP.sub(
+        lambda m: "" if _is_coordinate_group(m.group(1)) else m.group(0), text
+    )
+    collapsed = " ".join(kept.split())
     for punct in (".", ",", ";", ":"):
         collapsed = collapsed.replace(f" {punct}", punct)
     return collapsed

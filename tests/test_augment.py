@@ -1,4 +1,6 @@
 import json
+import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -63,6 +65,28 @@ class TestAffine:
     def test_in_policy_range(self):
         assert AffineParams(tx=0.1, sx=1.1, theta=-15.0).in_policy_range()
         assert not AffineParams(theta=90.0).in_policy_range()
+
+    @pytest.mark.parametrize("name, lo, hi", [
+        ("tx", -0.10, 0.10), ("ty", -0.10, 0.10), ("sx", 0.90, 1.10), ("sy", 0.90, 1.10),
+        ("theta", -15.0, 15.0),
+    ])
+    def test_each_policy_bound_is_inclusive_and_exact(self, name, lo, hi):
+        assert AffineParams(**{name: lo}).in_policy_range()
+        assert AffineParams(**{name: hi}).in_policy_range()
+        assert not AffineParams(**{name: math.nextafter(lo, -math.inf)}).in_policy_range()
+        assert not AffineParams(**{name: math.nextafter(hi, math.inf)}).in_policy_range()
+
+    def test_every_sampled_affine_is_in_policy_range(self):
+        class Extreme:
+            def __init__(self, value):
+                self.value = value
+
+            def random(self):
+                return self.value
+
+        rngs = [random.Random(seed) for seed in range(2000)]
+        for rng in rngs + [Extreme(0.0), Extreme(1.0 - 2**-53)]:
+            assert augment._sample_affine(rng).in_policy_range()
 
 
 class TestCrop:

@@ -54,6 +54,10 @@ class TestUsageErrors:
     def test_missing_required_flag(self):
         assert dispatch(["ingest", "--format", "scene_graph", "--out", "x"]) == 2
 
+    def test_detection_is_no_eval_task(self):
+        argv = ["eval", "--pred", "p", "--gold", "g", "--task", "detection", "--out", "x"]
+        assert dispatch(argv) == 2
+
     def test_version_flag(self):
         assert dispatch(["--version"]) == 0
 
@@ -874,6 +878,12 @@ def _plan_source_doc(**source):
     return plan
 
 
+def _miskeyed_plan():
+    """A reproduced plan: its keys 'x:pg' and 'y:pg' both name source 'pgsrc:pg'."""
+    source = _plan_source_doc(prob=0.5)["state"]["sources"]["pgsrc:pg"]
+    return {"state": {"stage_index": 0, "sources": {"x:pg": source, "y:pg": source}}}
+
+
 @pytest.mark.parametrize(
     "argv,body,error",
     [
@@ -987,6 +997,17 @@ def _plan_source_doc(**source):
         *((["gen-tasks", "--records", "BAD"], json.dumps({**_GOOD_RECORD, "boxes": [box]}) + "\n",
            "FormatError: line 1")
           for box in (["0.5", "0.5", "0.2", "0.2"], [True, 0.5, True, 0.2])),
+        # Metrics outside [0, 1]: the error names the source and the category.
+        *((["plan", "--records", "RECORDS", "--metrics", "BAD"],
+           json.dumps([{**_GOOD_METRICS[0], "iou": value}, _GOOD_METRICS[1]]),
+           "FormatError: line 0: bad document: ValueError: source 'pgsrc:pg'")
+          for value in (1.5, -0.5)),
+        (["plan", "--records", "RECORDS", "--metrics", "BAD"],
+         json.dumps([{**_GOOD_METRICS[0], "per_category": {"a": {"text_score": 2}, "b": {}}},
+                     _GOOD_METRICS[1]]),
+         "FormatError: line 0: bad document: ValueError: source 'pgsrc:pg' category 'a'"),
+        # A source whose key is not its name:task drew it under two probabilities.
+        (_SAMPLE_BAD_PLAN, json.dumps(_miskeyed_plan()), "FormatError"),
     ],
 )
 def test_malformed_input_names_the_domain_error(
@@ -1003,6 +1024,21 @@ def test_malformed_input_names_the_domain_error(
     assert rc == 1
     assert f"ERROR radloop: {error}:" in capsys.readouterr().err
     assert hits == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-tasks", "--records", "BAD"],
+    ["plan", "--records", "BAD"],
+    ["eval", "--pred", "PREDS", "--gold", "BAD", "--task", "pg"],
+])
+def test_a_detection_record_is_an_unknown_task(argv, tmp_path, capsys):
+    bad, preds = tmp_path / "bad.jsonl", tmp_path / "preds.jsonl"
+    bad.write_text(json.dumps({**_GOOD_RECORD, "task": "detection"}) + "\n", encoding="utf-8")
+    preds.write_text("", encoding="utf-8")
+    paths = {"BAD": bad, "PREDS": preds}
+    rc = dispatch([str(paths.get(a, a)) for a in argv] + ["--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "ERROR radloop: FormatError: line 1: unknown task 'detection'\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

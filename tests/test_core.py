@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import os
+import re
 import stat
 import sys
 import tracemalloc
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from radloop.core import (
     EPSILON,
+    REQUIRED,
     AnnotationRecord,
     DataSourceId,
     Finding,
@@ -24,7 +26,9 @@ from radloop.core import (
     boxes_from_json,
     clamp_box,
     dump_records_jsonl,
+    enum_from_json,
     instance_from_json,
+    intersection,
     instance_to_json,
     iter_jsonl,
     jsonl_lines,
@@ -111,6 +115,28 @@ class TestClampBox:
         assert clamped.area() <= box.area() + 1e-12
 
 
+def test_intersection_has_an_area_or_is_none():
+    assert intersection((0.0, 0.0, 2.0, 2.0), (1.0, 1.0, 3.0, 3.0)) == (1.0, 1.0, 2.0, 2.0)
+    assert intersection((0.0, 0.0, 1.0, 1.0), (1.0, 0.0, 2.0, 1.0)) is None
+    assert intersection((0.0, 0.0, 1.0, 1.0), (2.0, 2.0, 3.0, 3.0)) is None
+
+
+@pytest.mark.parametrize("obj, default, expected", [
+    ({"split": "val"}, REQUIRED, Split.VAL),
+    ({}, Split.TEST, Split.TEST),
+    ({}, REQUIRED, "line 4: missing field 'split'"),
+    ({"split": "dev"}, Split.TEST, "line 4: unknown split 'dev'"),
+    ({"split": None}, Split.TEST, "line 4: unknown split None"),
+    ({"split": ["val"]}, REQUIRED, "line 4: unknown split ['val']"),
+])
+def test_enum_field_gives_a_member_its_default_or_a_named_error(obj, default, expected):
+    if isinstance(expected, Split):
+        assert enum_from_json(Split, obj, "split", 4, default) is expected
+    else:
+        with pytest.raises(FormatError, match=f"^{re.escape(expected)}$"):
+            enum_from_json(Split, obj, "split", 4, default)
+
+
 @given(total=st.integers(0, 10**6), parts=st.integers(1, 50))
 def test_spread_gives_the_remainder_to_the_earliest_parts(total, parts):
     shares = spread(total, parts)
@@ -145,7 +171,6 @@ class TestTaskFamily:
             (Task.AGRG_LOCATE, TaskFamily.AGRG),
             (Task.AGRG_DESCRIBE, TaskFamily.AGRG),
             (Task.AGRG_BOTH, TaskFamily.AGRG),
-            (Task.DETECTION, TaskFamily.DETECTION),
         ],
     )
     def test_family_mapping(self, task, family):

@@ -567,21 +567,45 @@ class TestSourceMetricsJson:
 _metrics = st.none() | st.just(0.0) | st.floats(allow_nan=False, allow_infinity=False) | (
     st.integers(-(10**6), 10**6)
 )
+#: Metric values a metrics document may carry: null, or a number in [0, 1].
+_unit_metrics = st.none() | st.sampled_from([0, 1]) | st.floats(0.0, 1.0)
 _entries = st.dictionaries(
-    st.text(max_size=4), st.builds(MetricEntry, iou=_metrics, text_score=_metrics), max_size=3
+    st.text(max_size=4),
+    st.builds(MetricEntry, iou=_unit_metrics, text_score=_unit_metrics),
+    max_size=3,
 )
 
 
 @given(
     source=st.builds(DataSourceId, st.text(max_size=4), st.sampled_from(TaskFamily)),
-    iou=_metrics,
-    text_score=_metrics,
+    iou=_unit_metrics,
+    text_score=_unit_metrics,
     per_category=_entries,
     per_subtask=st.dictionaries(st.sampled_from(Task), _entries, max_size=3),
 )
 def test_any_source_metrics_round_trip(source, iou, text_score, per_category, per_subtask):
     m = SourceMetrics(source, iou, text_score, per_category, per_subtask)
     assert SourceMetrics.from_json(json.loads(json.dumps(m.to_json()))) == m
+
+
+@given(
+    value=(st.floats(allow_nan=False) | st.integers()).filter(lambda v: not 0 <= v <= 1),
+    name=st.sampled_from(["iou", "text_score"]),
+    level=st.sampled_from(["source", "per_category", "per_subtask"]),
+)
+def test_any_metric_outside_the_unit_range_is_rejected(value, name, level):
+    doc = {"name": "src", "task": "agrg"}
+    where = "source 'src:agrg'"
+    if level == "source":
+        doc[name] = value
+    elif level == "per_category":
+        doc["per_category"] = {"c": {name: value}}
+        where += " category 'c'"
+    else:
+        doc["per_subtask"] = {"agrg_locate": {"c": {name: value}}}
+        where += " subtask 'agrg_locate' category 'c'"
+    with pytest.raises(ValueError, match=re.escape(f"{where}: {name} must be in [0, 1]")):
+        SourceMetrics.from_json(doc)
 
 
 def plan_level(draw, n):

@@ -7,7 +7,6 @@ from radloop.errors import (
     EmptyGroundTruth,
     ParseError,
     UnknownId,
-    UnsupportedTask,
 )
 from radloop.evalkit import (
     aggregate_iou,
@@ -108,10 +107,6 @@ class TestStrictGrg:
     def test_empty_rejected(self):
         with pytest.raises(ParseError):
             parse_output("", Task.GRG)
-
-    def test_detection_unsupported(self):
-        with pytest.raises(UnsupportedTask):
-            parse_output("anything", Task.DETECTION)
 
 
 class TestCoordinateClamping:

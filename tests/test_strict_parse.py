@@ -3,9 +3,10 @@
 The reference below is the scanner that ``radloop.evalkit`` used before its
 compiled patterns: ``_scan_number``, ``_parse_box``, ``_parse_box_run`` and
 ``_parse_grg_strict``, with the template walker ``_parse_strict`` that calls
-them, copied unchanged. Lenient salvage did not change, so the reference
-falls back to today's ``_salvage``. On ASCII text both parsers must accept
-and reject alike and return the same fields, boxes and warnings.
+them, copied unchanged. The reference falls back to today's ``_salvage``.
+On ASCII text both parsers must accept and reject alike and return the same
+fields, boxes and warnings. ``_salvage``'s GRG branch is pinned on its own
+against the form it had before it built each finding once.
 """
 
 import time
@@ -15,7 +16,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from radloop.core import Finding, NormBox, Task
 from radloop.errors import ParseError
-from radloop.evalkit import ParsedOutput, _make_box, _salvage, parse_output
+from radloop.evalkit import (
+    _BOX_RE,
+    ParsedOutput,
+    _clean_fragment,
+    _make_box,
+    _salvage,
+    parse_output,
+)
 from radloop.taskgen import RESPONSE_GRAMMAR, format_box
 
 TASKS = list(RESPONSE_GRAMMAR)
@@ -296,3 +304,49 @@ def test_a_million_characters_are_rejected_quickly(task, text):
     with pytest.raises(ParseError):
         parse_output(text, task)
     assert time.perf_counter() - start < 2.0
+
+
+def test_a_million_character_grg_output_is_salvaged_quickly():
+    n = _LONG // 17
+    text = _BOX_PREFIX[Task.GRG] + "[0.5,0.5,0.2,0.2]" * n + "x"
+    start = time.perf_counter()
+    out = parse_output(text, Task.GRG, "lenient")
+    assert time.perf_counter() - start < 2.0
+    assert out.salvaged and [len(f.boxes) for f in out.findings] == [n, 0]
+
+
+# ---------------------------------------------------------------------------
+# Lenient GRG salvage against its previous form
+
+
+def reference_grg_salvage(text: str) -> list[Finding]:
+    """``_salvage``'s GRG findings as they were built before, one rebuild per box."""
+    warnings: list[str] = []
+    matches = list(_BOX_RE.finditer(text))
+    boxes = [_make_box([float(g) for g in m.groups()], warnings) for m in matches]
+    findings: list[Finding] = []
+    cursor = 0
+    for m, box in zip(matches, boxes):
+        fragment = _clean_fragment(text[cursor : m.start()])
+        if fragment or not findings:
+            findings.append(Finding(fragment, (box,)))
+        else:
+            prev = findings[-1]
+            findings[-1] = Finding(prev.text, prev.boxes + (box,))
+        cursor = m.end()
+    tail = _clean_fragment(text[cursor:])
+    if tail:
+        findings.append(Finding(tail, ()))
+    return findings
+
+
+_SALVAGE_FRAGMENT = _ASCII | _ODD_BOX | st.sampled_from(
+    ["[ 0.5 , 0.5,0.2 ,0.2 ]", "[-1,2,3,-4]", "[0.5,0.5,0.2]", ". ", ";", ":", "\n"]
+)
+
+
+@settings(max_examples=1000)
+@example(text="a [0.5,0.5,0.2,0.2][0.1,0.1,0.1,0.1]. [1,1,1,1] b [2,2,2,2] c")
+@given(text=st.lists(_SALVAGE_FRAGMENT, max_size=12).map("".join))
+def test_grg_salvage_matches_its_previous_form(text):
+    assert _salvage(text, Task.GRG)["findings"] == reference_grg_salvage(text)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from radloop.core import TEXT_ROUNDTRIP_TOL, AnnotationRecord, Finding, NormBox, Split, Task
-from radloop.errors import MissingField, Unrenderable, UnsupportedTask
+from radloop.errors import MissingField, Unrenderable
 from radloop.evalkit import parse_output
 from radloop.taskgen import (
     AGRG9,
@@ -147,13 +147,6 @@ class TestRenderAgrg:
             boxes=(NormBox(0.5, 0.5, 0.4, 0.4),),
         )
         with pytest.raises(MissingField):
-            render_instruction(rec)
-
-    def test_detection_never_renders(self):
-        rec = AnnotationRecord(
-            image_id="i", source_id="s", task=Task.DETECTION, category="nodule"
-        )
-        with pytest.raises(UnsupportedTask):
             render_instruction(rec)
 
 
@@ -344,6 +337,41 @@ class TestStripBoxGroups:
     def test_multiple_groups(self):
         text = "Nodules [0.20,0.20,0.10,0.10] [0.80,0.80,0.10,0.10] bilaterally."
         assert strip_box_groups(text) == "Nodules bilaterally."
+
+    @given(st.text(alphabet="[]05\u00b2\u0663.,- ax\n:;", max_size=40))
+    @example("[[0.5,0.5]")
+    @example("[0.5]]")
+    @example("[[1,2]x] [x[3]]")
+    @example("see [\u00b2] and [\u0663.5]")
+    def test_matches_the_character_scanner(self, text):
+        assert strip_box_groups(text) == _scanner_strip_box_groups(text)
+
+
+def _scanner_is_coordinate_group(body):
+    # A coordinate group contains digits plus number punctuation only.
+    if not body or not any(ch.isdigit() for ch in body):
+        return False
+    return all(ch.isdigit() or ch in ".,- " for ch in body)
+
+
+def _scanner_strip_box_groups(text):
+    """The character scanner ``strip_box_groups`` ran before its bracket
+    pattern, kept verbatim as the reference the pattern must match."""
+    out = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "[":
+            end = text.find("]", i + 1)
+            if end != -1 and _scanner_is_coordinate_group(text[i + 1 : end]):
+                i = end + 1
+                continue
+        out.append(ch)
+        i += 1
+    collapsed = " ".join("".join(out).split())
+    for punct in (".", ",", ";", ":"):
+        collapsed = collapsed.replace(f" {punct}", punct)
+    return collapsed
 
 
 class _Parsed:
