@@ -445,29 +445,22 @@ def augment_instance(
     by the template renderer. Every draw comes from ``random.Random(seed)``.
     """
     rng = random.Random(seed)
+    record = instance.structured
     if rng.random() < policy.p_bypass:
-        meta = dict(instance.structured.meta)
-        meta["pipeline"] = "eval"
-        meta["clahe_clip"] = EVAL_CLAHE_CLIP
-        meta["clahe_grid"] = list(EVAL_CLAHE_GRID)
-        record = replace(instance.structured, meta=meta)
-        return render_instruction(record)
-
-    aug: dict[str, Any] = {"pipeline": "train"}
-    if rng.random() < policy.p_clahe:
-        aug["clahe_clip"] = _uniform(rng, *policy.clahe_clip_range)
-        aug["clahe_grid"] = list(policy.clahe_grid)
-    crop = _sample_crop(rng, policy) if rng.random() < policy.p_crop else None
-    affine = _sample_affine(rng) if rng.random() < policy.p_affine else None
-    if crop is not None:
-        aug["crop"] = [crop.x1, crop.y1, crop.x2, crop.y2]
-    if affine is not None:
-        aug["affine"] = vars(affine).copy()
-
-    transformed = _transform_record(instance.structured, crop, affine, policy)
-    if transformed is None:
-        return instance
-    meta = dict(transformed.meta)
-    meta.update(aug)
-    record = replace(transformed, meta=meta)
-    return render_instruction(record)
+        aug: dict[str, Any] = {"pipeline": "eval", "clahe_clip": EVAL_CLAHE_CLIP,
+                               "clahe_grid": list(EVAL_CLAHE_GRID)}
+    else:
+        aug = {"pipeline": "train"}
+        if rng.random() < policy.p_clahe:
+            aug["clahe_clip"] = _uniform(rng, *policy.clahe_clip_range)
+            aug["clahe_grid"] = list(policy.clahe_grid)
+        crop = _sample_crop(rng, policy) if rng.random() < policy.p_crop else None
+        affine = _sample_affine(rng) if rng.random() < policy.p_affine else None
+        if crop is not None:
+            aug["crop"] = [crop.x1, crop.y1, crop.x2, crop.y2]
+        if affine is not None:
+            aug["affine"] = vars(affine).copy()
+        record = _transform_record(record, crop, affine, policy)
+        if record is None:
+            return instance
+    return render_instruction(replace(record, meta={**record.meta, **aug}))

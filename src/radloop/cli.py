@@ -43,6 +43,11 @@ def _build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=None)
 
+    def strategies(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--inter", choices=_STRATEGIES)
+        p.add_argument("--intra", choices=_STRATEGIES)
+        p.add_argument("--alpha", type=float)
+
     p = sub.add_parser("ingest", help="convert a raw annotation file to records")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--format", required=True, choices=_INGEST_FORMATS)
@@ -61,9 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="compute sampling distributions for the next stage")
     p.add_argument("--records", required=True)
     p.add_argument("--metrics", help="JSON array of per-source metrics")
-    p.add_argument("--inter", choices=_STRATEGIES)
-    p.add_argument("--intra", choices=_STRATEGIES)
-    p.add_argument("--alpha", type=float)
+    strategies(p)
     p.add_argument("--min-prob", dest="min_prob", type=float)
     common(p)
 
@@ -75,9 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the closed loop with a simulated learner")
     p.add_argument("--records", required=True)
-    p.add_argument("--inter", choices=_STRATEGIES)
-    p.add_argument("--intra", choices=_STRATEGIES)
-    p.add_argument("--alpha", type=float)
+    strategies(p)
     p.add_argument("--warmup-steps", dest="warmup_steps", type=int)
     p.add_argument("--reweight-interval", dest="reweight_interval", type=int)
     p.add_argument("--total-steps", dest="total_steps", type=int)
@@ -159,11 +160,11 @@ from .curriculum import (
     DecayParams,
     SamplingPool,
     SimulatedLearner,
-    SourceMetrics,
     Strategy,
     advance_stage,
     draw_samples,
     initial_state,
+    metrics_from_json,
     run_curriculum,
 )
 from .errors import ConfigError, FormatError, RadloopError
@@ -310,18 +311,6 @@ def _cmd_augment(args, config) -> Iterable[str]:
     return jsonl_lines(instance_to_json(i) for i in instances)
 
 
-def _metrics_from_json(doc: Any) -> dict[str, SourceMetrics]:
-    if not isinstance(doc, list):
-        raise FormatError(0, "a metrics file holds a JSON array of source metrics")
-    metrics = {}
-    for index, obj in enumerate(doc):
-        if not isinstance(obj, dict):
-            raise FormatError(0, f"metrics entry {index} must be an object")
-        m = SourceMetrics.from_json(obj)
-        metrics[m.source.key] = m
-    return metrics
-
-
 def _curriculum_config(args, config: ToolConfig) -> CurriculumConfig:
     cfg = config.curriculum or CurriculumConfig()
     overrides = {}
@@ -341,7 +330,7 @@ def _cmd_plan(args, config) -> Iterable[str]:
     cfg = _curriculum_config(args, config)
     state = initial_state(pool)
     if args.metrics:
-        state = advance_stage(cfg, state, load_json(args.metrics, _metrics_from_json))
+        state = advance_stage(cfg, state, load_json(args.metrics, metrics_from_json))
     doc = {"schema_version": 1, "state": state.to_json()}
     return _json_doc(doc)
 
@@ -354,16 +343,8 @@ def _cmd_sample(args, config) -> Iterable[str]:
     pool = SamplingPool.from_records(_records(args.records))
     state = load_json(args.plan, lambda doc: CurriculumState.from_json(doc["state"]))
     rng = np.random.default_rng(seed)
-    rows = (
-        {
-            "image_id": draw.image_id,
-            "source_id": draw.source_id,
-            "task": draw.task.value,
-            "category": draw.category,
-        }
-        for draw in draw_samples(state, pool, args.n, rng)
-    )
-    return jsonl_lines(rows)
+    draws = draw_samples(state, pool, args.n, rng)
+    return jsonl_lines({**draw._asdict(), "task": draw.task.value} for draw in draws)
 
 
 def _cmd_simulate(args, config) -> Iterable[str]:

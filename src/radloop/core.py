@@ -43,6 +43,8 @@ EPSILON = 1e-9
 #: Maximum absolute per-coordinate error introduced by 2-decimal text output.
 TEXT_ROUNDTRIP_TOL = 0.005
 
+_INF = float("inf")
+
 
 class Task(str, Enum):
     """Training task of a record.
@@ -65,10 +67,9 @@ class Task(str, Enum):
         return TaskFamily(self.value)
 
 
-_AGRG_TASKS = frozenset({Task.AGRG_LOCATE, Task.AGRG_DESCRIBE, Task.AGRG_BOTH})
-
 #: Subtask ordering used wherever the three AGRG subtasks are enumerated.
 AGRG_SUBTASKS = (Task.AGRG_LOCATE, Task.AGRG_DESCRIBE, Task.AGRG_BOTH)
+_AGRG_TASKS = frozenset(AGRG_SUBTASKS)
 
 
 class TaskFamily(str, Enum):
@@ -89,9 +90,9 @@ class Split(str, Enum):
 class NormBox:
     """Axis-aligned box in normalized center format.
 
-    Width and height must be strictly positive. The box is not required to
-    lie inside the unit square on construction; :func:`clamp_box` enforces
-    containment where the pipeline needs it.
+    Every coordinate must be finite, and width and height strictly positive.
+    The box is not required to lie inside the unit square on construction;
+    :func:`clamp_box` enforces containment where the pipeline needs it.
     """
 
     cx: float
@@ -102,6 +103,8 @@ class NormBox:
     def __post_init__(self) -> None:
         if not (self.w > 0 and self.h > 0):
             raise ValueError(f"box sides must be positive, got w={self.w} h={self.h}")
+        if not (abs(self.cx) < _INF and abs(self.cy) < _INF and self.w < _INF and self.h < _INF):
+            raise ValueError(f"box coordinates must be finite, got {self.to_list()}")
 
     def corners(self) -> tuple[float, float, float, float]:
         """Return the (x1, y1, x2, y2) corner form."""

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import accumulate
@@ -41,7 +42,7 @@ from .core import (
     is_number,
     spread,
 )
-from .errors import ConfigError, EmptyLeaf, MissingMetrics, NoMetrics
+from .errors import ConfigError, EmptyLeaf, FormatError, MissingMetrics, NoMetrics
 
 DEFAULT_ALPHA = 0.8
 
@@ -108,6 +109,22 @@ class SourceMetrics:
                 for t, cats in obj.get("per_subtask", {}).items()
             },
         )
+
+
+def metrics_from_json(doc: Any) -> dict[str, SourceMetrics]:
+    """Decode a metrics file, a JSON array of source metrics, keyed by source;
+    a source listed twice is a :class:`FormatError`."""
+    if not isinstance(doc, list):
+        raise FormatError(0, "a metrics file holds a JSON array of source metrics")
+    metrics = {}
+    for index, obj in enumerate(doc):
+        if not isinstance(obj, dict):
+            raise FormatError(0, f"metrics entry {index} must be an object")
+        m = SourceMetrics.from_json(obj)
+        if m.source.key in metrics:
+            raise FormatError(0, f"metrics entry {index} repeats source {m.source.key!r}")
+        metrics[m.source.key] = m
+    return metrics
 
 
 def _fields(obj: Any, *skip: str) -> dict[str, Any]:
@@ -231,9 +248,7 @@ def build_distribution(
     if n == 0:
         raise ValueError("build_distribution needs at least one unit")
 
-    if level is Level.INTRA and grg:
-        probs = [1.0 / n] * n
-    elif strategy is Strategy.UNIFORM:
+    if strategy is Strategy.UNIFORM or (level is Level.INTRA and grg):
         probs = [1.0 / n] * n
     elif strategy is Strategy.NATURAL:
         if sizes is None:
@@ -697,10 +712,8 @@ def run_curriculum(
 
     for steps in stage_lengths(cfg):
         table = DrawTable(state, pool)
-        tally: dict[tuple[str, Task, str], int] = {}
-        for _ in range(steps):
-            leaf = draw_sample(table, rng)[1:]  # (source_id, task, category)
-            tally[leaf] = tally.get(leaf, 0) + 1
+        # Keyed (source_id, task, category) in the order each leaf is first drawn.
+        tally = Counter(draw_sample(table, rng)[1:] for _ in range(steps))
         counts = {
             (DataSourceId(name, task.family).key, task, cat): c
             for (name, task, cat), c in tally.items()

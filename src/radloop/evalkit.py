@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .core import AnnotationRecord, Finding, NormBox, Task, intersection
 from .errors import (
@@ -354,7 +354,7 @@ class SampleRow:
 
 @dataclass
 class EvalReport:
-    """Evaluation results for one task. ``schema_version`` pins the JSON shape."""
+    """Evaluation results for one task; ``to_json`` writes schema version 1."""
 
     task: Task
     mode: str
@@ -367,11 +367,10 @@ class EvalReport:
     micro_text: float | None
     macro_text: float | None
     per_class: dict[str, dict[str, float | int | None]]
-    schema_version: int = 1
 
     def to_json(self) -> dict:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": 1,
             "task": self.task.value,
             "mode": self.mode,
             "scorer": self.scorer,
@@ -450,37 +449,27 @@ def _score_sample(
 
 
 def evaluate_task(
-    preds: Mapping[str, str] | Iterable[tuple[str, str]],
+    preds: Mapping[str, str],
     gold: Sequence[AnnotationRecord],
     task: Task,
     mode: str = "strict",
-    scorer: str | Scorer = "lexical",
+    scorer: str = "lexical",
 ) -> EvalReport:
     """Score predictions against gold records for one task.
 
-    ``preds`` maps sample ids (gold ``image_id`` values) to raw output text.
-    Ids must be unique on both sides and every prediction id must exist in
-    the gold set. In strict mode unparseable outputs score 0 on every metric
-    the task defines and are counted in ``parse_failures``.
+    ``preds`` maps sample ids (gold ``image_id`` values) to raw output text,
+    and ``scorer`` names a registered scorer. Gold ids must be unique and
+    every prediction id must exist in the gold set. In strict mode
+    unparseable outputs score 0 on every metric the task defines and are
+    counted in ``parse_failures``.
     """
-    if isinstance(preds, Mapping):
-        pred_items = list(preds.items())
-    else:
-        pred_items = list(preds)
-    seen: set[str] = set()
-    for pid, _ in pred_items:
-        if pid in seen:
-            raise DuplicateId(f"prediction id {pid!r} appears more than once")
-        seen.add(pid)
-
     by_id: dict[str, AnnotationRecord] = {}
     for rec in gold:
         if rec.image_id in by_id:
             raise DuplicateId(f"gold id {rec.image_id!r} appears more than once")
         by_id[rec.image_id] = rec
 
-    scorer_fn = get_scorer(scorer) if isinstance(scorer, str) else scorer
-    scorer_name = scorer if isinstance(scorer, str) else getattr(scorer, "__name__", "custom")
+    scorer_fn = get_scorer(scorer)
 
     rows: list[SampleRow] = []
     parse_failures = 0
@@ -488,7 +477,7 @@ def evaluate_task(
     # Keyed in the order a category first scores: the micro means sum in it.
     ious: dict[str, list[float]] = {}
     texts: dict[str, list[float]] = {}
-    for pid, text in pred_items:
+    for pid, text in preds.items():
         if pid not in by_id:
             raise UnknownId(f"prediction id {pid!r} not present in gold")
         record = by_id[pid]
@@ -526,7 +515,7 @@ def evaluate_task(
     return EvalReport(
         task=task,
         mode=mode,
-        scorer=scorer_name,
+        scorer=scorer,
         rows=rows,
         n=len(rows),
         parse_failures=parse_failures,

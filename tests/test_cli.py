@@ -1,9 +1,12 @@
+import ast
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
+import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -94,9 +97,13 @@ def test_manifest_config_hash_is_pinned(records_path, tmp_path, monkeypatch):
 
 
 def test_pyproject_version_is_the_package_version():
-    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
-    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
-        assert tomllib.load(fh)["project"]["version"] == radloop.__version__
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # setuptools calls [tool.setuptools] beta
+        project = pyprojecttoml.read_configuration(
+            Path(__file__).resolve().parents[1] / "pyproject.toml"
+        )
+    assert project["project"]["version"] == radloop.__version__
 
 
 class TestIngest:
@@ -294,6 +301,53 @@ class TestPlan:
             ]
         )
         assert rc == 1
+
+    def test_repeated_metrics_source_fails(self, records_path, tmp_path, capsys):
+        low = read_json(write_metrics(tmp_path, pg_iou=0.1))
+        high = read_json(write_metrics(tmp_path, pg_iou=0.9))
+        metrics = tmp_path / "metrics.json"
+        metrics.write_text(json.dumps(low + high[:1]), encoding="utf-8")
+        argv = ["plan", "--records", str(records_path), "--metrics", str(metrics)]
+        assert dispatch(argv + ["--out", str(tmp_path / "plan.json")]) == 1
+        assert capsys.readouterr().err == (
+            "ERROR radloop: FormatError: line 0: metrics entry 2 repeats source 'pgsrc:pg'\n"
+        )
+        assert not (tmp_path / "plan.json").exists()
+
+
+def _stage_probs(sources):
+    """A plan state's ``sources`` as a stage log's (inter_probs, intra_probs)."""
+    inter = {key: s["prob"] for key, s in sources.items()}
+    intra = {
+        key: {t: dict(zip(st["categories"], st["probs"])) for t, st in s["subtasks"].items()}
+        for key, s in sources.items()
+    }
+    return inter, intra
+
+
+def test_simulate_stages_replay_through_plan(tmp_path):
+    """Stage k's logged metrics, fed to ``plan --metrics``, give exactly the
+    probabilities of stage k + 1: the in-process loop and the file loop are one rule."""
+    records = tmp_path / "records.jsonl"
+    spec = {"pgsrc:pg": {"a": 5, "b": 5, "c": 5}, "agsrc:agrg": {"spine": 3, "left lung": 3},
+            "grgsrc:grg": {"report": 4}}
+    dump_records_jsonl(records, make_fixture_dataset(3, spec))
+    sim = tmp_path / "sim.json"
+    argv = ["simulate", "--records", str(records), "--warmup-steps", "40",
+            "--reweight-interval", "40", "--total-steps", "160", "--e0", "0.7",
+            "--rate", "0.01", "--seed", "5", "--out", str(sim)]
+    assert dispatch(argv) == 0
+    doc = read_json(sim)
+    stages = doc["stages"]
+    expected = [(s["inter_probs"], s["intra_probs"]) for s in stages[1:]]
+    expected.append(_stage_probs(doc["final_state"]["sources"]))
+    assert len(stages) == 4
+    for k, stage in enumerate(stages):
+        metrics, plan = tmp_path / f"metrics{k}.json", tmp_path / f"plan{k}.json"
+        metrics.write_text(json.dumps(list(stage["metrics"].values())), encoding="utf-8")
+        argv = ["plan", "--records", str(records), "--metrics", str(metrics), "--out", str(plan)]
+        assert dispatch(argv) == 0
+        assert _stage_probs(read_json(plan)["state"]["sources"]) == expected[k], k
 
 
 class TestSample:
@@ -1389,6 +1443,26 @@ def test_package_names_resolve_to_their_defining_module():
     }
     with pytest.raises(AttributeError):
         radloop.no_such_name
+
+
+def test_every_public_function_is_called_or_documented():
+    """A top-level public function of ``src/radloop`` is referenced outside its
+    own body somewhere in ``src/``, or the README names it."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in (root / "src" / "radloop").glob("*.py")]
+    unused = []
+    for tree in trees:
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            own = set(ast.walk(fn))
+            if not any(
+                node not in own and fn.name in (getattr(node, "id", None), getattr(node, "attr", None))
+                for t in trees for node in ast.walk(t)
+            ) and not re.search(rf"\b{fn.name}\b", readme):
+                unused.append(fn.name)
+    assert unused == []
 
 
 def test_only_array_subcommands_load_numpy(chain_inputs, tmp_path):

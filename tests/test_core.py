@@ -70,6 +70,14 @@ class TestNormBox:
         with pytest.raises(ValueError):
             NormBox(0.5, 0.5, 0.2, -0.1)
 
+    @pytest.mark.parametrize("coords", [
+        (math.nan, 0.5, 0.2, 0.2), (0.5, -math.inf, 0.2, 0.2),
+        (0.5, 0.5, math.inf, 0.2), (0.5, 0.5, 0.2, math.inf),
+    ])
+    def test_rejects_non_finite_coordinates(self, coords):
+        with pytest.raises(ValueError):
+            NormBox(*coords)
+
     def test_area(self):
         assert NormBox(0.5, 0.5, 0.5, 0.5).area() == 0.25
 

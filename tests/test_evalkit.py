@@ -387,11 +387,6 @@ class TestEvaluateTask:
         assert report.parse_failures == 0
         assert [(r.parse_failed, r.salvaged, r.iou) for r in report.rows] == [(False, True, 0.0)] * 2
 
-    def test_duplicate_pred_id(self):
-        gold = _pg_gold(2)
-        with pytest.raises(DuplicateId):
-            evaluate_task([("img-0", "x"), ("img-0", "y")], gold, Task.PG)
-
     def test_duplicate_gold_id(self):
         gold = _pg_gold(1) + _pg_gold(1)
         with pytest.raises(DuplicateId):
