@@ -199,8 +199,8 @@ class ToolConfig:
     def __post_init__(self) -> None:
         if not (is_int(self.version) and self.version == 1):
             raise ValueError(f"version must be 1, got {self.version!r}")
-        if self.seed is not None and not is_int(self.seed):
-            raise ValueError(f"seed must be an integer or null, got {self.seed!r}")
+        if self.seed is not None:
+            _check_seed(self.seed, "the config seed")
         if self.parse_mode not in ("strict", "lenient"):
             raise ValueError(f"parse_mode must be 'strict' or 'lenient', got {self.parse_mode!r}")
 
@@ -270,6 +270,12 @@ def _emit(
     }
     atomic_write(f"{out_path}.manifest.json", _json_doc(manifest))
     log.info("wrote %s", out_path)
+
+
+def _check_seed(seed: Any, name: str) -> None:
+    """The one seed rule, for ``--seed`` and the config seed: a non-negative integer."""
+    if not (is_int(seed) and seed >= 0):
+        raise ConfigError(f"{name} must be a non-negative integer, got {seed!r}")
 
 
 def _require_seed(args: argparse.Namespace, config: ToolConfig) -> int:
@@ -482,6 +488,8 @@ def _run(args: argparse.Namespace) -> int:
 
     config_doc: dict[str, Any] | None = None
     try:
+        if getattr(args, "seed", None) is not None:
+            _check_seed(args.seed, "--seed")
         config = ToolConfig()
         if args.config:
             config_doc = load_json(args.config)

@@ -161,7 +161,10 @@ def verdict_row_from_json(obj: Mapping[str, Any], line: int) -> tuple[str, Judge
 # Endpoint client
 
 #: A transport takes (url, payload, timeout, headers) and returns the
-#: response body as text. The default transport uses ``requests``.
+#: response body as text; any exception it raises is a TransportError, and
+#: a TimeoutError, raised bare or as a ``URLError``'s ``reason`` (urllib's
+#: connect timeout), is a JudgeTimeout. The default transport POSTs with
+#: ``urllib.request``.
 Transport = Callable[[str, Mapping[str, Any], float, Mapping[str, str]], str]
 
 
@@ -207,19 +210,18 @@ def request_hash(prompt: str, model: str) -> str:
 def _default_transport(
     url: str, payload: Mapping[str, Any], timeout: float, headers: Mapping[str, str]
 ) -> str:
-    import requests
-
-    response = requests.post(url, json=dict(payload), timeout=timeout, headers=dict(headers))
-    response.raise_for_status()
-    return response.text
-
-
-def _classify_failure(exc: Exception, req_hash: str) -> TransportError:
-    import requests
-
-    if isinstance(exc, (requests.exceptions.Timeout, TimeoutError)):
-        return JudgeTimeout(str(exc), req_hash)
-    return TransportError(str(exc), req_hash)
+    from urllib import error, request
+    req = request.Request(url, json.dumps(dict(payload)).encode("utf-8"), dict(headers))
+    try:
+        with request.urlopen(req, timeout=timeout) as response:
+            body, charset = response.read(), response.headers.get_content_charset("utf-8")
+    except error.HTTPError as exc:  # status >= 400, or a redirect urllib won't follow
+        exc.close()
+        raise
+    try:
+        return body.decode(charset, "replace")
+    except (LookupError, UnicodeError):  # no usable codec: UTF-8, as when none is named
+        return body.decode("utf-8", "replace")
 
 
 def call_judge(
@@ -258,7 +260,8 @@ def call_judge(
         try:
             text = transport(config.url, payload, config.timeout, headers)
         except Exception as exc:  # noqa: BLE001 - transport is caller-supplied
-            last_error = _classify_failure(exc, req_hash)
+            timed_out = isinstance(getattr(exc, "reason", exc), TimeoutError)
+            last_error = (JudgeTimeout if timed_out else TransportError)(str(exc), req_hash)
             log.debug("judge attempt %d/%d failed: %s", attempt + 1, attempts, last_error)
             if attempt + 1 < attempts:
                 sleep(config.backoff * (2**attempt))

@@ -1,3 +1,6 @@
+import sys
+
+import pytest
 from hypothesis import settings
 
 # One profile for every property test. No per-example deadline: on a loaded
@@ -6,3 +9,10 @@ from hypothesis import settings
 # nothing about the code under test.
 settings.register_profile("radloop", deadline=None)
 settings.load_profile("radloop")
+
+
+@pytest.fixture()
+def block_requests(monkeypatch):
+    """Make ``import requests`` fail, as where it is not installed: radloop's
+    judge client posts with the standard library alone."""
+    monkeypatch.setitem(sys.modules, "requests", None)

@@ -96,14 +96,23 @@ def test_manifest_config_hash_is_pinned(records_path, tmp_path, monkeypatch):
     )
 
 
-def test_pyproject_version_is_the_package_version():
+@pytest.fixture(scope="module")
+def project():
+    """The ``[project]`` table of pyproject.toml as setuptools reads it."""
     pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # setuptools calls [tool.setuptools] beta
-        project = pyprojecttoml.read_configuration(
+        return pyprojecttoml.read_configuration(
             Path(__file__).resolve().parents[1] / "pyproject.toml"
-        )
-    assert project["project"]["version"] == radloop.__version__
+        )["project"]
+
+
+def test_pyproject_version_is_the_package_version(project):
+    assert project["version"] == radloop.__version__
+
+
+def test_numpy_is_the_only_runtime_dependency(project):
+    assert project["dependencies"] == ["numpy>=1.24"]
 
 
 class TestIngest:
@@ -510,24 +519,53 @@ VERDICT = {
 }
 
 
+#: Non-ASCII text for the charset cases.
+_ACCENTED = "Épanchement pleural à droite"
+
+
+def _verdict_bytes(encoding="utf-8", **edits):
+    return json.dumps({**VERDICT, **edits}, ensure_ascii=False).encode(encoding)
+
+
+#: Fixed replies of ``judge_server`` by [GEN] text: (status, Content-Type, body).
+#: Any other text gets VERDICT with that text as its reason.
+_REPLIES = {
+    "garble": (200, "application/json", b"no json here"),
+    "numeric reason": (200, "application/json", _verdict_bytes(reason=5)),
+    "forbidden": (403, "text/plain", b"forbidden"),
+    "latin-1": (200, "application/json; charset=iso-8859-1",
+                _verdict_bytes("latin-1", reason=_ACCENTED)),
+    "utf-8": (200, "application/json", _verdict_bytes(reason=_ACCENTED)),
+    "unknown charset": (200, "application/json; charset=x-no-such-codec",
+                        _verdict_bytes(reason=_ACCENTED)),
+    "bad bytes": (200, "application/json",
+                  _verdict_bytes().replace(b"entailment", b"entail\xffment")),
+}
+
+
 @pytest.fixture()
 def judge_server():
-    hits = []
+    """A local judge endpoint. Yields its URL, the [GEN] text of each request
+    in arrival order, and each raw request body. "flaky" answers 503 the first
+    time; "slow" never answers before the client gives up."""
+    hits, bodies = [], []
+    release = threading.Event()
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
-            length = int(self.headers.get("Content-Length", 0))
-            payload = json.loads(self.rfile.read(length))
-            gen = payload["prompt"].split("[GEN]:\n", 1)[1].split("\n", 1)[0]
+            raw = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+            gen = json.loads(raw)["prompt"].split("[GEN]:\n", 1)[1].split("\n", 1)[0]
             hits.append(gen)
-            if gen == "garble":
-                body = b"no json here"
-            elif gen == "numeric reason":
-                body = json.dumps({**VERDICT, "reason": 5}).encode("utf-8")
-            else:
-                body = json.dumps(VERDICT).encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
+            bodies.append(raw)
+            if gen == "slow":
+                release.wait(10)  # set at teardown; the client has timed out by then
+                return
+            default = (200, "application/json", _verdict_bytes(reason=gen))
+            status, content_type, body = _REPLIES.get(gen, default)
+            if gen == "flaky" and hits.count(gen) == 1:
+                status = 503
+            self.send_response(status)
+            self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
             self.wfile.write(body)
@@ -538,11 +576,13 @@ def judge_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
     thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}/v1", hits
+    yield f"http://127.0.0.1:{server.server_address[1]}/v1", hits, bodies
+    release.set()
     server.shutdown()
     server.server_close()
 
 
+@pytest.mark.usefixtures("block_requests")
 class TestJudgeCommands:
     def _write_judge_inputs(self, tmp_path, url, cache_dir=None):
         endpoint = {"url": url, "model": "judge-model", "max_retries": 0, "timeout": 10}
@@ -572,7 +612,7 @@ class TestJudgeCommands:
         return endpoint_path, gold, pred
 
     def test_judge_then_aggregate(self, tmp_path, judge_server):
-        url, _ = judge_server
+        url, _, _ = judge_server
         endpoint, gold, pred = self._write_judge_inputs(tmp_path, url)
         verdicts = tmp_path / "verdicts.jsonl"
         rc = dispatch(
@@ -607,7 +647,7 @@ class TestJudgeCommands:
         assert table["rows"][0]["entailment_rate"] == 100.0
 
     def test_judge_cache_avoids_refetch(self, tmp_path, judge_server):
-        url, hits = judge_server
+        url, hits, _ = judge_server
         cache = tmp_path / "cache"
         endpoint, gold, pred = self._write_judge_inputs(tmp_path, url, cache_dir=cache)
         args = [
@@ -626,7 +666,7 @@ class TestJudgeCommands:
         assert (tmp_path / "v1.jsonl").read_bytes() == (tmp_path / "v2.jsonl").read_bytes()
 
     def test_a_numeric_reason_fails_validation(self, tmp_path, judge_server):
-        url, hits = judge_server
+        url, hits, _ = judge_server
         endpoint, gold, _ = self._write_judge_inputs(tmp_path, url)
         pred = tmp_path / "numeric.jsonl"
         pred.write_text(
@@ -694,6 +734,90 @@ class TestJudgeCommands:
             ]
         )
         assert rc == 1
+
+
+def _judge_one_row(tmp_path, url, gen, **endpoint):
+    """Write inputs that judge one pred row, ``gen``, against ``url``; return
+    the judge argv and its output path."""
+    endpoint_path, gold, pred = (tmp_path / n for n in ("endpoint.json", "gold.jsonl", "pred.jsonl"))
+    endpoint = {"url": url, "model": "judge-model", "max_retries": 0, "timeout": 10, **endpoint}
+    endpoint_path.write_text(json.dumps(endpoint), encoding="utf-8")
+    gold.write_text(json.dumps({"image_id": "im1", "text": "Normal study."}) + "\n", encoding="utf-8")
+    row = {"image_id": "im1", "anatomy": "left lung", "text": gen}
+    pred.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    out = tmp_path / "verdicts.jsonl"
+    argv = ["judge", "--pred", str(pred), "--gold", str(gold), "--endpoint", str(endpoint_path)]
+    return argv + ["--out", str(out)], out
+
+
+@pytest.mark.usefixtures("block_requests")
+class TestJudgeTransport:
+    """The default transport against a real local endpoint."""
+
+    def test_a_503_is_retried(self, tmp_path, judge_server):
+        url, hits, _ = judge_server
+        argv, out = _judge_one_row(tmp_path, url, "flaky", max_retries=1, backoff=0)
+        assert dispatch(argv) == 0
+        (row,) = read_jsonl(out)
+        assert row["verdict"] == {**VERDICT, "reason": "flaky"}
+        assert hits == ["flaky", "flaky"]
+
+    def test_a_4xx_fails_the_run(self, tmp_path, judge_server, capsys):
+        url, hits, _ = judge_server
+        argv, out = _judge_one_row(tmp_path, url, "forbidden")
+        assert dispatch(argv) == 1
+        assert "ERROR radloop: TransportError: HTTP Error 403" in capsys.readouterr().err
+        assert not out.exists()
+        assert hits == ["forbidden"]
+
+    def test_a_read_timeout(self, tmp_path, judge_server, capsys):
+        url, hits, _ = judge_server
+        argv, out = _judge_one_row(tmp_path, url, "slow", timeout=0.2, max_retries=1, backoff=0)
+        assert dispatch(argv) == 1
+        assert "ERROR radloop: RetriesExhausted: gave up after 2 attempts" in capsys.readouterr().err
+        assert not out.exists()
+        assert hits == ["slow", "slow"]
+        config = judge_module.EndpointConfig(url, "judge-model", timeout=0.2, max_retries=0)
+        with pytest.raises(errors.JudgeTimeout):
+            judge_module.call_judge(judge_module.build_judge_prompt("slow", "gt"), config)
+
+    @pytest.mark.parametrize("gen", ["latin-1", "utf-8", "unknown charset"])
+    def test_the_body_decodes_by_its_charset_else_as_utf8(self, gen, tmp_path, judge_server):
+        url, _, _ = judge_server
+        argv, out = _judge_one_row(tmp_path, url, gen)
+        assert dispatch(argv) == 0
+        (row,) = read_jsonl(out)
+        assert row["verdict"]["reason"] == _ACCENTED
+
+    def test_undecodable_bytes_fail_validation_not_transport(self, tmp_path, judge_server):
+        url, hits, _ = judge_server
+        argv, out = _judge_one_row(tmp_path, url, "bad bytes")
+        assert dispatch(argv) == 0
+        (row,) = read_jsonl(out)
+        assert row["error"].startswith("field 'nli_status' holds 'entail\ufffdment'")
+        assert '"entail\ufffdment"' in row["raw"]
+        assert hits == ["bad bytes"]
+
+    def test_the_request_body_is_the_payload_json(self, tmp_path, judge_server):
+        url, _, bodies = judge_server
+        argv, _ = _judge_one_row(tmp_path, url, _ACCENTED)
+        assert dispatch(argv) == 0
+        payload = {"model": "judge-model",
+                   "prompt": judge_module.build_judge_prompt(_ACCENTED, "Normal study.")}
+        assert bodies == [json.dumps(payload).encode()]
+
+    def test_judge_pairs_in_parallel_match_the_serial_run(self, judge_server):
+        url, hits, _ = judge_server
+        pairs = [(f"gen {i % 7}", "gt") for i in range(28)]
+        responses = {}
+        for parallelism in (1, 4):
+            hits.clear()
+            config = judge_module.EndpointConfig(url, "judge-model", timeout=10, max_retries=0,
+                                                 parallelism=parallelism)
+            responses[parallelism] = judge_module.judge_pairs(pairs, config)
+            assert sorted(hits) == sorted({gen for gen, _ in pairs})
+        assert responses[4] == responses[1]
+        assert [json.loads(r)["reason"] for r in responses[1]] == [gen for gen, _ in pairs]
 
 
 class TestPreprocess:
@@ -1070,7 +1194,7 @@ def test_malformed_input_names_the_domain_error(
     bad = tmp_path / "bad"
     bad.write_text(body, encoding="utf-8")
     # A judge row that got past its decoder would reach this endpoint.
-    url, hits = judge_server
+    url, hits, _ = judge_server
     endpoint = tmp_path / "stub_endpoint.json"
     endpoint.write_text(json.dumps({"url": url, "model": "m", "max_retries": 0}), encoding="utf-8")
     paths = {**fuzz_inputs, "BAD": bad, "ENDPOINT": endpoint}
@@ -1342,6 +1466,39 @@ def test_same_inputs_and_seed_give_the_same_bytes(case, chain_inputs, tmp_path):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("case", ["augment", "sample", "simulate"])
+def test_a_seed_is_a_non_negative_integer(case, source, chain_inputs, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = chain_argv(case, chain_inputs, out)
+    at = argv.index("--seed")
+    if source == "config":
+        del argv[at:at + 2]
+        argv += ["--config", str(tmp_path / "config.json")]
+
+    def run(seed):
+        if source == "flag":
+            argv[at + 1] = str(seed)
+        else:
+            (tmp_path / "config.json").write_text(json.dumps({"seed": seed}), encoding="utf-8")
+        return dispatch(argv)
+
+    assert run(0) == 0
+    old = out.read_bytes()
+    assert run(-1) == 1
+    name = "--seed" if source == "flag" else "the config seed"
+    err = capsys.readouterr().err
+    assert f"ERROR radloop: ConfigError: {name} must be a non-negative integer, got -1" in err
+    assert out.read_bytes() == old
+    assert run(10**38) == 0
+
+
+def test_the_seed_rule_holds_where_the_seed_is_unused(chain_inputs, tmp_path, capsys):
+    argv = chain_argv("gen-tasks", chain_inputs, tmp_path / "out") + ["--seed", "-1"]
+    assert dispatch(argv) == 1
+    assert "ConfigError: --seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # Start-up: numpy loads only in the subcommands that build arrays
 
@@ -1352,9 +1509,9 @@ for argv in json.loads(sys.argv[1]):
     assert dispatch(argv) == 0, argv
 """
 
-_RUN_VERSION = """
+_RUN_AS_MAIN = """
 import runpy
-sys.argv = ["radloop", "--version"]
+sys.argv = ["radloop", *sys.argv[1:]]
 try:
     runpy.run_module("radloop.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
@@ -1372,9 +1529,10 @@ def run_fresh(code, *args):
 
 
 def loaded_after(script, *args):
-    """Run ``script`` in a fresh interpreter; return which of numpy and the
-    judge's thread pool (``concurrent.futures``) it imported."""
-    watched = ("numpy", "concurrent.futures")
+    """Run ``script`` in a fresh interpreter; return which of numpy, the
+    judge's thread pool (``concurrent.futures``) and ``requests`` with its
+    ``urllib3`` it imported."""
+    watched = ("numpy", "concurrent.futures", "requests", "urllib3")
     code = f"import sys\n{script}\nprint(*[m for m in {watched!r} if m in sys.modules], sep=',')"
     proc = run_fresh(code, *args)
     assert proc.returncode == 0, proc.stderr
@@ -1384,7 +1542,15 @@ def loaded_after(script, *args):
 def test_import_and_version_leave_numpy_unloaded():
     # Nor the judge's thread pool: only judge_pairs imports concurrent.futures.
     assert loaded_after("import radloop.cli") == set()
-    assert loaded_after(_RUN_VERSION) == set()
+    assert loaded_after(_RUN_AS_MAIN, "--version") == set()
+
+
+def test_judge_runs_without_requests(judge_server, tmp_path):
+    url, hits, _ = judge_server
+    argv, out = _judge_one_row(tmp_path, url, "as main")
+    assert loaded_after(_RUN_AS_MAIN, *argv) == set()
+    assert hits == ["as main"]
+    assert read_jsonl(out)[0]["verdict"]["reason"] == "as main"
 
 
 # The last line of stderr lists the radloop submodules the run loaded.

@@ -2,6 +2,7 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from urllib.error import URLError
 
 import pytest
 from hypothesis import given, strategies as st
@@ -32,6 +33,8 @@ from radloop.judge import (
     validate_verdict,
     verdict_row_from_json,
 )
+
+pytestmark = pytest.mark.usefixtures("block_requests")
 
 ALL_FIELDS = (
     "reason",
@@ -223,9 +226,8 @@ class TestCallJudge:
         assert len(transport.calls) == 1
 
     def test_timeout_classified(self):
-        import requests
-
-        transport = CountingTransport([requests.exceptions.Timeout("too slow")])
+        # urllib raises a connect timeout as a URLError whose reason is a TimeoutError.
+        transport = CountingTransport([URLError(TimeoutError("too slow"))])
         with pytest.raises(JudgeTimeout):
             call_judge("prompt", config(max_retries=0), transport, sleep=lambda s: None)
 
