@@ -25,10 +25,13 @@ from .core import (
     Finding,
     InstructionInstance,
     NormBox,
+    Rules,
+    check_fields,
     clamp_box,
     config_from_json,
     intersection,
-    is_number,
+    positive_range,
+    ruled,
     spread,
 )
 from .errors import EmptyAfterClamp, FormatError, GridTooFine
@@ -94,46 +97,32 @@ class CropParams:
             raise ValueError(f"bad crop window {(self.x1, self.y1, self.x2, self.y2)}")
 
 
-def _positive_range(name: str, pair: Any, high: float = math.inf) -> tuple[float, float]:
-    """``pair`` as two finite numbers ``lo, hi`` with ``0 < lo <= hi <= high``."""
-    if not (len(pair) == 2 and all(map(is_number, pair)) and 0.0 < pair[0] <= pair[1] <= high):
-        raise ValueError(f"{name} must be two finite numbers, 0 < low <= high <= {high}: {pair}")
-    return pair
-
-
 @dataclass(frozen=True)
 class AugPolicy:
     """Sampling policy for per-instance augmentation draws."""
 
-    p_clahe: float = 0.5
-    clahe_clip_range: tuple[float, float] = (1.0, 4.0)
-    clahe_grid: tuple[int, int] = (8, 8)
-    p_crop: float = 0.3
-    crop_scale_range: tuple[float, float] = (0.8, 1.0)
-    crop_aspect_range: tuple[float, float] = (0.9, 1.1)
-    p_affine: float = 0.5
-    p_bypass: float = 0.3
-    min_box_visibility: float = 0.25
+    p_clahe: float = ruled(Rules.UNIT, 0.5)
+    clahe_clip_range: tuple[float, float] = ruled(positive_range(), (1.0, 4.0))
+    clahe_grid: tuple[int, int] = ruled(
+        (lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(Rules.POSITIVE_INT[0], v)),
+         "two positive integers"), (8, 8))
+    p_crop: float = ruled(Rules.UNIT, 0.3)
+    crop_scale_range: tuple[float, float] = ruled(positive_range(1.0), (0.8, 1.0))
+    crop_aspect_range: tuple[float, float] = ruled(positive_range(), (0.9, 1.1))
+    p_affine: float = ruled(Rules.UNIT, 0.5)
+    p_bypass: float = ruled(Rules.UNIT, 0.3)
+    min_box_visibility: float = ruled(Rules.UNIT, 0.25)
 
     def __post_init__(self) -> None:
-        for name in ("p_clahe", "p_crop", "p_affine", "p_bypass", "min_box_visibility"):
-            value = getattr(self, name)
-            if not (is_number(value) and 0.0 <= value <= 1.0):
-                raise ValueError(f"{name} must be a probability, got {value}")
-        _positive_range("clahe_clip_range", self.clahe_clip_range)
-        scale_lo, _ = _positive_range("crop_scale_range", self.crop_scale_range, 1.0)
-        aspect_lo, aspect_hi = _positive_range("crop_aspect_range", self.crop_aspect_range)
+        check_fields(self)
+        scale_lo, (aspect_lo, aspect_hi) = self.crop_scale_range[0], self.crop_aspect_range
         # Squared width and height of the narrowest window _sample_crop can draw.
         if min(scale_lo * aspect_lo, scale_lo / aspect_hi) < MIN_CROP_SIDE**2:
-            raise ValueError(f"the crop policy can draw a window side below {MIN_CROP_SIDE}")
-        grid = self.clahe_grid
-        if len(grid) != 2 or not all(type(n) is int and n > 0 for n in grid):
-            raise ValueError(f"clahe_grid must be two positive integers, got {grid}")
+            raise ValueError(f"crop_scale_range and crop_aspect_range: window side below {MIN_CROP_SIDE}")
 
     @classmethod
     def from_json(cls, obj: Any) -> "AugPolicy":
-        pairs = ("clahe_clip_range", "crop_scale_range", "crop_aspect_range", "clahe_grid")
-        return config_from_json(cls, obj, "policy", **dict.fromkeys(pairs, tuple))
+        return config_from_json(cls, obj, "policy")
 
 
 DEFAULT_POLICY = AugPolicy()

@@ -124,7 +124,7 @@ import datetime as _dt
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
@@ -139,9 +139,12 @@ from .augment import (
 )
 from .core import (
     AnnotationRecord,
+    Rules,
     Task,
     atomic_write,
+    check_fields,
     config_from_json,
+    expect,
     instance_to_json,
     is_int,
     iter_jsonl,
@@ -153,6 +156,7 @@ from .core import (
     prediction_from_json,
     record_from_json,
     record_to_json,
+    ruled,
 )
 from .curriculum import (
     CurriculumConfig,
@@ -189,20 +193,15 @@ log = logging.getLogger("radloop")
 class ToolConfig:
     """Parsed ``--config`` document. Flags override individual fields."""
 
-    version: int = 1
-    seed: int | None = None
-    parse_mode: str = "strict"
+    version: int = ruled((lambda v: is_int(v) and v == 1, "1"), 1)
+    seed: int | None = ruled(Rules.NON_NEGATIVE_INT, None)
+    parse_mode: str = ruled((lambda v: v in ("strict", "lenient"), "'strict' or 'lenient'"), "strict")
     curriculum: CurriculumConfig | None = None
     policy: AugPolicy | None = None
     endpoint: EndpointConfig | None = None
 
     def __post_init__(self) -> None:
-        if not (is_int(self.version) and self.version == 1):
-            raise ValueError(f"version must be 1, got {self.version!r}")
-        if self.seed is not None:
-            _check_seed(self.seed, "the config seed")
-        if self.parse_mode not in ("strict", "lenient"):
-            raise ValueError(f"parse_mode must be 'strict' or 'lenient', got {self.parse_mode!r}")
+        check_fields(self, ConfigError, "the config ")
 
     @classmethod
     def from_json(cls, obj: Any) -> "ToolConfig":
@@ -272,12 +271,6 @@ def _emit(
     log.info("wrote %s", out_path)
 
 
-def _check_seed(seed: Any, name: str) -> None:
-    """The one seed rule, for ``--seed`` and the config seed: a non-negative integer."""
-    if not (is_int(seed) and seed >= 0):
-        raise ConfigError(f"{name} must be a non-negative integer, got {seed!r}")
-
-
 def _require_seed(args: argparse.Namespace, config: ToolConfig) -> int:
     seed = args.seed if args.seed is not None else config.seed
     if seed is None:
@@ -320,14 +313,10 @@ def _cmd_augment(args, config) -> Iterable[str]:
 def _curriculum_config(args, config: ToolConfig) -> CurriculumConfig:
     cfg = config.curriculum or CurriculumConfig()
     overrides = {}
-    for name in ("alpha", "warmup_steps", "reweight_interval", "total_steps", "min_prob"):
-        value = getattr(args, name, None)
+    for f in fields(cfg):
+        value = getattr(args, f.name.removesuffix("_strategy"), None)
         if value is not None:
-            overrides[name] = value
-    for name in ("inter_strategy", "intra_strategy"):
-        value = getattr(args, name.replace("_strategy", ""), None)
-        if value is not None:
-            overrides[name] = Strategy(value)
+            overrides[f.name] = Strategy(value) if isinstance(f.default, Strategy) else value
     return replace(cfg, **overrides)
 
 
@@ -355,14 +344,12 @@ def _cmd_sample(args, config) -> Iterable[str]:
 
 def _cmd_simulate(args, config) -> Iterable[str]:
     seed = _require_seed(args, config)
+    check_fields(args, ConfigError, "--", DecayParams)
     pool = SamplingPool.from_records(_records(args.records))
     cfg = _curriculum_config(args, config)
-    params = {}
-    for key, ps in pool.sources.items():
-        for task, cats in ps.subtasks.items():
-            for cat in cats:
-                params[(key, task, cat)] = DecayParams(args.e0, args.rate, args.floor)
-    learner = SimulatedLearner(params)
+    leaves = ((key, task, cat) for key, ps in pool.sources.items()
+              for task, cats in ps.subtasks.items() for cat in cats)
+    learner = SimulatedLearner(dict.fromkeys(leaves, DecayParams(args.e0, args.rate, args.floor)))
     logs, state = run_curriculum(cfg, pool, learner, seed=seed)
     doc = {
         "schema_version": 1,
@@ -489,7 +476,7 @@ def _run(args: argparse.Namespace) -> int:
     config_doc: dict[str, Any] | None = None
     try:
         if getattr(args, "seed", None) is not None:
-            _check_seed(args.seed, "--seed")
+            expect(Rules.NON_NEGATIVE_INT, args.seed, "--seed", ConfigError)
         config = ToolConfig()
         if args.config:
             config_doc = load_json(args.config)

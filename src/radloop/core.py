@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
@@ -335,19 +335,73 @@ def is_number(value: Any) -> bool:
     return (isinstance(value, float) or is_int(value)) and abs(value) <= sys.float_info.max
 
 
+#: A value rule: a predicate and what it asks for, as ``<name> must be <what>``.
+Rule = tuple[Callable[[Any], bool], str]
+
+
+class Rules:
+    """The rules several fields share; a rule only one field has is declared on it."""
+
+    TEXT: Rule = (lambda v: isinstance(v, str), "a string")
+    INT: Rule = (is_int, "an integer")
+    NUMBER: Rule = (is_number, "a finite number")
+    METRIC: Rule = (lambda v: v is None or is_number(v), "a finite number or null")
+    UNIT_METRIC: Rule = (lambda v: v is None or (is_number(v) and 0 <= v <= 1), "in [0, 1] or null")
+    UNIT: Rule = (lambda v: is_number(v) and 0 <= v <= 1, "a number in [0, 1]")
+    NON_NEGATIVE: Rule = (lambda v: is_number(v) and v >= 0, "a finite number >= 0")
+    NON_NEGATIVE_INT: Rule = (lambda v: is_int(v) and v >= 0, "a non-negative integer")
+    POSITIVE_INT: Rule = (lambda v: is_int(v) and v > 0, "a positive integer")
+
+
+def list_of(rule: Rule) -> Rule:
+    """A JSON array whose every item satisfies ``rule``."""
+    check, what = rule
+    return (lambda v: isinstance(v, list) and all(map(check, v)), f"a list, each {what}")
+
+
+def positive_range(high: float = _INF) -> Rule:
+    """Two finite numbers ``0 < low <= high``, in an array or tuple, at most ``high``."""
+    what = "two finite numbers, 0 < low <= high" + (f" <= {high}" if high < _INF else "")
+    return (lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(is_number, v))
+            and 0 < v[0] <= v[1] <= high, what)
+
+
+def ruled(rule: Rule, default: Any = MISSING) -> Any:
+    """A dataclass field whose value must satisfy ``rule`` (see :func:`check_fields`)."""
+    return field(default=default, metadata={"rule": rule})
+
+
+def expect(rule: Rule, value: Any, name: str, error: type = ValueError) -> Any:
+    """``value`` if it satisfies ``rule``; else ``error("<name> must be <what>, got <value>")``."""
+    check, what = rule
+    if not check(value):
+        raise error(f"{name} must be {what}, got {value!r:.60}")
+    return value
+
+
+def check_fields(obj: Any, error: type = ValueError, prefix: str = "", cls: type | None = None) -> None:
+    """:func:`expect` each ruled field of dataclass ``cls`` (``obj``'s own by default) on ``obj``, in
+    order, named ``prefix`` + its name; null passes where the default is null, as absence does."""
+    for f in fields(cls or obj):
+        value = getattr(obj, f.name)
+        if "rule" in f.metadata and not (value is None and f.default is None):
+            expect(f.metadata["rule"], value, prefix + f.name, error)
+
+
 def config_from_json(cls: type, obj: Any, what: str, **convert: Callable[[Any], Any]) -> Any:
     """Build config dataclass ``cls`` from a JSON object.
 
-    ``obj`` must be an object whose keys are all fields of ``cls``;
-    ``convert`` maps field names to converters for the values present.
-    Anything else, including a value the converters or the dataclass
-    reject, raises :class:`ConfigError`.
+    ``obj`` must be an object whose keys are all fields of ``cls``. A value is
+    converted by ``convert[name]``, else to its member for an enum field, else
+    from a JSON array to a tuple; anything they or ``cls`` reject is a :class:`ConfigError`.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"the {what} must be a JSON object")
     unknown = set(obj) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    enums = {f.name: type(f.default) for f in fields(cls) if isinstance(f.default, Enum)}
+    convert = {k: tuple for k, v in obj.items() if isinstance(v, list)} | enums | convert
     try:
         return cls(**{k: convert[k](v) if k in convert else v for k, v in obj.items()})
     except (TypeError, ValueError) as exc:

@@ -34,12 +34,16 @@ from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Protocol, Seque
 from .core import (
     AnnotationRecord,
     DataSourceId,
+    Rules,
     Task,
     TaskFamily,
+    check_fields,
     config_from_json,
     enum_from_json,
-    is_int,
+    expect,
     is_number,
+    list_of,
+    ruled,
     spread,
 )
 from .errors import ConfigError, EmptyLeaf, FormatError, MissingMetrics, NoMetrics
@@ -141,27 +145,6 @@ def _entries_to_json(entries: Mapping[str, MetricEntry]) -> dict[str, dict[str, 
     return {c: _present(e) for c, e in entries.items()}
 
 
-#: Value checks for decoded documents: a predicate and what it asks for.
-_TEXT = (lambda v: isinstance(v, str), "a string")
-_INT = (is_int, "an integer")
-_NUMBER = (is_number, "a finite number")
-_METRIC = (lambda v: v is None or is_number(v), "a finite number or null")
-_UNIT_METRIC = (lambda v: v is None or (is_number(v) and 0 <= v <= 1), "in [0, 1] or null")
-
-
-def _expect(kind: tuple[Any, str], value: Any, name: str) -> Any:
-    check, what = kind
-    if not check(value):
-        raise ValueError(f"{name} must be {what}, got {value!r:.60}")
-    return value
-
-
-def _expect_list(kind: tuple[Any, str], value: Any, name: str) -> list[Any]:
-    if not isinstance(value, list):
-        raise ValueError(f"{name} must be a list, got {value!r:.60}")
-    return [_expect(kind, v, name) for v in value]
-
-
 def _check_level(names: Sequence[str], probs: Sequence[float], level: str) -> None:
     """A plan level names each entry once and holds no probabilities, or
     non-negative ones summing to 1 within 1e-6."""
@@ -176,13 +159,13 @@ def _check_level(names: Sequence[str], probs: Sequence[float], level: str) -> No
 
 
 def _source_id(obj: Mapping[str, Any]) -> DataSourceId:
-    name = _expect(_TEXT, obj["name"], "name")
+    name = expect(Rules.TEXT, obj["name"], "name")
     return DataSourceId(name, enum_from_json(TaskFamily, obj, "task", 0))
 
 
 def _entry_from_json(obj: Mapping[str, Any], where: str) -> MetricEntry:
     names = (f.name for f in fields(MetricEntry))
-    return MetricEntry(**{n: _expect(_UNIT_METRIC, obj.get(n), f"{where}: {n}") for n in names})
+    return MetricEntry(**{n: expect(Rules.UNIT_METRIC, obj.get(n), f"{where}: {n}") for n in names})
 
 
 def _entries_from_json(obj: Mapping[str, Any], where: str) -> dict[str, MetricEntry]:
@@ -380,9 +363,9 @@ class CurriculumState:
                 subtask = f"subtask {task_value!r} of {key!r}"
                 subtasks[task] = SubtaskState(
                     task=task,
-                    categories=_expect_list(_TEXT, st["categories"], "categories"),
-                    sizes=_expect_list(_INT, st["sizes"], "sizes"),
-                    probs=[float(p) for p in _expect_list(_NUMBER, st["probs"], "probs")],
+                    categories=expect(list_of(Rules.TEXT), st["categories"], "categories"),
+                    sizes=expect(list_of(Rules.INT), st["sizes"], "sizes"),
+                    probs=[float(p) for p in expect(list_of(Rules.NUMBER), st["probs"], "probs")],
                 )
                 if not len(st["categories"]) == len(st["sizes"]) == len(st["probs"]):
                     raise ValueError(f"{subtask} needs one size and one probability per category")
@@ -392,44 +375,34 @@ class CurriculumState:
                 raise ValueError(f"source {key!r} names {source.key!r}")
             sources[key] = SourceState(
                 source=source,
-                size=_expect(_INT, s["size"], "size"),
-                prob=float(_expect(_NUMBER, s["prob"], "prob")),
-                score=_expect(_METRIC, s.get("score"), "score"),
-                error=_expect(_METRIC, s.get("error"), "error"),
+                size=expect(Rules.INT, s["size"], "size"),
+                prob=float(expect(Rules.NUMBER, s["prob"], "prob")),
+                score=expect(Rules.METRIC, s.get("score"), "score"),
+                error=expect(Rules.METRIC, s.get("error"), "error"),
                 subtasks=subtasks,
             )
         _check_level(list(sources), [s.prob for s in sources.values()], "the sources")
-        return cls(stage_index=_expect(_INT, obj["stage_index"], "stage_index"), sources=sources)
+        return cls(stage_index=expect(Rules.INT, obj["stage_index"], "stage_index"), sources=sources)
 
 
 @dataclass(frozen=True)
 class CurriculumConfig:
-    alpha: float = DEFAULT_ALPHA
-    warmup_steps: int = 3000
-    reweight_interval: int = 3000
-    total_steps: int = 3000
+    alpha: float = ruled(Rules.UNIT, DEFAULT_ALPHA)
+    warmup_steps: int = ruled(Rules.NON_NEGATIVE_INT, 3000)
+    reweight_interval: int = ruled(Rules.POSITIVE_INT, 3000)
+    total_steps: int = ruled(Rules.NON_NEGATIVE_INT, 3000)
     inter_strategy: Strategy = Strategy.CURRICULUM
     intra_strategy: Strategy = Strategy.CURRICULUM
-    min_prob: float = 0.0
+    min_prob: float = ruled((lambda v: is_number(v) and 0 <= v < 1, "a number in [0, 1)"), 0.0)
 
     def __post_init__(self) -> None:
-        steps = (self.warmup_steps, self.reweight_interval, self.total_steps)
-        if not all(map(is_int, steps)):
-            raise ConfigError(f"step counts must be integers, got {steps}")
-        if not (is_number(self.alpha) and 0.0 <= self.alpha <= 1.0):
-            raise ConfigError(f"alpha must be a number in [0, 1], got {self.alpha!r}")
-        if not (is_number(self.min_prob) and 0.0 <= self.min_prob < 1.0):
-            raise ConfigError(f"min_prob must be a number in [0, 1), got {self.min_prob!r}")
-        if self.warmup_steps < 0 or self.reweight_interval <= 0:
-            raise ConfigError("warmup_steps must be >= 0 and reweight_interval > 0")
+        check_fields(self, ConfigError)
         if self.total_steps < self.warmup_steps:
-            raise ConfigError("total_steps must cover at least the warmup")
+            raise ConfigError(f"total_steps must be >= warmup_steps, got {self.total_steps}")
 
     @classmethod
     def from_json(cls, obj: Any) -> "CurriculumConfig":
-        return config_from_json(
-            cls, obj, "curriculum", inter_strategy=Strategy, intra_strategy=Strategy
-        )
+        return config_from_json(cls, obj, "curriculum")
 
 
 def initial_state(pool: SamplingPool) -> CurriculumState:
@@ -747,9 +720,12 @@ def run_curriculum(
 class DecayParams:
     """Exponential error decay: error(n) = e0 * exp(-rate * n) + floor."""
 
-    e0: float
-    rate: float
-    floor: float = 0.0
+    e0: float = ruled(Rules.NON_NEGATIVE)
+    rate: float = ruled(Rules.NON_NEGATIVE)
+    floor: float = ruled(Rules.NON_NEGATIVE, 0.0)
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 def decayed_error(params: DecayParams, n_seen: int) -> float:

@@ -19,7 +19,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .core import atomic_write, config_from_json, get_str, is_int, is_number
+from .core import Rules, atomic_write, check_fields, config_from_json, get_str, is_number, ruled
 from .errors import (
     EmptyInput,
     FormatError,
@@ -170,28 +170,19 @@ Transport = Callable[[str, Mapping[str, Any], float, Mapping[str, str]], str]
 
 @dataclass(frozen=True)
 class EndpointConfig:
-    url: str
-    model: str
-    timeout: float = 60.0
-    max_retries: int = 2
-    backoff: float = 0.5
-    api_key_env: str | None = None
-    cache_dir: str | None = None
-    parallelism: int = 4
+    # urllib, which sends the request, would also read file:, data: and ftp: URLs.
+    url: str = ruled((lambda v: isinstance(v, str) and v.lower().startswith(("http://", "https://")),
+                      "an http or https URL"))
+    model: str = ruled(Rules.TEXT)
+    timeout: float = ruled((lambda v: is_number(v) and v > 0, "a finite number > 0"), 60.0)
+    max_retries: int = ruled(Rules.NON_NEGATIVE_INT, 2)
+    backoff: float = ruled(Rules.NON_NEGATIVE, 0.5)
+    api_key_env: str | None = ruled(Rules.TEXT, None)
+    cache_dir: str | None = ruled(Rules.TEXT, None)
+    parallelism: int = ruled(Rules.POSITIVE_INT, 4)
 
     def __post_init__(self) -> None:
-        if not (is_int(self.max_retries) and self.max_retries >= 0):
-            raise ValueError("max_retries must be an integer >= 0")
-        if not (is_number(self.timeout) and self.timeout > 0):
-            raise ValueError("timeout must be a positive number")
-        if not (is_number(self.backoff) and self.backoff >= 0):
-            raise ValueError("backoff must be a number >= 0")
-        if not (is_int(self.parallelism) and self.parallelism >= 1):
-            raise ValueError("parallelism must be an integer >= 1")
-        if not (isinstance(self.url, str) and isinstance(self.model, str)):
-            raise ValueError("url and model must be strings")
-        if not all(v is None or isinstance(v, str) for v in (self.api_key_env, self.cache_dir)):
-            raise ValueError("api_key_env and cache_dir must be strings or null")
+        check_fields(self)
 
     @classmethod
     def from_json(cls, obj: Any) -> "EndpointConfig":

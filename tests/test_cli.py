@@ -806,6 +806,27 @@ class TestJudgeTransport:
                    "prompt": judge_module.build_judge_prompt(_ACCENTED, "Normal study.")}
         assert bodies == [json.dumps(payload).encode()]
 
+    @pytest.mark.parametrize("scheme", ["file", "data", "ftp"])
+    def test_an_endpoint_url_other_than_http_is_rejected(self, scheme, tmp_path, capsys):
+        # urllib reads these URLs too: a file: endpoint put the file's bytes in the output.
+        secret = tmp_path / "secret.txt"
+        secret.write_text("secret bytes", encoding="utf-8")
+        url = {"file": secret.as_uri(), "data": "data:text/plain,hello",
+               "ftp": "ftp://127.0.0.1:1/verdict"}[scheme]
+        argv, out = _judge_one_row(tmp_path, url, "gen")
+        out.write_bytes(b"old output\n")
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert "ERROR radloop: ConfigError: bad endpoint: url must be an http or https URL" in err
+        assert out.read_bytes() == b"old output\n"
+
+    def test_the_url_scheme_is_case_insensitive(self, tmp_path, judge_server):
+        url, hits, _ = judge_server
+        argv, out = _judge_one_row(tmp_path, url.replace("http://", "HTTP://"), "upper case")
+        assert dispatch(argv) == 0
+        assert read_jsonl(out)[0]["verdict"]["reason"] == "upper case"
+        assert hits == ["upper case"]
+
     def test_judge_pairs_in_parallel_match_the_serial_run(self, judge_server):
         url, hits, _ = judge_server
         pairs = [(f"gen {i % 7}", "gt") for i in range(28)]
@@ -1497,6 +1518,21 @@ def test_the_seed_rule_holds_where_the_seed_is_unused(chain_inputs, tmp_path, ca
     argv = chain_argv("gen-tasks", chain_inputs, tmp_path / "out") + ["--seed", "-1"]
     assert dispatch(argv) == 1
     assert "ConfigError: --seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-1", "-0.5", "nan", "inf"])
+@pytest.mark.parametrize("flag", ["--e0", "--rate", "--floor"])
+def test_a_decay_flag_is_a_finite_number_at_least_zero(flag, value, chain_inputs, tmp_path, capsys):
+    # A negative --rate made exp(-rate * n) overflow in the simulated learner.
+    out = tmp_path / "out"
+    argv = chain_argv("simulate", chain_inputs, out)
+    assert dispatch(argv + [flag, "0"]) == 0
+    old = out.read_bytes()
+    assert dispatch(argv + [flag, value]) == 1
+    err = capsys.readouterr().err
+    assert f"ERROR radloop: ConfigError: {flag} must be a finite number >= 0, got {float(value)!r}" in err
+    assert "Traceback" not in err
+    assert out.read_bytes() == old
 
 
 # ---------------------------------------------------------------------------

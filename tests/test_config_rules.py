@@ -1,0 +1,109 @@
+"""Each config field states its rule once, on the field (``core.ruled``), and
+``core.check_fields`` applies it: these tests derive their cases from the
+declarations, so a new rule is covered the moment it is declared."""
+
+from dataclasses import fields
+from enum import Enum
+
+import pytest
+from hypothesis import given, strategies as st
+
+from radloop.augment import MIN_CROP_SIDE, AugPolicy
+from radloop.cli import ToolConfig
+from radloop.curriculum import CurriculumConfig, DecayParams
+from radloop.errors import ConfigError
+from radloop.judge import EndpointConfig
+
+#: Each ruled class, with values for its required fields.
+_REQUIRED = {
+    EndpointConfig: {"url": "http://127.0.0.1:1/v1", "model": "m"},
+    CurriculumConfig: {},
+    AugPolicy: {},
+    ToolConfig: {},
+    DecayParams: {"e0": 0.5, "rate": 0.001},
+}
+
+#: The rules that relate two fields, over a class's full set of field values.
+_CROSS_FIELD = {
+    CurriculumConfig: lambda v: v["total_steps"] >= v["warmup_steps"],
+    AugPolicy: lambda v: min(
+        v["crop_scale_range"][0] * v["crop_aspect_range"][0],
+        v["crop_scale_range"][0] / v["crop_aspect_range"][1],
+    ) >= MIN_CROP_SIDE**2,
+}
+
+#: Any JSON value: ints past float range, NaN and infinities included. Scalars
+#: and pairs that some rule accepts are drawn as often as nested values, so
+#: every field sees both outcomes.
+_scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.integers(10**308, 10**320) | st.integers(-(10**320), -(10**308))
+)
+_near_valid = (
+    st.floats(0.0, 1.0) | st.integers(0, 9)
+    | st.lists(st.floats(0.0, 2.0), min_size=2, max_size=2)
+    | st.lists(st.integers(0, 9), min_size=2, max_size=2)
+    | st.sampled_from(["strict", "lenient", "http://h/v1", "HTTPS://h", "file:///etc/hostname",
+                      "data:,x", "ftp://h/x"])
+)
+_json_values = _scalars | _near_valid | st.recursive(
+    _scalars,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=2),
+    max_leaves=6,
+)
+
+_RULED_FIELDS = [
+    pytest.param(cls, f, id=f"{cls.__name__}.{f.name}")
+    for cls in _REQUIRED
+    for f in fields(cls)
+    if "rule" in f.metadata
+]
+
+
+def _as_json(value):
+    return list(value) if isinstance(value, tuple) else value
+
+
+@pytest.mark.parametrize("cls, f", _RULED_FIELDS)
+@given(data=st.data())
+def test_a_field_takes_exactly_the_values_its_rule_takes(cls, f, data):
+    # The field's default (or required value) is drawn too, so each field is
+    # seen accepting a value as well as rejecting some.
+    known_good = _as_json(_REQUIRED[cls].get(f.name, f.default))
+    value = data.draw(_json_values | st.just(known_good), label="value")
+    check, what = f.metadata["rule"]
+    doc = {**_REQUIRED[cls], f.name: value}
+    by_rule = bool(check(value)) or (value is None and f.default is None)
+    cross_field = _CROSS_FIELD.get(cls, lambda v: True)
+    valid = by_rule and cross_field({g.name: g.default for g in fields(cls)} | doc)
+    error = ValueError if cls is DecayParams else ConfigError
+    try:
+        # DecayParams is built from flags, never from a document.
+        obj = cls(**doc) if cls is DecayParams else cls.from_json(doc)
+    except error as exc:
+        assert not valid, exc
+        assert f.name in str(exc)
+        if not by_rule:
+            assert f"{f.name} must be {what}, got " in str(exc)
+    else:
+        assert valid
+        assert _as_json(getattr(obj, f.name)) == value
+
+
+def test_every_config_field_declares_a_rule_or_is_converted():
+    sections = {"curriculum": {"alpha": 0.5}, "policy": {"p_crop": 0.5},
+                "endpoint": _REQUIRED[EndpointConfig]}
+    for cls in _REQUIRED:
+        for f in fields(cls):
+            if "rule" in f.metadata:
+                continue
+            if isinstance(f.default, Enum):
+                member = next(m for m in type(f.default) if m is not f.default)
+                obj = cls.from_json({**_REQUIRED[cls], f.name: member.value})
+                assert getattr(obj, f.name) is member
+                continue
+            assert cls is ToolConfig and f.name in sections, f"{cls.__name__}.{f.name} has no rule"
+            value = getattr(ToolConfig.from_json({f.name: sections[f.name]}), f.name)
+            assert type(value).__name__ == f.type.split(" |")[0]
+            assert getattr(ToolConfig.from_json({f.name: {}}), f.name) is None
