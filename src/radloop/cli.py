@@ -139,6 +139,7 @@ from .augment import (
 )
 from .core import (
     AnnotationRecord,
+    Rule,
     Rules,
     Task,
     atomic_write,
@@ -153,6 +154,7 @@ from .core import (
     judge_pred_from_json,
     load_json,
     load_records_jsonl,
+    one_of,
     prediction_from_json,
     record_from_json,
     record_to_json,
@@ -164,7 +166,6 @@ from .curriculum import (
     DecayParams,
     SamplingPool,
     SimulatedLearner,
-    Strategy,
     advance_stage,
     draw_samples,
     initial_state,
@@ -172,7 +173,7 @@ from .curriculum import (
     run_curriculum,
 )
 from .errors import ConfigError, FormatError, RadloopError
-from .evalkit import evaluate_task
+from .evalkit import _SCORERS, evaluate_task
 from .ingest import load_records
 from .judge import (
     EndpointConfig,
@@ -312,12 +313,8 @@ def _cmd_augment(args, config) -> Iterable[str]:
 
 def _curriculum_config(args, config: ToolConfig) -> CurriculumConfig:
     cfg = config.curriculum or CurriculumConfig()
-    overrides = {}
-    for f in fields(cfg):
-        value = getattr(args, f.name.removesuffix("_strategy"), None)
-        if value is not None:
-            overrides[f.name] = Strategy(value) if isinstance(f.default, Strategy) else value
-    return replace(cfg, **overrides)
+    flags = ((f, getattr(args, f.name.removesuffix("_strategy"), None)) for f in fields(cfg))
+    return replace(cfg, **{f.name: type(f.default)(v) for f, v in flags if v is not None})
 
 
 def _cmd_plan(args, config) -> Iterable[str]:
@@ -332,8 +329,6 @@ def _cmd_plan(args, config) -> Iterable[str]:
 
 def _cmd_sample(args, config) -> Iterable[str]:
     import numpy as np
-    if args.n < 0:
-        raise ConfigError(f"--n must be >= 0, got {args.n}")
     seed = _require_seed(args, config)
     pool = SamplingPool.from_records(_records(args.records))
     state = load_json(args.plan, lambda doc: CurriculumState.from_json(doc["state"]))
@@ -344,7 +339,6 @@ def _cmd_sample(args, config) -> Iterable[str]:
 
 def _cmd_simulate(args, config) -> Iterable[str]:
     seed = _require_seed(args, config)
-    check_fields(args, ConfigError, "--", DecayParams)
     pool = SamplingPool.from_records(_records(args.records))
     cfg = _curriculum_config(args, config)
     leaves = ((key, task, cat) for key, ps in pool.sources.items()
@@ -437,6 +431,14 @@ def _cmd_preprocess(args, config) -> Iterable[str]:
     return _json_doc(out.to_json())
 
 
+def _flag_rules() -> dict[str, Rule]:
+    """Each checked flag's rule by its ``dest``: a flag that sets a config field keeps its rule."""
+    return {f.name: f.metadata["rule"] for cls in (ToolConfig, CurriculumConfig, DecayParams)
+            for f in fields(cls) if "rule" in f.metadata} | {
+        "n": (lambda v: v >= 0, ">= 0"), "resize_w": Rules.POSITIVE_INT,
+        "resize_h": Rules.POSITIVE_INT, "scorer": one_of(*_SCORERS)}
+
+
 _HANDLERS = {
     "ingest": _cmd_ingest, "gen-tasks": _cmd_gen_tasks, "augment": _cmd_augment,
     "plan": _cmd_plan, "sample": _cmd_sample, "simulate": _cmd_simulate, "eval": _cmd_eval,
@@ -475,8 +477,9 @@ def _run(args: argparse.Namespace) -> int:
 
     config_doc: dict[str, Any] | None = None
     try:
-        if getattr(args, "seed", None) is not None:
-            expect(Rules.NON_NEGATIVE_INT, args.seed, "--seed", ConfigError)
+        for dest, rule in _flag_rules().items():  # every flag, before any input is read
+            if getattr(args, dest, None) is not None:
+                expect(rule, getattr(args, dest), "--" + dest.replace("_", "-"), ConfigError)
         config = ToolConfig()
         if args.config:
             config_doc = load_json(args.config)

@@ -366,6 +366,11 @@ def positive_range(high: float = _INF) -> Rule:
             and 0 < v[0] <= v[1] <= high, what)
 
 
+def one_of(*values: Any) -> Rule:
+    """Equal to one of ``values``."""
+    return (lambda v: v in values, "one of " + ", ".join(map(repr, values)))
+
+
 def ruled(rule: Rule, default: Any = MISSING) -> Any:
     """A dataclass field whose value must satisfy ``rule`` (see :func:`check_fields`)."""
     return field(default=default, metadata={"rule": rule})
@@ -379,10 +384,10 @@ def expect(rule: Rule, value: Any, name: str, error: type = ValueError) -> Any:
     return value
 
 
-def check_fields(obj: Any, error: type = ValueError, prefix: str = "", cls: type | None = None) -> None:
-    """:func:`expect` each ruled field of dataclass ``cls`` (``obj``'s own by default) on ``obj``, in
-    order, named ``prefix`` + its name; null passes where the default is null, as absence does."""
-    for f in fields(cls or obj):
+def check_fields(obj: Any, error: type = ValueError, prefix: str = "") -> None:
+    """:func:`expect` each ruled field of dataclass ``obj``, in order, named ``prefix``
+    + its name; null passes where the default is null, as absence does."""
+    for f in fields(obj):
         value = getattr(obj, f.name)
         if "rule" in f.metadata and not (value is None and f.default is None):
             expect(f.metadata["rule"], value, prefix + f.name, error)
@@ -392,7 +397,8 @@ def config_from_json(cls: type, obj: Any, what: str, **convert: Callable[[Any], 
     """Build config dataclass ``cls`` from a JSON object.
 
     ``obj`` must be an object whose keys are all fields of ``cls``. A value is
-    converted by ``convert[name]``, else to its member for an enum field, else
+    converted by ``convert[name]``, else to its member for an enum field (a
+    value that names none is a :class:`ConfigError` naming the field), else
     from a JSON array to a tuple; anything they or ``cls`` reject is a :class:`ConfigError`.
     """
     if not isinstance(obj, dict):
@@ -401,6 +407,9 @@ def config_from_json(cls: type, obj: Any, what: str, **convert: Callable[[Any], 
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
     enums = {f.name: type(f.default) for f in fields(cls) if isinstance(f.default, Enum)}
+    for name, kind in enums.items():
+        if name in obj:
+            expect(one_of(*(m.value for m in kind)), obj[name], name, ConfigError)
     convert = {k: tuple for k, v in obj.items() if isinstance(v, list)} | enums | convert
     try:
         return cls(**{k: convert[k](v) if k in convert else v for k, v in obj.items()})

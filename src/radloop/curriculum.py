@@ -319,19 +319,25 @@ class SamplingPool:
 @dataclass
 class SubtaskState:
     task: Task
-    categories: list[str]
-    sizes: list[int]
-    probs: list[float]
+    categories: list[str] = ruled(list_of(Rules.TEXT))
+    sizes: list[int] = ruled(list_of(Rules.INT))
+    probs: list[float] = ruled(list_of(Rules.NUMBER))
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 @dataclass
 class SourceState:
     source: DataSourceId
-    size: int
-    prob: float
-    score: float | None
-    error: float | None
+    size: int = ruled(Rules.INT)
+    prob: float = ruled(Rules.NUMBER)
+    score: float | None = ruled(Rules.METRIC)
+    error: float | None = ruled(Rules.METRIC)
     subtasks: dict[Task, SubtaskState]
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 @dataclass
@@ -361,25 +367,15 @@ class CurriculumState:
             for task_value, st in s["subtasks"].items():
                 task = Task(task_value)
                 subtask = f"subtask {task_value!r} of {key!r}"
-                subtasks[task] = SubtaskState(
-                    task=task,
-                    categories=expect(list_of(Rules.TEXT), st["categories"], "categories"),
-                    sizes=expect(list_of(Rules.INT), st["sizes"], "sizes"),
-                    probs=[float(p) for p in expect(list_of(Rules.NUMBER), st["probs"], "probs")],
-                )
-                if not len(st["categories"]) == len(st["sizes"]) == len(st["probs"]):
+                sub = subtasks[task] = SubtaskState(task, st["categories"], st["sizes"], st["probs"])
+                if not len(sub.categories) == len(sub.sizes) == len(sub.probs):
                     raise ValueError(f"{subtask} needs one size and one probability per category")
-                _check_level(st["categories"], subtasks[task].probs, subtask)
+                _check_level(sub.categories, sub.probs, subtask)
             source = _source_id(s)
             if source.key != key:
                 raise ValueError(f"source {key!r} names {source.key!r}")
             sources[key] = SourceState(
-                source=source,
-                size=expect(Rules.INT, s["size"], "size"),
-                prob=float(expect(Rules.NUMBER, s["prob"], "prob")),
-                score=expect(Rules.METRIC, s.get("score"), "score"),
-                error=expect(Rules.METRIC, s.get("error"), "error"),
-                subtasks=subtasks,
+                source, s["size"], s["prob"], s.get("score"), s.get("error"), subtasks
             )
         _check_level(list(sources), [s.prob for s in sources.values()], "the sources")
         return cls(stage_index=expect(Rules.INT, obj["stage_index"], "stage_index"), sources=sources)

@@ -38,6 +38,7 @@ from .taskgen import RESPONSE_FIELDS, RESPONSE_GRAMMAR
 # Minimum side kept for a degenerate predicted box; keeps the area near zero
 # so a zero-width prediction scores like an empty one instead of crashing.
 _MIN_SIDE = 1e-6
+_INF = float("inf")
 
 
 @dataclass
@@ -264,22 +265,23 @@ def grounding_iou(gt_boxes: Sequence[NormBox], pred_boxes: Sequence[NormBox]) ->
 
     All ground-truth boxes are merged into one region and all predicted boxes
     into another; the score is the area of their intersection over the area
-    of their union. An empty prediction scores 0; empty ground truth raises
-    :class:`EmptyGroundTruth`.
+    of their union. An empty prediction, or a union with no area in doubles,
+    scores 0; empty ground truth raises :class:`EmptyGroundTruth`, and an
+    intersection beyond double range a ``ValueError``.
     """
     if not gt_boxes:
         raise EmptyGroundTruth("grounding IoU needs at least one ground-truth box")
     if not pred_boxes:
         return 0.0
-    inters = []
-    for g in gt_boxes:
-        for p in pred_boxes:
-            box = intersection(g.corners(), p.corners())
-            if box is not None:
-                inters.append(NormBox.from_corners(*box))
-    inter_area = union_area(inters)
+    try:
+        inter_area = union_area([NormBox.from_corners(*box) for g in gt_boxes for p in pred_boxes
+                                 if (box := intersection(g.corners(), p.corners())) is not None])
+    except ValueError:  # from_corners: a centre or side out of double range
+        inter_area = _INF
+    if not inter_area < _INF:
+        raise ValueError("the intersection of the boxes overflows a double")
     total = union_area(list(gt_boxes) + list(pred_boxes))
-    return inter_area / total
+    return inter_area / total if total > 0 else 0.0
 
 
 def aggregate_iou(per_class: Mapping[str, Sequence[float]]) -> tuple[float, float]:

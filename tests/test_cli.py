@@ -1,3 +1,4 @@
+import argparse
 import ast
 import dataclasses
 import json
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import radloop
-from radloop import cli, core, errors, ingest
+from radloop import cli, core, errors, evalkit, ingest
 from radloop import judge as judge_module
 from radloop.augment import AugPolicy, IntensityGrid
 from radloop.cli import dispatch
@@ -483,6 +484,43 @@ class TestEval:
         doc = read_json(out)
         assert doc["counts"] == {"n": 10, "parse_failures": 1 if mode == "strict" else 0}
         assert [r["salvaged"] for r in doc["rows"]] == [mode == "lenient" and i == 3 for i in range(10)]
+
+    def test_boxes_too_thin_for_a_double_score_zero(self, tmp_path, capsys):
+        # Each box's corners round to its centre, so the union has no area:
+        # this raised ZeroDivisionError with a traceback.
+        gold = tmp_path / "gold.jsonl"
+        dump_records_jsonl(gold, [core.AnnotationRecord(
+            "im0", "src", Task.PG, "c", "t", (core.NormBox(0.5, 0.5, 1e-19, 1e-19),))])
+        pred = tmp_path / "pred.jsonl"
+        side = "0.0000000000000000001"
+        row = {"image_id": "im0", "output": f"t: [0.5,0.5,{side},{side}]"}
+        pred.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        out = tmp_path / "report.json"
+        argv = ["eval", "--pred", str(pred), "--gold", str(gold), "--task", "pg", "--out", str(out)]
+        assert dispatch(argv) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        doc = read_json(out)
+        assert doc["counts"] == {"n": 1, "parse_failures": 0}
+        assert doc["rows"][0]["iou"] == 0.0
+
+    def test_an_unknown_scorer_is_named_before_any_input_is_read(self, tmp_path, capsys, monkeypatch):
+        gold, pred = self._write_eval_inputs(tmp_path)
+        missing = tmp_path / "missing.jsonl"
+        out = tmp_path / "r.json"
+
+        def run(scorer, paths):
+            argv = ["eval", "--pred", str(paths[0]), "--gold", str(paths[1]), "--task", "pg"]
+            return dispatch(argv + ["--scorer", scorer, "--out", str(out)])
+
+        for paths in ((pred, gold), (missing, missing)):
+            assert run("bogus", paths) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("ERROR radloop: ConfigError: --scorer must be one of 'lexical'")
+            assert err.endswith(", got 'bogus'\n")
+        # The rule reads the registry when the command runs.
+        monkeypatch.setitem(evalkit._SCORERS, "half", lambda cand, ref: 0.5)
+        assert run("half", (pred, gold)) == 0
+        assert read_json(out)["scorer"] == "half"
 
     def test_duplicate_prediction_fails(self, tmp_path):
         gold, pred = self._write_eval_inputs(tmp_path)
@@ -1533,6 +1571,88 @@ def test_a_decay_flag_is_a_finite_number_at_least_zero(flag, value, chain_inputs
     assert f"ERROR radloop: ConfigError: {flag} must be a finite number >= 0, got {float(value)!r}" in err
     assert "Traceback" not in err
     assert out.read_bytes() == old
+
+
+def _subcommand_parsers():
+    parser = cli._build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+#: (flag dest, subcommand) for every checked flag and every subcommand that takes it.
+_RULED_FLAGS = [
+    pytest.param(dest, name, id=f"{name}-{dest}")
+    for dest in cli._flag_rules()
+    for name, sub in _subcommand_parsers().items()
+    if any(a.dest == dest for a in sub._actions)
+]
+
+
+def test_every_ruled_flag_is_taken_and_every_config_rule_without_a_flag_is_known():
+    taken = {case.values[0] for case in _RULED_FLAGS}
+    assert taken == {"seed", "alpha", "warmup_steps", "reweight_interval", "total_steps", "min_prob",
+                     "e0", "rate", "floor", "n", "resize_w", "resize_h", "scorer"}
+    assert set(cli._flag_rules()) - taken == {"version", "parse_mode"}
+
+
+@pytest.mark.parametrize("dest, command", _RULED_FLAGS)
+def test_a_flag_its_rule_rejects_fails_first_and_names_the_flag(dest, command, tmp_path, capsys):
+    # Every input path is missing: the flag error comes before any input is read.
+    check, what = cli._flag_rules()[dest]
+    actions = _subcommand_parsers()[command]._actions
+    flag = next(a for a in actions if a.dest == dest)
+    for text in ("-1", "0", "2", "nan", "bogus"):  # the first the flag parses and its rule rejects
+        try:
+            value = (flag.type or str)(text)
+        except ValueError:
+            continue
+        if not check(value):
+            break
+    out = tmp_path / "out"
+    argv = [command, f"{flag.option_strings[0]}={text}"]
+    for a in actions:
+        if a.required and a.dest != dest:
+            arg = str(out) if a.dest == "out" else a.choices[0] if a.choices else (
+                "1" if a.type is int else str(tmp_path / "missing"))
+            argv += [a.option_strings[0], arg]
+    out.write_bytes(b"old output\n")
+    Path(f"{out}.manifest.json").write_bytes(b"old manifest\n")
+    assert dispatch(argv) == 1
+    name = "--" + dest.replace("_", "-")
+    assert flag.option_strings[0] == name
+    assert capsys.readouterr().err == f"ERROR radloop: ConfigError: {name} must be {what}, got {value!r}\n"
+    assert out.read_bytes() == b"old output\n"
+    assert Path(f"{out}.manifest.json").read_bytes() == b"old manifest\n"
+
+
+def _edit_plan_source(doc, **fields):
+    doc["state"]["sources"]["pgsrc:pg"].update(fields)
+
+
+def _edit_plan_subtask(doc, **fields):
+    doc["state"]["sources"]["pgsrc:pg"]["subtasks"]["pg"].update(fields)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: _edit_plan_source(doc, size=6.0), "size must be an integer, got 6.0"),
+    (lambda doc: _edit_plan_subtask(doc, sizes=[6, 6.5]), "sizes must be a list, each an integer, got [6, 6.5]"),
+    (lambda doc: _edit_plan_source(doc, prob="0.5"), "prob must be a finite number, got '0.5'"),
+    (lambda doc: _edit_plan_subtask(doc, probs=[0.5, True]),
+     "probs must be a list, each a finite number, got [0.5, True]"),
+    (lambda doc: _edit_plan_subtask(doc, categories=["a", 1]),
+     "categories must be a list, each a string, got ['a', 1]"),
+    (lambda doc: _edit_plan_source(doc, score="high"), "score must be a finite number or null, got 'high'"),
+    (lambda doc: _edit_plan_source(doc, error=[0.5]), "error must be a finite number or null, got [0.5]"),
+])
+def test_a_plan_field_of_the_wrong_type_is_named(edit, message, fuzz_inputs, tmp_path, capsys):
+    doc = read_json(fuzz_inputs["PLAN"])
+    edit(doc)
+    plan = tmp_path / "bad_plan.json"
+    plan.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["sample", "--records", str(fuzz_inputs["RECORDS"]), "--plan", str(plan), "--n", "5",
+            "--seed", "1", "--out", str(tmp_path / "draws.jsonl")]
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"ERROR radloop: FormatError: line 0: bad document: ValueError: {message}\n"
 
 
 # ---------------------------------------------------------------------------

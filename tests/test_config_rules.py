@@ -107,3 +107,27 @@ def test_every_config_field_declares_a_rule_or_is_converted():
             value = getattr(ToolConfig.from_json({f.name: sections[f.name]}), f.name)
             assert type(value).__name__ == f.type.split(" |")[0]
             assert getattr(ToolConfig.from_json({f.name: {}}), f.name) is None
+
+
+_ENUM_FIELDS = [
+    pytest.param(cls, f, id=f"{cls.__name__}.{f.name}")
+    for cls in _REQUIRED
+    for f in fields(cls)
+    if isinstance(f.default, Enum)
+]
+
+
+@pytest.mark.parametrize("cls, f", _ENUM_FIELDS)
+@given(data=st.data())
+def test_an_enum_field_takes_exactly_its_member_values(cls, f, data):
+    # A value that names no member is an error naming the field, not the enum.
+    kind = type(f.default)
+    names = [m.value for m in kind]
+    value = data.draw(_json_values | st.sampled_from(names), label="value")
+    try:
+        obj = cls.from_json({**_REQUIRED[cls], f.name: value})
+    except ConfigError as exc:
+        assert value not in names
+        assert str(exc) == f"{f.name} must be one of {', '.join(map(repr, names))}, got {value!r:.60}"
+    else:
+        assert getattr(obj, f.name) is kind(value)

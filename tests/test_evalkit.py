@@ -1,5 +1,9 @@
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from radloop.core import AnnotationRecord, Finding, NormBox, Task
 from radloop.errors import (
@@ -289,6 +293,92 @@ class TestGroundingIou:
         gt = [NormBox.from_corners(0.1, 0.1, 0.35, 0.3), NormBox.from_corners(0.25, 0.1, 0.5, 0.3)]
         pred = [NormBox.from_corners(0.1, 0.1, 0.5, 0.3)]
         assert grounding_iou(gt, pred) == pytest.approx(1.0, abs=1e-9)
+
+
+# Any finite box, extremes and subnormal sides included.
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_side = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_any_box = st.builds(NormBox, _finite, _finite, _side, _side)
+
+# Centres and sides that are multiples of 1/64, inside and around the unit
+# square: every corner, width and area the sweep computes is then exact.
+_grid = st.integers(-64, 128).map(lambda k: k / 64)
+_grid_side = st.integers(1, 96).map(lambda k: k / 64)
+_grid_box = st.builds(NormBox, _grid, _grid, _grid_side, _grid_side)
+_grid_boxes = st.lists(_grid_box, min_size=1, max_size=5)
+
+
+def exact_iou(gt, pred):
+    """Grounding IoU in rational arithmetic, over the cells the box edges cut."""
+    regions = [
+        [(Fraction(b.cx) - Fraction(b.w) / 2, Fraction(b.cy) - Fraction(b.h) / 2,
+          Fraction(b.cx) + Fraction(b.w) / 2, Fraction(b.cy) + Fraction(b.h) / 2) for b in boxes]
+        for boxes in (gt, pred)
+    ]
+    rects = regions[0] + regions[1]
+    xs = sorted({r[i] for r in rects for i in (0, 2)})
+    ys = sorted({r[i] for r in rects for i in (1, 3)})
+    inter = union = Fraction(0)
+    for x0, x1 in zip(xs, xs[1:]):
+        for y0, y1 in zip(ys, ys[1:]):
+            inside = [any(r[0] <= x0 and x1 <= r[2] and r[1] <= y0 and y1 <= r[3] for r in region)
+                      for region in regions]
+            area = (x1 - x0) * (y1 - y0)
+            inter += area if all(inside) else 0
+            union += area if any(inside) else 0
+    return inter / union if union else Fraction(0)
+
+
+@given(gt=st.lists(_any_box, max_size=4), pred=st.lists(_any_box, max_size=4))
+@example(gt=[NormBox(6.078240841591237e16, 0.0, 5.858151785247778e16, 1.0)],
+         pred=[NormBox(6.078240841591237e16, 0.0, 5.858151785247778e16, 1.0)])
+@example(gt=[NormBox(1.0, 0.0, 1e-06, 1.0)], pred=[NormBox(1.0, 0.0, 1e-06, 1.0)])
+@example(gt=[NormBox(1.3411235158718275e-156, -8.520217390762171e-157,
+                     1.1511334468933737e-156, 1.4207252481059451e-156)],
+         pred=[NormBox(1.3411235158718275e-156, -8.520217390762171e-157,
+                       1.1511334468933737e-156, 1.4207252481059451e-156)])
+def test_grounding_iou_lies_in_the_unit_range_or_fails_by_name(gt, pred):
+    try:
+        value = grounding_iou(gt, pred)
+    except EmptyGroundTruth:
+        assert not gt
+    except ValueError as exc:
+        assert str(exc) == "the intersection of the boxes overflows a double"
+    else:
+        assert 0.0 <= value
+        # The intersection's corners make a round trip through NormBox, so its
+        # area can exceed the union's: by an ulp (the first example), by about
+        # eps * |corner| / side for a box thin for its distance from 0 (the
+        # second, 1 + 1.1e-10), and without bound where the areas are
+        # subnormal (the third, 1 + 3e-12). Only more than that is a fault.
+        thinness = max(max(abs(b.cx), abs(b.cy), 1.0) / min(b.w, b.h) for b in gt + pred)
+        if union_area(gt + pred) >= sys.float_info.min:
+            assert value <= 1.0 + 16 * sys.float_info.epsilon * thinness
+
+
+def test_a_union_with_no_area_in_doubles_scores_zero():
+    tiny = NormBox(0.5, 0.5, 1e-19, 1e-19)  # its corners round to its centre
+    assert grounding_iou([tiny], [tiny]) == 0.0
+
+
+def test_an_intersection_beyond_double_range_is_named():
+    huge = NormBox(0.5, 0.5, 1e200, 1e200)  # was nan: both areas overflowed to inf
+    with pytest.raises(ValueError, match="^the intersection of the boxes overflows a double$"):
+        grounding_iou([huge], [huge])
+
+
+@given(gt=_grid_boxes, pred=st.lists(_grid_box, max_size=5))
+def test_grounding_iou_equals_an_exact_reference_on_a_dyadic_grid(gt, pred):
+    assert abs(grounding_iou(gt, pred) - float(exact_iou(gt, pred))) <= 1e-12
+
+
+@given(gt=_grid_boxes, pred=_grid_boxes, data=st.data())
+def test_grounding_iou_is_symmetric_and_blind_to_box_order_and_repeats(gt, pred, data):
+    value = grounding_iou(gt, pred)
+    assert grounding_iou(pred, gt) == value
+    assert grounding_iou(gt, gt) == 1.0
+    assert grounding_iou(data.draw(st.permutations(gt)), pred) == value
+    assert grounding_iou(gt, pred + data.draw(st.lists(st.sampled_from(pred), max_size=3))) == value
 
 
 class TestAggregateIou:
