@@ -19,10 +19,10 @@ such as label provenance). Both are omitted when empty, so records that do
 not need them serialize with exactly the seven fixed field names.
 
 Every file the package reads or writes goes through the functions at the
-end of this module: :func:`iter_jsonl` for JSONL lines, :func:`load_json`
-for whole-file documents, the record, instance, prediction and judge row
-decoders (all built on :func:`get_str` and :func:`enum_from_json`, which
-coerce nothing), and :func:`atomic_write` for output.
+end of this module: :func:`decode_json`, the one rule for outside JSON, under
+:func:`iter_jsonl` (JSONL lines) and :func:`load_json` (documents), the record,
+instance, prediction and judge row decoders (built on :func:`get_str` and
+:func:`enum_from_json`, which coerce nothing) and :func:`atomic_write` for output.
 """
 
 from __future__ import annotations
@@ -240,54 +240,56 @@ class DataSourceId:
 # JSON files: the one reader, record codec and atomic writer every module uses
 
 
+def decode_json(text: str, line: int = 0, start: int | None = None) -> Any:
+    """Decode outside JSON text by the one rule: a JSONL line, a document (``line``
+    0), or from ``start`` the first value of a judge reply, trailing text ignored.
+
+    The text must be valid UTF-8 (a byte read with ``surrogateescape`` is a lone
+    surrogate here), valid JSON (no over-long integer, no nesting past the recursion
+    limit) and escape no lone surrogate, which no UTF-8 writer can write. Else a
+    :class:`FormatError` names ``line`` (a document: its JSON error's line); its
+    ``__cause__`` is the error that found the fault.
+    """
+    if not text.isascii():  # only such a text can hold an undecoded byte
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise FormatError(line, f"invalid UTF-8 at character {exc.start}") from exc
+    try:  # ValueError also covers over-long integer literals; deep nesting recurses
+        obj = json.loads(text) if start is None else json.JSONDecoder().raw_decode(text, start)[0]
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(line or getattr(exc, "lineno", 0), f"invalid JSON: {exc}") from exc
+    # Only a \u escape decodes to a lone surrogate; testing "\\" first is a cheap memchr.
+    if "\\" in text and "\\u" in text:
+        try:
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise FormatError(line, f"text holds a lone surrogate: {exc}") from exc
+        except RecursionError as exc:  # raw_decode nests deeper than dumps can
+            raise FormatError(line, f"invalid JSON: {exc}") from exc
+    return obj
+
+
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
     """Yield (line_no, object) pairs from a JSONL file; blank lines are skipped.
-
-    This is the only place a file line is decoded. A line that is not valid
-    UTF-8 or not valid JSON, holds a JSON value other than an object, or
-    escapes a lone surrogate (text no UTF-8 writer can write) raises
-    :class:`FormatError` with its line number.
-    """
-    # Undecodable bytes become lone surrogates here, so the line is numbered
-    # before it is rejected; only a non-ASCII line can hold one.
+    Each line is decoded by :func:`decode_json` and must hold a JSON object."""
+    # A byte that is not UTF-8 becomes a lone surrogate, so its line is numbered.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            if not line.isascii():
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError as exc:
-                    raise FormatError(line_no, f"invalid UTF-8 at character {exc.start}") from exc
-            # ValueError also covers over-long integer literals; deep nesting recurses.
-            try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                raise FormatError(line_no, f"invalid JSON: {exc}") from exc
+            obj = decode_json(line, line_no)
             if not isinstance(obj, dict):
                 raise FormatError(line_no, "each line must hold a JSON object")
-            # Only a \u escape can decode to a lone surrogate; the one-character
-            # test first is a memchr, far cheaper than the two-character search.
-            if "\\" in line and "\\u" in line:
-                try:
-                    json.dumps(obj, ensure_ascii=False).encode("utf-8")
-                except UnicodeEncodeError as exc:
-                    raise FormatError(line_no, f"text holds a lone surrogate: {exc}") from exc
             yield line_no, obj
 
 
 def load_json(path: str | Path, decode: Callable[[Any], Any] | None = None) -> Any:
-    """Read a whole-file JSON document (config, plan, metrics, grid).
-
-    ``decode`` turns the document into its value type. Invalid JSON, or a
-    document whose shape ``decode`` cannot handle, raises :class:`FormatError`;
-    domain errors raised by ``decode`` pass through unchanged.
+    """Read a whole-file JSON document (config, policy, endpoint, plan, metrics,
+    grid) by :func:`decode_json`. ``decode`` turns it into its value type; a shape
+    it cannot handle is a :class:`FormatError`, and its domain errors pass through.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (ValueError, RecursionError) as exc:
-            raise FormatError(getattr(exc, "lineno", 0), f"invalid JSON: {exc}") from exc
+    doc = decode_json(Path(path).read_text(encoding="utf-8", errors="surrogateescape"))
     if decode is None:
         return doc
     try:

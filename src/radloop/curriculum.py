@@ -302,11 +302,6 @@ class SamplingPool:
             if entry is None:
                 entry = PoolSource(source=source, subtasks={})
                 pool.sources[source.key] = entry
-            elif entry.source.task is not source.task:
-                raise ConfigError(
-                    f"source {rec.source_id!r} mixes task families "
-                    f"{entry.source.task.value} and {source.task.value}"
-                )
             cats = entry.subtasks.setdefault(rec.task, {})
             cats.setdefault(rec.category, []).append(rec.image_id)
         return pool

@@ -241,9 +241,6 @@ def union_area(boxes: Sequence[NormBox]) -> float:
     xs = sorted({x for r in rects for x in (r[0], r[2])})
     total = 0.0
     for x0, x1 in zip(xs, xs[1:]):
-        width = x1 - x0
-        if width <= 0:
-            continue
         spans = sorted(
             (r[1], r[3]) for r in rects if r[0] <= x0 and r[2] >= x1
         )
@@ -256,7 +253,7 @@ def union_area(boxes: Sequence[NormBox]) -> float:
             elif y2 > cur_end:
                 covered += y2 - cur_end
                 cur_end = y2
-        total += width * covered
+        total += (x1 - x0) * covered
     return total
 
 

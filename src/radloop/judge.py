@@ -12,14 +12,17 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import time
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
+from threading import TIMEOUT_MAX
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .core import Rules, atomic_write, check_fields, config_from_json, get_str, is_number, ruled
+from .core import (Rules, atomic_write, check_fields, config_from_json, decode_json, get_str,
+                   is_number, ruled)
 from .errors import (
     EmptyInput,
     FormatError,
@@ -137,9 +140,9 @@ def validate_verdict(raw: str, lenient: bool = False) -> JudgeVerdict:
     if start < 0:
         raise MalformedJson("no JSON object found in response")
     try:
-        obj, _ = json.JSONDecoder().raw_decode(raw, start)
-    except json.JSONDecodeError as exc:
-        raise MalformedJson(f"invalid JSON in response: {exc}") from exc
+        obj = decode_json(raw, start=start)
+    except FormatError as exc:
+        raise MalformedJson(f"invalid JSON in response: {exc.__cause__}") from exc
     return _verdict_from_mapping(obj, lenient=lenient)
 
 
@@ -174,7 +177,8 @@ class EndpointConfig:
     url: str = ruled((lambda v: isinstance(v, str) and v.lower().startswith(("http://", "https://")),
                       "an http or https URL"))
     model: str = ruled(Rules.TEXT)
-    timeout: float = ruled((lambda v: is_number(v) and v > 0, "a finite number > 0"), 60.0)
+    timeout: float = ruled((lambda v: is_number(v) and 0 < v <= TIMEOUT_MAX,
+                            f"a number in (0, {TIMEOUT_MAX}]"), 60.0)
     max_retries: int = ruled(Rules.NON_NEGATIVE_INT, 2)
     backoff: float = ruled(Rules.NON_NEGATIVE, 0.5)
     api_key_env: str | None = ruled(Rules.TEXT, None)
@@ -183,6 +187,10 @@ class EndpointConfig:
 
     def __post_init__(self) -> None:
         check_fields(self)
+        n = self.max_retries - 1  # the last wait is backoff * 2**n; exponents first: 2**n overflows
+        if self.backoff and n >= 0 and (math.frexp(self.backoff)[1] + n > math.frexp(TIMEOUT_MAX)[1]
+                                        or math.ldexp(self.backoff, n) > TIMEOUT_MAX):
+            raise ValueError(f"the last wait, backoff * 2**(max_retries - 1), must be at most {TIMEOUT_MAX}")
 
     @classmethod
     def from_json(cls, obj: Any) -> "EndpointConfig":
@@ -234,7 +242,7 @@ def call_judge(
     if config.cache_dir is not None:
         cache_path = Path(config.cache_dir) / f"{req_hash}.txt"
         if cache_path.exists():
-            return cache_path.read_text(encoding="utf-8")
+            return cache_path.read_text(encoding="utf-8", errors="replace")
 
     if transport is None:
         transport = _default_transport
@@ -255,7 +263,7 @@ def call_judge(
             last_error = (JudgeTimeout if timed_out else TransportError)(str(exc), req_hash)
             log.debug("judge attempt %d/%d failed: %s", attempt + 1, attempts, last_error)
             if attempt + 1 < attempts:
-                sleep(config.backoff * (2**attempt))
+                sleep(math.ldexp(config.backoff, attempt))
             continue
         if cache_path is not None:
             atomic_write(cache_path, text)

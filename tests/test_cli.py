@@ -578,6 +578,11 @@ _REPLIES = {
                         _verdict_bytes(reason=_ACCENTED)),
     "bad bytes": (200, "application/json",
                   _verdict_bytes().replace(b"entailment", b"entail\xffment")),
+    # Replies the decoding rule rejects: each is one error row, not the run.
+    "huge integer": (200, "application/json", _verdict_bytes().replace(b'"matches"', b"9" * 5000)),
+    "deep nesting": (200, "application/json",
+                     _verdict_bytes().replace(b'"matches"', b"[" * 100_000 + b"]" * 100_000)),
+    "lone surrogate": (200, "application/json", _verdict_bytes().replace(b"matches", b"\\ud800")),
 }
 
 
@@ -877,6 +882,107 @@ class TestJudgeTransport:
             assert sorted(hits) == sorted({gen for gen, _ in pairs})
         assert responses[4] == responses[1]
         assert [json.loads(r)["reason"] for r in responses[1]] == [gen for gen, _ in pairs]
+
+
+@pytest.mark.usefixtures("block_requests")
+class TestJudgeDecoding:
+    """Every reply, live or cached, is decoded by the rule of every JSON input,
+    and the endpoint document is too."""
+
+    _REJECTED = ["huge integer", "deep nesting", "lone surrogate"]
+
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_a_reply_the_rule_rejects_is_one_error_row(self, lenient, tmp_path, judge_server):
+        url, hits, _ = judge_server
+        argv, out = _judge_one_row(tmp_path, url, "Clear.")
+        pred = tmp_path / "pred.jsonl"
+        gens = ["Clear.", *self._REJECTED]
+        pred.write_text("".join(json.dumps({"image_id": "im1", "anatomy": "lung", "text": gen}) + "\n"
+                                for gen in gens), encoding="utf-8")
+        assert dispatch(argv + ["--lenient"] * lenient) == 0
+        rows = read_jsonl(out)
+        assert hits == gens
+        assert rows[0]["verdict"] == {**VERDICT, "reason": "Clear."}
+        for gen, row in zip(self._REJECTED, rows[1:]):
+            assert row["error"].startswith("invalid JSON in response: "), row["error"]
+            assert row["raw"] == _REPLIES[gen][2].decode("utf-8")
+        assert len(rows) == len(gens)
+
+    def test_a_cached_reply_is_decoded_as_a_live_one(self, tmp_path, judge_server):
+        url, hits, _ = judge_server
+        argv, out = _judge_one_row(tmp_path, url, "bad bytes", cache_dir=str(tmp_path / "cache"))
+        assert dispatch(argv) == 0
+        live = out.read_bytes()
+        # The cache holds what the transport decoded; put the endpoint's raw bytes there.
+        (entry,) = (tmp_path / "cache").iterdir()
+        entry.write_bytes(_REPLIES["bad bytes"][2])
+        assert dispatch(argv) == 0
+        assert out.read_bytes() == live
+        assert hits == ["bad bytes"]
+
+    @pytest.mark.parametrize("field", ["model", "api_key_env", "cache_dir"])
+    def test_an_endpoint_escaping_a_lone_surrogate_is_rejected_before_any_request(
+        self, field, tmp_path, judge_server, capsys
+    ):
+        url, hits, _ = judge_server
+        argv, out = _judge_one_row(tmp_path, url, "Clear.")
+        endpoint = tmp_path / "endpoint.json"
+        doc = json.loads(endpoint.read_text(encoding="utf-8"))
+        endpoint.write_text(json.dumps({**doc, field: "\ud800"}), encoding="utf-8")
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR radloop: FormatError: line 0: text holds a lone surrogate: ")
+        assert "Traceback" not in err
+        assert hits == [] and not out.exists()
+
+    def test_the_endpoint_comes_from_the_config_without_endpoint(self, tmp_path, judge_server):
+        url, hits, _ = judge_server
+        argv, out = _judge_one_row(tmp_path, url, "from config")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"endpoint": read_json(tmp_path / "endpoint.json")}),
+                          encoding="utf-8")
+        i = argv.index("--endpoint")
+        assert dispatch(argv[:i] + argv[i + 2:] + ["--config", str(config)]) == 0
+        assert read_jsonl(out)[0]["verdict"] == {**VERDICT, "reason": "from config"}
+        assert hits == ["from config"]
+
+    def test_judge_without_an_endpoint_reads_no_input(self, tmp_path, capsys):
+        argv = ["judge", "--pred", str(tmp_path / "none.jsonl"), "--gold", str(tmp_path / "none"),
+                "--out", str(tmp_path / "out")]
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err == (
+            "ERROR radloop: ConfigError: the judge command needs --endpoint (or a config endpoint)\n")
+
+
+@pytest.mark.parametrize("edit, names", [
+    ({"timeout": 1e300}, ["timeout"]),
+    ({"max_retries": 1, "backoff": 1e308}, ["backoff", "max_retries"]),
+    ({"max_retries": 1100, "backoff": 0.5}, ["backoff", "max_retries"]),
+])
+def test_a_wait_past_timeout_max_is_rejected_before_any_input_is_read(edit, names, tmp_path, capsys):
+    # These waits overflowed in sleep() or in backoff * 2**attempt, with a traceback.
+    endpoint = tmp_path / "endpoint.json"
+    endpoint.write_text(json.dumps({"url": "http://127.0.0.1:1/v1", "model": "m", **edit}),
+                        encoding="utf-8")
+    argv = ["judge", "--pred", str(tmp_path / "none.jsonl"), "--gold", str(tmp_path / "none"),
+            "--endpoint", str(endpoint), "--out", str(tmp_path / "out")]
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR radloop: ConfigError: bad endpoint: "), err
+    assert all(name in err for name in names)
+
+
+def test_zero_backoff_retries_past_attempt_1024(fuzz_inputs, tmp_path, capsys):
+    # backoff * 2**attempt raised OverflowError from attempt 1024 on.
+    endpoint = tmp_path / "endpoint.json"
+    endpoint.write_text(json.dumps({"url": "http://127.0.0.1:1/v1", "model": "m",
+                                    "max_retries": 1100, "backoff": 0.0}), encoding="utf-8")
+    argv = ["judge", "--pred", str(fuzz_inputs["JUDGED"]), "--gold", str(fuzz_inputs["REPORTS"]),
+            "--endpoint", str(endpoint), "--out", str(tmp_path / "out")]
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert "ERROR radloop: RetriesExhausted: gave up after 1101 attempts" in err
+    assert "Traceback" not in err
 
 
 class TestPreprocess:
@@ -1468,6 +1574,68 @@ def test_any_document_is_used_or_rejected_cleanly(case, data, fuzz_inputs, tmp_p
     rc, err = _run_doc(argv, paths, doc, tmp_path, capsys)
     assert rc in (0, 1), err
     assert "Traceback" not in err, err
+
+
+#: The whole-file documents beyond ``_DOC_CASES``: the endpoint and the grid.
+_MORE_DOC_CASES = {
+    "judge-endpoint": (["judge", "--pred", "JUDGED", "--gold", "REPORTS", "--endpoint", "DOC"],
+                       {"url": "http://127.0.0.1:1/v1", "model": "m", "max_retries": 0,
+                        "api_key_env": "K", "cache_dir": "c"}),
+    "preprocess": (["preprocess", "--in", "DOC"], IntensityGrid(8, 8, 255, [9.0] * 64).to_json()),
+}
+
+
+@pytest.mark.parametrize("case", sorted({**_DOC_CASES, **_MORE_DOC_CASES}))
+def test_a_document_escaping_a_lone_surrogate_is_rejected(case, fuzz_inputs, tmp_path, capsys):
+    # At each position, the root included: a string there is read as the
+    # document is decoded, before any rule of its kind applies.
+    if case in _MORE_DOC_CASES:
+        argv, good = _MORE_DOC_CASES[case]
+        paths = {**fuzz_inputs, "DOC": tmp_path / "doc.json"}
+    else:
+        argv, good, paths = _doc_case(case, fuzz_inputs, tmp_path)
+    rc, err = _run_doc(argv, paths, good, tmp_path, capsys)
+    assert rc in (0, 1) and "line 0" not in err  # unreachable endpoint: TransportError
+    for position in _positions(good):
+        rc, err = _run_doc(argv, paths, _replaced(good, position, "a\udc00"), tmp_path, capsys)
+        assert rc == 1
+        assert err.startswith("ERROR radloop: FormatError: line 0: text holds a lone surrogate: "), err
+
+
+@pytest.mark.parametrize("plan, message", [
+    (_plan_doc(categories=[], sizes=[], probs=[]), "subtask 'pgsrc:pg'/pg has no categories"),
+    (_plan_source_doc(subtasks={}), "source 'pgsrc:pg' has no subtasks"),
+])
+def test_a_plan_level_with_nothing_to_draw_is_an_empty_leaf(plan, message, fuzz_inputs, tmp_path,
+                                                            capsys):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan), encoding="utf-8")
+    argv = ["sample", "--records", str(fuzz_inputs["RECORDS"]), "--plan", str(plan_path),
+            "--n", "3", "--seed", "1", "--out", str(tmp_path / "out")]
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err == f"ERROR radloop: EmptyLeaf: {message}\n"
+
+
+def test_curriculum_within_a_source_needs_its_metrics(records_path, tmp_path, capsys):
+    # Uniform across sources reads no source metrics; curriculum within a
+    # non-GRG source reads its category metrics.
+    metrics = tmp_path / "metrics.json"
+    metrics.write_text(json.dumps(_GOOD_METRICS[1:]), encoding="utf-8")
+    argv = ["plan", "--records", str(records_path), "--metrics", str(metrics), "--inter", "uniform",
+            "--intra", "curriculum", "--out", str(tmp_path / "out")]
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err == "ERROR radloop: MissingMetrics: no metrics for source 'pgsrc:pg'\n"
+
+
+def test_a_pg_gold_record_without_boxes_is_empty_ground_truth(tmp_path, capsys):
+    gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+    gold.write_text(json.dumps({**_GOOD_RECORD, "boxes": []}) + "\n", encoding="utf-8")
+    pred.write_text(json.dumps({"image_id": "i", "output": "c: [0.50,0.50,0.20,0.20]"}) + "\n",
+                    encoding="utf-8")
+    argv = ["eval", "--pred", str(pred), "--gold", str(gold), "--task", "pg",
+            "--out", str(tmp_path / "out")]
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err == "ERROR radloop: EmptyGroundTruth: gold record 'i' has no boxes\n"
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ declarations, so a new rule is covered the moment it is declared."""
 
 from dataclasses import fields
 from enum import Enum
+from fractions import Fraction
+from threading import TIMEOUT_MAX
 
 import pytest
 from hypothesis import given, strategies as st
@@ -30,6 +32,10 @@ _CROSS_FIELD = {
         v["crop_scale_range"][0] * v["crop_aspect_range"][0],
         v["crop_scale_range"][0] / v["crop_aspect_range"][1],
     ) >= MIN_CROP_SIDE**2,
+    # The last retry wait, exactly: no float is formed, so no 2**n overflows.
+    EndpointConfig: lambda v: v["max_retries"] == 0 or v["backoff"] == 0 or (
+        v["max_retries"] < 1200 and Fraction(v["backoff"]) * 2 ** (v["max_retries"] - 1) <= TIMEOUT_MAX
+    ),
 }
 
 #: Any JSON value: ints past float range, NaN and infinities included. Scalars

@@ -25,6 +25,7 @@ from radloop.core import (
     atomic_write,
     boxes_from_json,
     clamp_box,
+    decode_json,
     dump_records_jsonl,
     enum_from_json,
     instance_from_json,
@@ -34,6 +35,7 @@ from radloop.core import (
     jsonl_lines,
     judge_gold_from_json,
     judge_pred_from_json,
+    load_json,
     load_records_jsonl,
     prediction_from_json,
     record_from_json,
@@ -413,6 +415,56 @@ json_values = st.recursive(
 text_lines = st.lists(st.one_of(json_values.map(json.dumps), st.text(max_size=20)), max_size=4)
 
 
+class TestDecodeJson:
+    """The one rule for outside JSON text: rows, documents and judge replies."""
+
+    @pytest.mark.parametrize("text, reason", [
+        pytest.param("{\n\n  \"a\": \udcff}", "invalid UTF-8 at character 10", id="bad byte"),
+        pytest.param('{"a": ' + "1" * 5000 + "}", "invalid JSON: Exceeds the limit (4300 digits)",
+                     id="huge integer"),
+        pytest.param("[" * 100_000 + "]" * 100_000, "invalid JSON: maximum recursion depth exceeded",
+                     id="deep nesting"),
+        pytest.param('["\\udfff"]', "text holds a lone surrogate: ", id="low surrogate"),
+        pytest.param('{"a": "\\ud83d"}', "text holds a lone surrogate: ", id="high surrogate"),
+    ])
+    def test_a_fault_names_the_line_given(self, text, reason):
+        for line in (0, 9):
+            with pytest.raises(FormatError) as err:
+                decode_json(text, line)
+            assert err.value.line == line
+            assert err.value.reason.startswith(reason)
+            assert err.value.__cause__ is not None
+
+    def test_a_document_names_the_line_of_its_json_error(self):
+        with pytest.raises(FormatError) as err:
+            decode_json('{\n  "a": 1,\n  "b": \n}')
+        assert err.value.line == 4
+        with pytest.raises(FormatError) as err:
+            decode_json('{\n  "a": 1,\n  "b": \n}', 7)
+        assert err.value.line == 7
+
+    def test_a_reply_decodes_its_first_value_from_start(self):
+        assert decode_json('Sure: {"a": "\\u00e9"} hope it helps {', start=6) == {"a": "\u00e9"}
+        with pytest.raises(FormatError, match="lone surrogate"):
+            decode_json('Sure: {"a": "\\ud800"}', start=6)
+        with pytest.raises(FormatError, match="Extra data"):
+            decode_json('{"a": 1} trailing')
+
+    def test_a_surrogate_pair_is_one_code_point(self):
+        assert decode_json('["\\ud83d\\ude00", "\\u00e9"]') == ["\U0001f600", "\u00e9"]
+
+    def test_a_lone_surrogate_in_a_document_is_line_0(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text('{\n  "cache_dir": "\\ud800"\n}\n', encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            load_json(path)
+        assert str(err.value).startswith("line 0: text holds a lone surrogate: ")
+        path.write_bytes(b'{\n  "cache_dir": "\xff"\n}\n')
+        with pytest.raises(FormatError) as err:
+            load_json(path)
+        assert str(err.value) == "line 0: invalid UTF-8 at character 18"
+
+
 class TestReadersAreTotal:
     """Every reader returns its documented type or raises FormatError."""
 
@@ -535,6 +587,21 @@ class TestInstanceJson:
         with pytest.raises(FormatError):
             instance_from_json(obj)
 
+
+    @pytest.mark.parametrize("structured, reason", [
+        (None, "missing field 'structured'"),
+        ([1], "each line must hold a JSON object"),
+        ("record", "each line must hold a JSON object"),
+    ])
+    def test_structured_must_be_an_object(self, structured, reason):
+        obj = instance_to_json(render_instruction(_sample_records()[0]))
+        if structured is None:
+            del obj["structured"]
+        else:
+            obj["structured"] = structured
+        with pytest.raises(FormatError) as err:
+            instance_from_json(obj, line=4)
+        assert (err.value.line, err.value.reason) == (4, reason)
 
     @pytest.mark.parametrize(
         "field, value", [("category", [2]), ("instruction", {}), ("image_id", 5), ("response", None)]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from radloop import evalkit
 from radloop.core import AnnotationRecord, Finding, NormBox, Task
 from radloop.errors import (
     DuplicateId,
@@ -417,7 +418,9 @@ class TestLexicalScore:
         # 2 shared tokens, 3 cand, 2 ref -> p=2/3, r=1 -> F1=0.8
         assert lexical_fact_score("left pleural effusion", "pleural effusion") == pytest.approx(0.8)
 
-    def test_registry(self):
+    def test_registry(self, monkeypatch):
+        # The registry is module state: the test's scorer leaves with the test.
+        monkeypatch.setattr(evalkit, "_SCORERS", dict(evalkit._SCORERS))
         register_scorer("always_half", lambda c, r: 0.5)
         assert get_scorer("always_half")("x", "y") == 0.5
         with pytest.raises(ValueError):

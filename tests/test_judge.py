@@ -2,6 +2,8 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
+from threading import TIMEOUT_MAX
 from urllib.error import URLError
 
 import pytest
@@ -162,6 +164,71 @@ class TestValidateVerdict:
     def test_broken_json(self):
         with pytest.raises(MalformedJson):
             validate_verdict('{"reason": "x", ')
+
+
+#: Reply text no decoder should raise a bare error on: an over-long integer,
+#: nesting past the recursion limit and escaped lone surrogates.
+_HOSTILE = ("9" * 5000, "[" * 100_000 + "]" * 100_000, '"\\ud800"', '"\\udc00\\ud800"', '"a\\udfff"')
+
+
+def _reply_with(name, fragment):
+    """A verdict reply whose field ``name`` holds the JSON text ``fragment``."""
+    fields = (f"{json.dumps(k)}: {fragment if k == name else json.dumps(v)}"
+              for k, v in verdict_dict().items())
+    return "{" + ", ".join(fields) + "}"
+
+
+_fragments = (
+    st.sampled_from(_HOSTILE) | st.text()
+    | st.integers(0, 1200).map(lambda n: "[" * n + "]" * n)
+    | st.integers(4290, 4310).map(lambda n: "1" * n)
+    | st.from_regex(r'"(\\u[dD][0-9a-fA-F]{3}|[a-z ])*"', fullmatch=True)
+)
+_replies = st.text() | st.builds(
+    lambda before, name, fragment, after: before + _reply_with(name, fragment) + after,
+    st.text(max_size=4), st.sampled_from(ALL_FIELDS), _fragments, st.text(max_size=4),
+)
+
+
+def _assert_verdict_or_radloop_error(raw):
+    # Never a bare ValueError, RecursionError or UnicodeError: one odd reply
+    # costs one error row, not the judge run.
+    for lenient in (False, True):
+        try:
+            verdict = validate_verdict(raw, lenient=lenient)
+        except RadloopError:
+            continue
+        json.dumps(verdict.to_json(), ensure_ascii=False).encode("utf-8")
+
+
+@given(raw=_replies)
+def test_any_reply_is_a_verdict_or_a_radloop_error(raw):
+    _assert_verdict_or_radloop_error(raw)
+
+
+@pytest.mark.parametrize("name", ["reason", "nli_status"])
+@pytest.mark.parametrize("leaf", ["", '"\\u00e9"'])
+def test_a_reply_nested_to_any_depth_is_a_verdict_or_a_radloop_error(name, leaf):
+    # Each depth up to past the recursion limit: a value that decodes must not
+    # recurse too deep where the lone-surrogate check re-encodes it, or where
+    # an error message shows it.
+    for depth in range(sys.getrecursionlimit() + 10):
+        _assert_verdict_or_radloop_error(_reply_with(name, "[" * depth + leaf + "]" * depth))
+
+
+@pytest.mark.parametrize("fragment, message", [
+    pytest.param("9" * 5000, "invalid JSON in response: Exceeds the limit (4300 digits)",
+                 id="huge integer"),
+    pytest.param("[" * 100_000 + "]" * 100_000,
+                 "invalid JSON in response: maximum recursion depth exceeded", id="deep nesting"),
+    pytest.param('"\\ud800"', "invalid JSON in response: 'utf-8' codec can't encode character '\\ud800'",
+                 id="lone surrogate"),
+])
+def test_a_reply_the_decoding_rule_rejects_is_malformed(fragment, message):
+    for lenient in (False, True):
+        with pytest.raises(MalformedJson) as err:
+            validate_verdict(_reply_with("reason", fragment), lenient=lenient)
+        assert str(err.value).startswith(message)
 
 
 class TestRequestHash:
@@ -341,6 +408,33 @@ class TestEndpointConfig:
             config(timeout=0)
         with pytest.raises(ValueError):
             config(parallelism=0)
+
+    def test_the_last_wait_and_the_timeout_are_at_most_timeout_max(self):
+        # backoff * 2**attempt overflowed a float from attempt 1024, and
+        # sleep() takes no wait past TIMEOUT_MAX.
+        assert config(max_retries=1, backoff=TIMEOUT_MAX, timeout=TIMEOUT_MAX).backoff == TIMEOUT_MAX
+        for edit in ({"max_retries": 1, "backoff": 1e308}, {"max_retries": 1100, "backoff": 0.5},
+                     {"max_retries": 2, "backoff": TIMEOUT_MAX}, {"timeout": 1e300}):
+            with pytest.raises(ConfigError) as err:
+                EndpointConfig.from_json({"url": "http://x", "model": "m", **edit})
+            assert all(name in str(err.value) for name in edit)
+
+
+@given(
+    backoff=st.floats(0, TIMEOUT_MAX * 2) | st.floats(0, 1e-300) | st.floats(0) | st.just(0.0),
+    max_retries=st.integers(0, 1200),
+)
+def test_an_accepted_config_sleeps_at_most_timeout_max(backoff, max_retries):
+    try:
+        cfg = config(backoff=backoff, max_retries=max_retries)
+    except ValueError:
+        return
+    sleeps = []
+    with pytest.raises((RetriesExhausted, TransportError)):
+        call_judge("p", cfg, CountingTransport([OSError("down")] * (max_retries + 1)), sleeps.append)
+    assert len(sleeps) == max_retries
+    assert all(0 <= wait <= TIMEOUT_MAX for wait in sleeps)
+    assert sleeps == [float(Fraction(backoff) * 2**attempt) for attempt in range(max_retries)]
 
 
 class TestAggregation:
