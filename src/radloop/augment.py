@@ -134,7 +134,9 @@ def apply_affine_to_box(box: NormBox, params: AffineParams) -> NormBox:
     The four corners are scaled about the image center, rotated, then
     translated; the output box is the tight axis-aligned hull of the
     transformed corners, clamped to the unit square.
-    :class:`EmptyAfterClamp` propagates when nothing remains inside.
+    :class:`EmptyAfterClamp` propagates when nothing remains inside, and is
+    raised when the hull is no box in doubles: a side rounds to 0, or a
+    corner, the centre or a side overflows.
     """
     x1, y1, x2, y2 = box.corners()
     cos_t = math.cos(math.radians(params.theta))
@@ -148,7 +150,10 @@ def apply_affine_to_box(box: NormBox, params: AffineParams) -> NormBox:
         ry = sin_t * dx + cos_t * dy
         xs.append(rx + 0.5 + params.tx)
         ys.append(ry + 0.5 + params.ty)
-    hull = NormBox.from_corners(min(xs), min(ys), max(xs), max(ys))
+    try:
+        hull = NormBox.from_corners(min(xs), min(ys), max(xs), max(ys))
+    except ValueError as exc:
+        raise EmptyAfterClamp(f"the affine image of box {box.to_list()} is no box in doubles") from exc
     return clamp_box(hull)
 
 
@@ -162,7 +167,8 @@ def random_resized_crop(
     Boxes are clipped to the window; a box keeping less than
     ``min_box_visibility`` of its original area is dropped. Returns the
     surviving boxes and a fallback flag that is True when a non-empty input
-    lost every box.
+    lost every box. A box that meets the window but whose area underflows
+    to 0 raises :class:`EmptyAfterClamp`: its visibility cannot be measured.
     """
     cw = crop.x2 - crop.x1
     ch = crop.y2 - crop.y1
@@ -172,6 +178,8 @@ def random_resized_crop(
         if inside is None:
             continue
         ix1, iy1, ix2, iy2 = inside
+        if box.area() == 0.0:
+            raise EmptyAfterClamp(f"box {box.to_list()} has no area in doubles")
         visibility = ((ix2 - ix1) * (iy2 - iy1)) / box.area()
         if visibility < min_box_visibility:
             continue
@@ -429,9 +437,10 @@ def augment_instance(
     Draw order is fixed: bypass, contrast, crop, affine. A bypass draw routes
     the instance through the deterministic evaluation path (no spatial
     change; fixed contrast parameters are recorded). When a transform would
-    leave a grounded finding without boxes, the original instance is
-    returned unchanged. The response is rebuilt from the transformed record
-    by the template renderer. Every draw comes from ``random.Random(seed)``.
+    leave a grounded finding without boxes, or cannot map or measure a box
+    in doubles, the original instance is returned unchanged. The response is
+    rebuilt from the transformed record by the template renderer. Every draw
+    comes from ``random.Random(seed)``.
     """
     rng = random.Random(seed)
     record = instance.structured

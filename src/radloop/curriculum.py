@@ -318,9 +318,6 @@ class SubtaskState:
     sizes: list[int] = ruled(list_of(Rules.INT))
     probs: list[float] = ruled(list_of(Rules.NUMBER))
 
-    def __post_init__(self) -> None:
-        check_fields(self)
-
 
 @dataclass
 class SourceState:
@@ -330,9 +327,6 @@ class SourceState:
     score: float | None = ruled(Rules.METRIC)
     error: float | None = ruled(Rules.METRIC)
     subtasks: dict[Task, SubtaskState]
-
-    def __post_init__(self) -> None:
-        check_fields(self)
 
 
 @dataclass
@@ -363,6 +357,7 @@ class CurriculumState:
                 task = Task(task_value)
                 subtask = f"subtask {task_value!r} of {key!r}"
                 sub = subtasks[task] = SubtaskState(task, st["categories"], st["sizes"], st["probs"])
+                check_fields(sub)
                 if not len(sub.categories) == len(sub.sizes) == len(sub.probs):
                     raise ValueError(f"{subtask} needs one size and one probability per category")
                 _check_level(sub.categories, sub.probs, subtask)
@@ -372,6 +367,7 @@ class CurriculumState:
             sources[key] = SourceState(
                 source, s["size"], s["prob"], s.get("score"), s.get("error"), subtasks
             )
+            check_fields(sources[key])
         _check_level(list(sources), [s.prob for s in sources.values()], "the sources")
         return cls(stage_index=expect(Rules.INT, obj["stage_index"], "stage_index"), sources=sources)
 
@@ -489,7 +485,7 @@ def advance_stage(
                 grg=grg,
                 min_prob=cfg.min_prob,
             )
-            new_subtasks[task] = SubtaskState(task, list(st.categories), list(st.sizes), probs)
+            new_subtasks[task] = SubtaskState(task, st.categories, st.sizes, probs)
         new_sources[key] = SourceState(
             old.source, old.size, prob, score, _error(score), new_subtasks
         )

@@ -353,19 +353,41 @@ class SampleRow:
 
 @dataclass
 class EvalReport:
-    """Evaluation results for one task; ``to_json`` writes schema version 1."""
+    """One task's scored rows and the summaries derived from them.
+
+    ``per_class`` lists categories in the order they first appear; the micro
+    means sum the scores grouped by category, in the order each category
+    first scores. ``to_json`` writes schema version 1.
+    """
 
     task: Task
     mode: str
     scorer: str
     rows: list[SampleRow]
-    n: int
-    parse_failures: int
-    micro_iou: float | None
-    macro_iou: float | None
-    micro_text: float | None
-    macro_text: float | None
-    per_class: dict[str, dict[str, float | int | None]]
+    n: int = field(init=False)
+    parse_failures: int = field(init=False)
+    micro_iou: float | None = field(init=False)
+    macro_iou: float | None = field(init=False)
+    micro_text: float | None = field(init=False)
+    macro_text: float | None = field(init=False)
+    per_class: dict[str, dict[str, float | int | None]] = field(init=False)
+
+    def __post_init__(self) -> None:
+        ious: dict[str, list[float]] = {}
+        texts: dict[str, list[float]] = {}
+        for row in self.rows:
+            if row.iou is not None:
+                ious.setdefault(row.category, []).append(row.iou)
+            if row.text_score is not None:
+                texts.setdefault(row.category, []).append(row.text_score)
+        self.n = len(self.rows)
+        self.parse_failures = sum(row.parse_failed for row in self.rows)
+        self.micro_iou, self.macro_iou = aggregate_iou(ious) if ious else (None, None)
+        self.micro_text, self.macro_text = aggregate_iou(texts) if texts else (None, None)
+        self.per_class = {
+            cat: {"n": n, "iou": _mean(ious.get(cat)), "text_score": _mean(texts.get(cat))}
+            for cat, n in Counter(row.category for row in self.rows).items()
+        }
 
     def to_json(self) -> dict:
         return {
@@ -457,13 +479,16 @@ def evaluate_task(
     """Score predictions against gold records for one task.
 
     ``preds`` maps sample ids (gold ``image_id`` values) to raw output text,
-    and ``scorer`` names a registered scorer. Gold ids must be unique and
-    every prediction id must exist in the gold set. In strict mode
-    unparseable outputs score 0 on every metric the task defines and are
-    counted in ``parse_failures``.
+    and ``scorer`` names a registered scorer. Gold records of other tasks
+    are skipped; the ids of ``task``'s gold records must be unique, and every
+    prediction id must be one of them. In strict mode unparseable outputs
+    score 0 on every metric the task defines and are counted in
+    ``parse_failures``.
     """
     by_id: dict[str, AnnotationRecord] = {}
     for rec in gold:
+        if rec.task is not task:
+            continue
         if rec.image_id in by_id:
             raise DuplicateId(f"gold id {rec.image_id!r} appears more than once")
         by_id[rec.image_id] = rec
@@ -471,56 +496,24 @@ def evaluate_task(
     scorer_fn = get_scorer(scorer)
 
     rows: list[SampleRow] = []
-    parse_failures = 0
-    sizes: dict[str, int] = {}
-    # Keyed in the order a category first scores: the micro means sum in it.
-    ious: dict[str, list[float]] = {}
-    texts: dict[str, list[float]] = {}
     for pid, text in preds.items():
         if pid not in by_id:
-            raise UnknownId(f"prediction id {pid!r} not present in gold")
+            raise UnknownId(f"prediction id {pid!r} has no {task.value} gold record")
         record = by_id[pid]
         parsed: ParsedOutput | None
         try:
             parsed = parse_output(text, task, mode)
         except ParseError:
             parsed = None
-            parse_failures += 1
         iou, text_score = _score_sample(record, parsed, task, scorer_fn)
-        category = record.category
         rows.append(
             SampleRow(
                 id=pid,
-                category=category,
+                category=record.category,
                 iou=iou,
                 text_score=text_score,
                 parse_failed=parsed is None,
                 salvaged=bool(parsed.salvaged) if parsed else False,
             )
         )
-        sizes[category] = sizes.get(category, 0) + 1
-        if iou is not None:
-            ious.setdefault(category, []).append(iou)
-        if text_score is not None:
-            texts.setdefault(category, []).append(text_score)
-
-    micro_iou, macro_iou = aggregate_iou(ious) if ious else (None, None)
-    micro_text, macro_text = aggregate_iou(texts) if texts else (None, None)
-    per_class: dict[str, dict[str, float | int | None]] = {
-        cat: {"n": n, "iou": _mean(ious.get(cat)), "text_score": _mean(texts.get(cat))}
-        for cat, n in sizes.items()
-    }
-
-    return EvalReport(
-        task=task,
-        mode=mode,
-        scorer=scorer,
-        rows=rows,
-        n=len(rows),
-        parse_failures=parse_failures,
-        micro_iou=micro_iou,
-        macro_iou=macro_iou,
-        micro_text=micro_text,
-        macro_text=macro_text,
-        per_class=per_class,
-    )
+    return EvalReport(task, mode, scorer, rows)

@@ -5,10 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from radloop import augment
 from radloop.augment import (
+    DEFAULT_POLICY,
     EVAL_CLAHE_CLIP,
     EVAL_CLAHE_GRID,
     MAX_GRID_LEVEL,
@@ -582,3 +583,58 @@ class TestDrawRanges:
             assert _within(h * h, s_lo / a_hi, s_hi / a_lo)
         elif w < 1.0:
             assert _within(w * w, s_lo * a_lo, s_hi * a_hi)
+
+
+_FULL_FRAME_CROP = AugPolicy(p_crop=1.0, p_bypass=0.0, crop_scale_range=(1.0, 1.0),
+                             crop_aspect_range=(1.0, 1.0))
+_AFFINE_ONLY = AugPolicy(p_bypass=0.0, p_clahe=0.0, p_crop=0.0, p_affine=1.0)
+# Every box the record schema admits: finite coordinates, positive sides.
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_side = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_schema_box = st.builds(NormBox, _finite, _finite, _side, _side)
+
+
+class TestBoxesNoTransformCanHold:
+    def test_a_hull_that_collapses_to_a_point_is_empty(self):
+        # Its corners round to its centre, so the hull has no side.
+        with pytest.raises(EmptyAfterClamp, match="is no box in doubles"):
+            apply_affine_to_box(NormBox(0.5, 0.5, 1e-17, 1e-17), AffineParams())
+
+    def test_a_hull_whose_centre_overflows_is_empty(self):
+        # Finite corners whose sum overflows: NormBox rejects the centre.
+        with pytest.raises(EmptyAfterClamp, match="is no box in doubles"):
+            apply_affine_to_box(NormBox(1.5e308, 0.5, 2e307, 1.0), AffineParams())
+
+    def test_a_box_whose_area_underflows_cannot_be_measured(self):
+        # Was a ZeroDivisionError: the area 1e-340 underflows to 0.
+        tiny = NormBox(1e-170, 1e-170, 1e-170, 1e-170)
+        with pytest.raises(EmptyAfterClamp, match="has no area in doubles"):
+            random_resized_crop([tiny], CropParams(0.0, 0.0, 1.0, 1.0))
+
+    def test_a_box_whose_area_overflows_is_dropped_as_barely_visible(self):
+        huge = NormBox(0.5, 0.5, 1e300, 1e300)
+        assert random_resized_crop([huge], CropParams(0.0, 0.0, 1.0, 1.0)) == ([], True)
+
+    @settings(max_examples=300)
+    @given(boxes=st.lists(_schema_box, min_size=1, max_size=3),
+           policy=st.sampled_from([DEFAULT_POLICY, _FULL_FRAME_CROP, _AFFINE_ONLY]),
+           seed=st.integers(0, 2**64 - 1))
+    @example(boxes=[NormBox(0.5, 0.5, 1e-17, 1e-17)], policy=_AFFINE_ONLY, seed=0)
+    @example(boxes=[NormBox(1e-170, 1e-170, 1e-170, 1e-170)], policy=_FULL_FRAME_CROP, seed=0)
+    @example(boxes=[NormBox(1.5e308, 1.5e308, 1e308, 1e308)], policy=_AFFINE_ONLY, seed=0)
+    def test_any_schema_valid_box_is_augmented_or_returned_unchanged(self, boxes, policy, seed):
+        inst = render_instruction(AnnotationRecord("i", "s", Task.PG, "c", "t", tuple(boxes)))
+        out = augment_instance(inst, policy, seed)
+        assert out is inst or out.structured.meta["pipeline"] in ("train", "eval")
+
+
+def test_a_grid_without_levels_is_rejected():
+    with pytest.raises(ValueError, match="^max_level must be at least 1$"):
+        IntensityGrid(1, 1, 0, [0])
+
+
+@pytest.mark.parametrize("size", [(0, 4), (4, 0)])
+def test_a_resize_to_nothing_is_rejected(size):
+    grid = IntensityGrid(2, 2, 255, [0, 1, 2, 3])
+    with pytest.raises(ValueError, match="^target size must be positive$"):
+        resize_bilinear(grid, *size)

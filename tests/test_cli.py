@@ -1638,6 +1638,78 @@ def test_a_pg_gold_record_without_boxes_is_empty_ground_truth(tmp_path, capsys):
     assert capsys.readouterr().err == "ERROR radloop: EmptyGroundTruth: gold record 'i' has no boxes\n"
 
 
+def test_curriculum_across_sources_needs_source_level_metrics(records_path, tmp_path, capsys):
+    categories_only = {k: v for k, v in _GOOD_METRICS[0].items() if k not in ("iou", "text_score")}
+    metrics = tmp_path / "metrics.json"
+    metrics.write_text(json.dumps([categories_only, _GOOD_METRICS[1]]), encoding="utf-8")
+    argv = ["plan", "--records", str(records_path), "--metrics", str(metrics),
+            "--out", str(tmp_path / "out")]
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err == (
+        "ERROR radloop: MissingMetrics: source 'pgsrc:pg' has no source-level metrics\n")
+
+
+@pytest.mark.parametrize("task", ["grg", "agrg_locate"])
+def test_eval_reads_only_the_gold_records_of_its_task(task, tmp_path, capsys):
+    # Was exit 0 with a silent wrong report: a parse failure scored against the pg record.
+    gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+    gold.write_text(json.dumps(_GOOD_RECORD) + "\n", encoding="utf-8")
+    pred.write_text(json.dumps({"image_id": "i", "output": "x: [0.50,0.50,0.20,0.20]"}) + "\n",
+                    encoding="utf-8")
+    argv = ["eval", "--pred", str(pred), "--gold", str(gold), "--task", task,
+            "--out", str(tmp_path / "out")]
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err == (
+        f"ERROR radloop: UnknownId: prediction id 'i' has no {task} gold record\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_each_subtask_of_an_ingested_scene_graph_row_is_scored(tmp_path):
+    # The row's three records share its image id: this was a DuplicateId.
+    raw, gold, tasks = tmp_path / "raw.jsonl", tmp_path / "gold.jsonl", tmp_path / "tasks.jsonl"
+    row = {"image_id": "a", "location": "left lung", "box": [0.3, 0.5, 0.2, 0.3],
+           "sentence": "Opacity in the left lung."}
+    raw.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    assert dispatch(["ingest", "--in", str(raw), "--format", "scene_graph", "--out", str(gold)]) == 0
+    assert dispatch(["gen-tasks", "--records", str(gold), "--out", str(tasks)]) == 0
+    instances = read_jsonl(tasks)
+    assert sorted(inst["task"] for inst in instances) == ["agrg_both", "agrg_describe", "agrg_locate"]
+    for inst in instances:
+        pred, out = tmp_path / "pred.jsonl", tmp_path / f"{inst['task']}.json"
+        pred.write_text(json.dumps({"image_id": "a", "output": inst["response"]}) + "\n",
+                        encoding="utf-8")
+        argv = ["eval", "--pred", str(pred), "--gold", str(gold), "--task", inst["task"]]
+        assert dispatch(argv + ["--out", str(out)]) == 0
+        doc = read_json(out)
+        assert doc["counts"] == {"n": 1, "parse_failures": 0}
+        for key in ("micro_iou", "micro_text"):
+            assert doc[key] is None or doc[key] == pytest.approx(1.0)
+
+
+_FULL_FRAME_CROP = {"p_crop": 1.0, "p_bypass": 0.0, "crop_scale_range": [1.0, 1.0],
+                    "crop_aspect_range": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize("box, policy, seed", [
+    ([0.5, 0.5, 1e-17, 1e-17], None, 5),  # the affine hull collapses to a point
+    ([1e-170] * 4, _FULL_FRAME_CROP, 1),  # the area underflows to 0 in the crop
+])
+def test_augment_returns_a_box_no_transform_can_hold_unchanged(box, policy, seed, tmp_path,
+                                                               capsys):
+    # Both ended augment with a traceback, and gen-tasks took the same file.
+    records, aug, tasks = tmp_path / "records.jsonl", tmp_path / "aug.jsonl", tmp_path / "t.jsonl"
+    records.write_text(json.dumps({**_GOOD_RECORD, "image_id": "a", "boxes": [box]}) + "\n",
+                       encoding="utf-8")
+    argv = ["augment", "--records", str(records), "--seed", str(seed), "--out", str(aug)]
+    if policy is not None:
+        (tmp_path / "policy.json").write_text(json.dumps(policy), encoding="utf-8")
+        argv += ["--policy", str(tmp_path / "policy.json")]
+    assert dispatch(argv) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert dispatch(["gen-tasks", "--records", str(records), "--out", str(tasks)]) == 0
+    assert aug.read_bytes() == tasks.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # Same inputs and seed give the same bytes
 

@@ -377,6 +377,17 @@ class TestAtomicWrite:
         assert path.read_bytes() == b"old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
 
+    def test_a_failure_after_the_temp_file_is_gone_raises_the_failure(self, tmp_path):
+        def chunks():
+            yield "new\n"
+            for tmp in tmp_path.glob(".out.jsonl.*.tmp"):
+                tmp.unlink()
+            raise ValueError("boom")
+
+        with pytest.raises(ValueError, match="boom"):
+            atomic_write(tmp_path / "out.jsonl", chunks())
+        assert list(tmp_path.iterdir()) == []
+
     def test_peak_memory_does_not_grow_with_lines(self, tmp_path):
         # 200k lines make 8.5 MB of output; the writer holds one line at a time.
         peaks = {}

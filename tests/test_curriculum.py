@@ -23,6 +23,7 @@ from radloop.curriculum import (
     Draw,
     Level,
     MetricEntry,
+    PoolSource,
     SamplingPool,
     SimulatedLearner,
     SourceMetrics,
@@ -184,6 +185,10 @@ class TestBuildDistribution:
         # Raw errors (1.0, 0.0) -> floor lifts the second to 0.05, renormalized.
         assert probs == pytest.approx([1.0 / 1.05, 0.05 / 1.05], abs=1e-12)
         assert sum(probs) == pytest.approx(1.0, abs=1e-12)
+
+    def test_natural_needs_a_non_empty_pool(self):
+        with pytest.raises(ValueError, match="^the natural strategy needs a non-empty pool$"):
+            build_distribution(Level.INTER, Strategy.NATURAL, sizes=[0, 0])
 
     def test_string_arguments_accepted(self):
         assert build_distribution("inter", "uniform", sizes=[2, 2]) == [0.5, 0.5]
@@ -480,6 +485,28 @@ class TestEvalSubset:
         a = select_eval_subset(pool.sources["s:pg"], 10, np.random.default_rng(5))
         b = select_eval_subset(pool.sources["s:pg"], 10, np.random.default_rng(5))
         assert [r.image_id for r in a] == [r.image_id for r in b]
+
+    def test_a_source_without_categories_gives_nothing(self):
+        source = PoolSource(DataSourceId("s", TaskFamily.PG), {})
+        assert select_eval_subset(source, 5, np.random.default_rng(0)) == []
+
+    def test_fewer_slots_than_categories_draw_only_for_the_earliest(self):
+        # A category whose share is 0 asks the generator for nothing.
+        class CountingRng:
+            def __init__(self):
+                self.rng, self.sizes = np.random.default_rng(0), []
+
+            def choice(self, n, size, replace):
+                self.sizes.append(size)
+                return self.rng.choice(n, size=size, replace=replace)
+
+        pool = SamplingPool.from_records(
+            make_records({"s": {Task.PG: {"a": 10, "b": 10, "c": 10}}})
+        )
+        rng = CountingRng()
+        subset = select_eval_subset(pool.sources["s:pg"], 2, rng)
+        assert [d.category for d in subset] == ["a", "b"]
+        assert rng.sizes == [1, 1]
 
 
 class TestConfig:

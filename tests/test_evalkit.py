@@ -14,6 +14,8 @@ from radloop.errors import (
     UnknownId,
 )
 from radloop.evalkit import (
+    EvalReport,
+    SampleRow,
     aggregate_iou,
     evaluate_task,
     get_scorer,
@@ -368,6 +370,12 @@ def test_an_intersection_beyond_double_range_is_named():
         grounding_iou([huge], [huge])
 
 
+def test_an_intersection_whose_centre_overflows_is_named():
+    far = NormBox(1.5e308, 0.5, 2e307, 1.0)  # finite corners whose sum overflows
+    with pytest.raises(ValueError, match="^the intersection of the boxes overflows a double$"):
+        grounding_iou([far], [far])
+
+
 @given(gt=_grid_boxes, pred=st.lists(_grid_box, max_size=5))
 def test_grounding_iou_equals_an_exact_reference_on_a_dyadic_grid(gt, pred):
     assert abs(grounding_iou(gt, pred) - float(exact_iou(gt, pred))) <= 1e-12
@@ -553,3 +561,68 @@ class TestEvaluateTask:
         assert doc["schema_version"] == 1
         assert doc["counts"] == {"n": 1, "parse_failures": 0}
         assert doc["rows"][0]["id"] == "img-0"
+
+
+def _scene_graph_gold():
+    """The three records ``ingest --format scene_graph`` writes for a row with a box and a sentence."""
+    box = (NormBox(0.3, 0.5, 0.2, 0.3),)
+    return [
+        AnnotationRecord("a", "cig", Task.AGRG_BOTH, "left lung", "Opacity.", box),
+        AnnotationRecord("a", "cig", Task.AGRG_LOCATE, "left lung", None, box),
+        AnnotationRecord("a", "cig", Task.AGRG_DESCRIBE, "left lung", "Opacity."),
+    ]
+
+
+def test_gold_records_of_other_tasks_are_skipped():
+    gold = _scene_graph_gold()
+    for rec in gold:
+        report = evaluate_task({"a": render_instruction(rec).response}, gold, rec.task)
+        assert (report.n, report.parse_failures) == (1, 0)
+        for score in (report.rows[0].iou, report.rows[0].text_score):
+            assert score is None or score == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("task", [Task.GRG, Task.AGRG_LOCATE])
+def test_a_prediction_without_a_gold_record_of_its_task_is_unknown(task):
+    gold = _pg_gold(1)
+    with pytest.raises(UnknownId, match=f"^prediction id 'img-0' has no {task.value} gold record$"):
+        evaluate_task({"img-0": render_instruction(gold[0]).response}, gold, task)
+
+
+_score = st.none() | st.floats(0.0, 1.0)
+_rows = st.lists(st.builds(SampleRow, st.just("i"), st.sampled_from("abc"), _score, _score,
+                           st.booleans(), st.booleans()), max_size=12)
+
+
+@given(rows=_rows)
+# "a" appears first but "b" scores first, and the two orders sum to different doubles.
+@example(rows=[SampleRow("i", cat, iou, None, False, False)
+               for cat, iou in (("a", None), ("b", 0.58), ("b", 0.91), ("a", 0.5))])
+def test_every_summary_is_its_rows_summed_in_the_documented_order(rows):
+    report = EvalReport(Task.PG, "strict", "lexical", rows)
+
+    def summary(metric):
+        """Micro, macro and per-category means of ``metric``, summed category
+        by category in the order each category first scores."""
+        values = [(r.category, getattr(r, metric)) for r in rows if getattr(r, metric) is not None]
+        scored = list(dict.fromkeys(cat for cat, _ in values))
+        groups = {cat: [v for c, v in values if c == cat] for cat in scored}
+        means = {cat: sum(g) / len(g) for cat, g in groups.items()}
+        if not scored:
+            return None, None, means
+        flat = [v for g in groups.values() for v in g]
+        return sum(flat) / len(flat), sum(means.values()) / len(means), means
+
+    micro_iou, macro_iou, iou_means = summary("iou")
+    micro_text, macro_text, text_means = summary("text_score")
+    assert (report.n, report.parse_failures) == (len(rows), sum(r.parse_failed for r in rows))
+    assert (report.micro_iou, report.macro_iou) == (micro_iou, macro_iou)
+    assert (report.micro_text, report.macro_text) == (micro_text, macro_text)
+    categories = list(dict.fromkeys(r.category for r in rows))
+    assert list(report.per_class) == categories
+    assert report.per_class == {
+        cat: {"n": sum(r.category == cat for r in rows), "iou": iou_means.get(cat),
+              "text_score": text_means.get(cat)}
+        for cat in categories
+    }
+    assert report.to_json()["rows"] == [vars(r) for r in rows]

@@ -12,6 +12,7 @@ from radloop.taskgen import (
     AGRG38,
     LOCATION_SETS,
     TEMPLATES,
+    LocationSet,
     assemble_report,
     expand_padchest_labels,
     format_box,
@@ -398,3 +399,14 @@ class TestAssembleReport:
         grg = _Parsed(findings=(Finding("Left effusion", (NormBox(0.3, 0.8, 0.2, 0.1),)),))
         report = assemble_report([], grg, strip_boxes=True)
         assert report == "Left effusion."
+
+
+def test_a_location_set_names_each_location_once():
+    with pytest.raises(ValueError, match="^twice contains duplicate locations$"):
+        LocationSet("twice", ("spine", "abdomen", "spine"))
+
+
+def test_an_output_without_a_description_adds_nothing_to_the_report():
+    located = parse_output("Location of the spine: [0.50,0.50,0.20,0.20].", Task.AGRG_LOCATE)
+    assert located.description is None
+    assert assemble_report([located, _Parsed("Mild effusion.")]) == "Mild effusion."
