@@ -124,6 +124,7 @@ import datetime as _dt
 import hashlib
 import json
 import logging
+import random
 from dataclasses import dataclass, fields, replace
 from itertools import islice
 from pathlib import Path
@@ -328,12 +329,10 @@ def _cmd_plan(args, config) -> Iterable[str]:
 
 
 def _cmd_sample(args, config) -> Iterable[str]:
-    import numpy as np
     seed = _require_seed(args, config)
     pool = SamplingPool.from_records(_records(args.records))
     state = load_json(args.plan, lambda doc: CurriculumState.from_json(doc["state"]))
-    rng = np.random.default_rng(seed)
-    draws = draw_samples(state, pool, args.n, rng)
+    draws = draw_samples(state, pool, args.n, random.Random(seed))
     return jsonl_lines({**draw._asdict(), "task": draw.task.value} for draw in draws)
 
 

@@ -3,7 +3,9 @@
 Sampling is hierarchical. A draw picks a data source from the inter-level
 distribution, then (for sources with several subtasks) a subtask uniformly,
 then a category from the source's intra-level distribution, then an instance
-uniformly within the category, with replacement throughout.
+uniformly within the category, with replacement throughout. The first three
+picks are one pick from a flat table of leaves (:class:`DrawTable`), and
+every draw spends ``random.Random.random()`` uniforms only.
 
 Distributions come from one of three strategies:
 
@@ -24,6 +26,7 @@ stage ``n`` are the ones stage ``n + 1`` samples from.
 from __future__ import annotations
 
 import math
+import random
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, fields
@@ -154,8 +157,12 @@ def _check_level(names: Sequence[str], probs: Sequence[float], level: str) -> No
     for name, p in zip(names, probs):
         if p < 0:
             raise ValueError(f"{level}: {name!r} has negative probability {p}")
-    if probs and abs(sum(probs) - 1.0) > 1e-6:
-        raise ValueError(f"{level}: probabilities sum to {sum(probs)}, not 1")
+    try:
+        total = math.fsum(probs)
+    except OverflowError:  # finite probabilities whose exact sum passes the largest double
+        total = math.inf
+    if probs and abs(total - 1.0) > 1e-6:
+        raise ValueError(f"{level}: probabilities sum to {total}, not 1")
 
 
 def _source_id(obj: Mapping[str, Any]) -> DataSourceId:
@@ -193,8 +200,8 @@ def aggregate_score(entry: MetricEntry, alpha: float = DEFAULT_ALPHA) -> float:
 def normalize_errors(errors: Sequence[float]) -> list[float]:
     """Turn non-negative errors into sampling probabilities.
 
-    Probabilities are proportional to the errors. All-equal inputs (which
-    include the all-zero case) return the exact uniform distribution.
+    Probabilities are the errors over their ``math.fsum``. All-equal inputs
+    (which include the all-zero case) return the exact uniform distribution.
     """
     errs = [float(e) for e in errors]
     if not errs:
@@ -204,7 +211,7 @@ def normalize_errors(errors: Sequence[float]) -> list[float]:
             raise ValueError(f"errors must be finite and non-negative, got {e}")
     if max(errs) == min(errs):
         return [1.0 / len(errs)] * len(errs)
-    total = sum(errs)
+    total = math.fsum(errs)
     return [e / total for e in errs]
 
 
@@ -222,8 +229,10 @@ def build_distribution(
     ``sizes`` feeds the natural strategy, ``scores`` (aggregate scores, one
     per unit) the curriculum strategy. Intra-level distributions of
     grounded-report sources (``grg=True``) are uniform under every strategy.
-    ``min_prob`` floors each probability and renormalizes; the default 0
-    leaves distributions untouched.
+    ``min_prob`` floors each probability at ``min_prob`` and then divides by
+    the floored vector's ``math.fsum``, so a result can fall below
+    ``min_prob`` (scores ``[0.02, 0.99, 0.99]`` with 0.4 give about ``[0.551,
+    0.225, 0.225]``); the default 0 leaves distributions untouched.
     """
     level = Level(level)
     strategy = Strategy(strategy)
@@ -250,7 +259,7 @@ def build_distribution(
 
     if min_prob > 0.0:
         floored = [max(p, min_prob) for p in probs]
-        total = sum(floored)
+        total = math.fsum(floored)
         probs = [p / total for p in floored]
     return probs
 
@@ -496,69 +505,68 @@ def advance_stage(
 # Drawing
 
 
-def _cdf(probs: Iterable[float]) -> list[float]:
-    """Running sums in the order a left-to-right walk adds them.
+def _cdf(weights: Iterable[float]) -> list[float]:
+    """Running sums, added left to right, each raised to the largest before it.
 
     The running maximum keeps the list sorted even for a hand-written plan
     with a negative or NaN probability, so bisecting it picks the first index
-    whose running sum exceeds the draw, exactly as the walk does.
+    whose entry exceeds the draw, exactly as a left-to-right scan does.
     """
-    return list(accumulate(accumulate(probs), max))
+    return list(accumulate(accumulate(weights), max))
 
 
 class DrawTable:
-    """One stage's sampling distributions compiled against a pool.
+    """One stage's sampling distribution compiled against a pool.
 
-    Built once per stage: the source CDF, each source's subtask list, and
-    each subtask's category CDF with its leaves ``(ids, source_id, task,
-    category)``. A leaf of the state with no records in the pool raises
-    :class:`EmptyLeaf` here, before anything is drawn.
+    Built once per stage: one flat list of leaves ``(ids, source_id, task,
+    category)`` in plan order, and a single CDF over their weights. A leaf
+    weighs ``prob / n_subtasks * p_category``: its source's probability split
+    evenly over the source's subtasks, times the category's probability. A
+    leaf of the state with no records in the pool raises :class:`EmptyLeaf`
+    here, before anything is drawn.
     """
 
     def __init__(self, state: CurriculumState, pool: SamplingPool):
-        self.source_cdf = _cdf(s.prob for s in state.sources.values())
-        self.sources: list[list[tuple[list[float], list[tuple]]]] = []
+        self.leaves: list[tuple[list[str], str, Task, str]] = []
+        weights: list[float] = []
         for src_state in state.sources.values():
             key = src_state.source.key
             pool_source = pool.sources.get(key)
             if pool_source is None:
                 raise EmptyLeaf(f"source {key!r} has no records")
-            subtasks = []
+            if not src_state.subtasks:
+                raise EmptyLeaf(f"source {key!r} has no subtasks")
+            share = src_state.prob / len(src_state.subtasks)
             for st in src_state.subtasks.values():
+                if not st.categories:
+                    raise EmptyLeaf(f"subtask {key!r}/{st.task.value} has no categories")
                 cats = pool_source.subtasks.get(st.task, {})
-                leaves = []
-                for cat in st.categories:
+                for cat, p in zip(st.categories, st.probs):
                     ids = cats.get(cat)
                     if not ids:
                         raise EmptyLeaf(f"leaf {key!r}/{st.task.value}/{cat!r} has no records")
-                    leaves.append((ids, src_state.source.name, st.task, cat))
-                if not leaves:
-                    raise EmptyLeaf(f"subtask {key!r}/{st.task.value} has no categories")
-                subtasks.append((_cdf(st.probs), leaves))
-            if not subtasks:
-                raise EmptyLeaf(f"source {key!r} has no subtasks")
-            self.sources.append(subtasks)
-        if not self.sources:
+                    self.leaves.append((ids, src_state.source.name, st.task, cat))
+                    weights.append(share * p)
+        if not self.leaves:
             raise EmptyLeaf("the plan has no sources")
+        self.cdf = _cdf(weights)
 
 
-def draw_sample(table: DrawTable, rng: np.random.Generator) -> Draw:
-    """Draw one instance: source, then subtask, then category, then instance.
+def draw_sample(table: DrawTable, rng: random.Random) -> Draw:
+    """Draw one instance with two ``rng.random()`` uniforms, with replacement.
 
-    Subtasks are drawn uniformly within the source; instances uniformly
-    within the category; everything with replacement. Each level bisects its
-    CDF with one ``rng.random()``; a draw past the last running sum (the
-    probabilities sum just below 1) takes the last entry.
+    The first picks the leaf whose CDF entry is the first to exceed it; past
+    the last entry (the weights sum just below 1) it takes the last leaf.
+    The second picks the instance at index ``min(int(u * n), n - 1)`` of the
+    leaf's ``n`` ids.
     """
-    cdf = table.source_cdf
-    subtasks = table.sources[bisect_right(cdf, rng.random(), 0, len(cdf) - 1)]
-    cdf, leaves = subtasks[int(rng.integers(len(subtasks)))] if len(subtasks) > 1 else subtasks[0]
-    ids, source_id, task, category = leaves[bisect_right(cdf, rng.random(), 0, len(cdf) - 1)]
-    return Draw(ids[int(rng.integers(len(ids)))], source_id, task, category)
+    cdf = table.cdf
+    ids, source_id, task, category = table.leaves[bisect_right(cdf, rng.random(), 0, len(cdf) - 1)]
+    return Draw(ids[min(int(rng.random() * len(ids)), len(ids) - 1)], source_id, task, category)
 
 
 def draw_samples(
-    state: CurriculumState, pool: SamplingPool, n: int, rng: np.random.Generator
+    state: CurriculumState, pool: SamplingPool, n: int, rng: random.Random
 ) -> Iterator[Draw]:
     """Compile the stage's table now, then yield ``n`` draws as they are taken.
 
@@ -586,14 +594,15 @@ class Learner(Protocol):
         """Return fresh metrics per source key for the finished stage."""
 
 
-def select_eval_subset(
-    pool_source: PoolSource, n: int, rng: np.random.Generator
-) -> list[Draw]:
+def select_eval_subset(pool_source: PoolSource, n: int, rng: random.Random) -> list[Draw]:
     """Stratified evaluation subset: as even as integer division allows.
 
     Allocation goes category by category in pool order; leftover slots go to
     the earliest categories. Categories smaller than their allocation
-    contribute everything they have.
+    contribute everything they have. A category's ``k`` ids are picked by a
+    partial Fisher-Yates shuffle of its indices: for ``i`` in ``0..k-1``, swap
+    index ``i`` with index ``i + min(int(u * (m - i)), m - i - 1)`` for a fresh
+    ``u = rng.random()``; the first ``k`` indices are then taken in sorted order.
     """
     cats: list[tuple[Task, str, list[str]]] = []
     for task, cat_map in pool_source.subtasks.items():
@@ -604,11 +613,12 @@ def select_eval_subset(
     name = pool_source.source.name
     chosen: list[Draw] = []
     for (task, cat, ids), share in zip(cats, spread(n, len(cats))):
-        want = min(share, len(ids))
-        if want == 0:
-            continue
-        idx = rng.choice(len(ids), size=want, replace=False)
-        chosen.extend(Draw(ids[j], name, task, cat) for j in sorted(idx.tolist()))
+        m, want = len(ids), min(share, len(ids))
+        order = list(range(m))
+        for i in range(want):
+            j = i + min(int(rng.random() * (m - i)), m - i - 1)
+            order[i], order[j] = order[j], order[i]
+        chosen.extend(Draw(ids[j], name, task, cat) for j in sorted(order[:want]))
     return chosen
 
 
@@ -665,8 +675,7 @@ def run_curriculum(
     learner sees the per-leaf sample tally after every stage and is then
     asked once for that stage's metrics.
     """
-    import numpy as np
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     state = initial_state(pool)
     logs: list[StageLog] = []
 
@@ -750,7 +759,7 @@ class SimulatedLearner:
         for src_key, subtasks in by_source.items():
             source = DataSourceId.parse(src_key)
             all_entries = [e for cats in subtasks.values() for e in cats.values()]
-            mean_iou = sum(e.iou for e in all_entries) / len(all_entries)
+            mean_iou = math.fsum(e.iou for e in all_entries) / len(all_entries)
             if source.task is TaskFamily.AGRG:
                 out[src_key] = SourceMetrics(
                     source=source, iou=mean_iou, per_subtask=subtasks

@@ -2034,10 +2034,12 @@ def test_only_array_subcommands_load_numpy(chain_inputs, tmp_path):
         {"image_id": "im2", "anatomy": "spine", "error": "bad verdict", "raw": "x"},
     ]
     verdicts.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
-    cases = ("gen-tasks", "augment", "plan", "eval")
+    cases = ("gen-tasks", "augment", "plan", "sample", "simulate", "eval")
     argvs = [chain_argv(c, chain_inputs, tmp_path / c) for c in cases]
     argvs.append(["judge-aggregate", "--in", str(verdicts), "--out", str(tmp_path / "table.json")])
     assert "numpy" not in loaded_after(_DISPATCH_ALL, json.dumps(argvs))
-    # Sample draws from a numpy generator, so it loads numpy at first use.
-    argvs.append(chain_argv("sample", chain_inputs, tmp_path / "sample"))
+    # Preprocess builds arrays, so it loads numpy at first use.
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(IntensityGrid(8, 8, 255, [9] * 64).to_json()), encoding="utf-8")
+    argvs.append(["preprocess", "--in", str(grid), "--out", str(tmp_path / "grid_out.json")])
     assert "numpy" in loaded_after(_DISPATCH_ALL, json.dumps(argvs))

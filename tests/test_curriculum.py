@@ -1,6 +1,8 @@
 import json
 import math
+import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from radloop.core import (
     NormBox,
     Task,
     TaskFamily,
+    dump_records_jsonl,
 )
+from radloop.cli import dispatch
 from radloop.curriculum import (
     DEFAULT_ALPHA,
     CurriculumConfig,
@@ -122,6 +126,10 @@ class TestNormalizeErrors:
             probs = normalize_errors(list(errs))
             assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 
+    def test_divides_by_the_correctly_rounded_sum(self):
+        errs = [0.3] + [0.1] * 7  # summed left to right: 0.9999999999999999
+        assert normalize_errors(errs) == [e / 1.0 for e in errs]
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             normalize_errors([0.5, -0.1])
@@ -185,6 +193,17 @@ class TestBuildDistribution:
         # Raw errors (1.0, 0.0) -> floor lifts the second to 0.05, renormalized.
         assert probs == pytest.approx([1.0 / 1.05, 0.05 / 1.05], abs=1e-12)
         assert sum(probs) == pytest.approx(1.0, abs=1e-12)
+        # Renormalising can take a floored probability back below min_prob.
+        probs = build_distribution(
+            Level.INTER, Strategy.CURRICULUM, scores=[0.02, 0.99, 0.99], min_prob=0.4
+        )
+        assert probs == pytest.approx([0.98 / 1.78, 0.4 / 1.78, 0.4 / 1.78], abs=1e-12)
+        assert min(probs) < 0.4
+
+    def test_min_prob_renormalises_by_the_correctly_rounded_sum(self):
+        # Ten 0.1s sum to 0.9999999999999999 left to right, and to 1.0 exactly rounded.
+        probs = build_distribution(Level.INTER, Strategy.UNIFORM, sizes=[1] * 10, min_prob=0.01)
+        assert probs == [0.1] * 10
 
     def test_natural_needs_a_non_empty_pool(self):
         with pytest.raises(ValueError, match="^the natural strategy needs a non-empty pool$"):
@@ -362,7 +381,7 @@ class TestDrawing:
         # Skew the inter distribution by hand for a sharper check.
         state.sources["pgsrc:pg"].prob = 0.75
         state.sources["grgsrc:grg"].prob = 0.25
-        rng = np.random.default_rng(42)
+        rng = random.Random(42)
         n = 40_000
         counts = {"pgsrc": 0, "grgsrc": 0}
         for rec in draw_samples(state, pool, n, rng):
@@ -372,7 +391,7 @@ class TestDrawing:
     def test_within_category_uniform(self):
         pool = SamplingPool.from_records(make_records({"s": {Task.PG: {"a": 4}}}))
         state = initial_state(pool)
-        rng = np.random.default_rng(0)
+        rng = random.Random(0)
         seen = {}
         for rec in draw_samples(state, pool, 8000, rng):
             seen[rec.image_id] = seen.get(rec.image_id, 0) + 1
@@ -384,8 +403,8 @@ class TestDrawing:
     def test_deterministic_given_seed(self):
         pool = two_source_pool()
         state = initial_state(pool)
-        a = [r.image_id for r in draw_samples(state, pool, 200, np.random.default_rng(9))]
-        b = [r.image_id for r in draw_samples(state, pool, 200, np.random.default_rng(9))]
+        a = [r.image_id for r in draw_samples(state, pool, 200, random.Random(9))]
+        b = [r.image_id for r in draw_samples(state, pool, 200, random.Random(9))]
         assert a == b
 
     def test_empty_leaf(self):
@@ -393,31 +412,33 @@ class TestDrawing:
         state = initial_state(pool)
         # Empty one category's records behind the state's back.
         pool.sources["pgsrc:pg"].subtasks[Task.PG]["a"].clear()
-        rng = np.random.default_rng(1)
+        rng = random.Random(1)
         with pytest.raises(EmptyLeaf):
             draw_samples(state, pool, 500, rng)
 
 
-def _choose(rng, probs):
-    """The linear walk the sampler is pinned to: the first index whose
-    running sum exceeds one uniform draw, else the last index."""
-    u = rng.random()
-    acc = 0.0
-    for i, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            return i
-    return len(probs) - 1
-
-
-def reference_draw(state, pool, rng):
-    keys = list(state.sources)
-    src = state.sources[keys[_choose(rng, [state.sources[k].prob for k in keys])]]
-    subtasks = list(src.subtasks.values())
-    st_ = subtasks[int(rng.integers(len(subtasks)))] if len(subtasks) > 1 else subtasks[0]
-    cat = st_.categories[_choose(rng, st_.probs)]
-    ids = pool.sources[src.source.key].subtasks[st_.task][cat]
-    return Draw(ids[int(rng.integers(len(ids)))], src.source.name, st_.task, cat)
+def stated_stream(state, pool, seed, n):
+    """The ``n`` draws of ``sample --seed seed``, rebuilt from the README's
+    "The draw stream" steps alone, with no radloop sampling code."""
+    rng = random.Random(seed)
+    leaves, weights = [], []
+    for source in state.sources.values():
+        for sub in source.subtasks.values():
+            for category, p in zip(sub.categories, sub.probs):
+                leaves.append((source.source, sub.task, category))
+                weights.append(source.prob / len(source.subtasks) * p)
+    cdf, running = [], 0.0
+    for w in weights:
+        running += w
+        cdf.append(running if not cdf or running > cdf[-1] else cdf[-1])
+    draws = []
+    for _ in range(n):
+        u = rng.random()
+        source, task, category = leaves[next((i for i, c in enumerate(cdf) if c > u), len(cdf) - 1)]
+        ids = pool.sources[source.key].subtasks[task][category]
+        v = rng.random()
+        draws.append(Draw(ids[min(int(v * len(ids)), len(ids) - 1)], source.name, task, category))
+    return draws
 
 
 def prob_vectors(n):
@@ -450,11 +471,31 @@ def drawn_plans(draw):
 class TestDrawStream:
     @settings(max_examples=300)
     @given(plan=drawn_plans(), seed=st.integers(0, 2**63 - 1))
-    def test_compiled_table_draws_what_the_linear_walk_draws(self, plan, seed):
+    def test_draws_follow_the_stated_stream(self, plan, seed):
         state, pool = plan
-        draws = list(draw_samples(state, pool, 40, np.random.default_rng(seed)))
-        rng = np.random.default_rng(seed)
-        assert draws == [reference_draw(state, pool, rng) for _ in range(40)]
+        draws = list(draw_samples(state, pool, 40, random.Random(seed)))
+        assert draws == stated_stream(state, pool, seed, 40)
+
+    def test_a_sample_file_is_rebuilt_from_its_seed(self, tmp_path):
+        records = make_records({"cig": {t: {"left": 3, "right": 2} for t in AGRG_SUBTASKS},
+                                "pgsrc": {Task.PG: {"a": 4, "b": 1}}})
+        dump_records_jsonl(tmp_path / "records.jsonl", records)
+        paths = {name: str(tmp_path / name) for name in ("records.jsonl", "plan.json", "out")}
+        metrics = [{"name": "cig", "task": "agrg", "iou": 0.3,
+                    "per_subtask": {t: {"left": {"iou": 0.2}, "right": {"iou": 0.7}}
+                                    for t in AGRG_SUBTASKS}},
+                   {"name": "pgsrc", "task": "pg", "iou": 0.6,
+                    "per_category": {"a": {"iou": 0.9}, "b": {"iou": 0.1}}}]
+        (tmp_path / "metrics.json").write_text(json.dumps(metrics), encoding="utf-8")
+        assert dispatch(["plan", "--records", paths["records.jsonl"], "--metrics",
+                         str(tmp_path / "metrics.json"), "--out", paths["plan.json"]]) == 0
+        assert dispatch(["sample", "--records", paths["records.jsonl"], "--plan",
+                         paths["plan.json"], "--n", "300", "--seed", "2024",
+                         "--out", paths["out"]]) == 0
+        rows = [json.loads(line) for line in Path(paths["out"]).read_text().splitlines()]
+        plan = CurriculumState.from_json(json.loads(Path(paths["plan.json"]).read_text())["state"])
+        expected = stated_stream(plan, SamplingPool.from_records(records), 2024, 300)
+        assert rows == [{**d._asdict(), "task": d.task.value} for d in expected]
 
 
 class TestEvalSubset:
@@ -462,7 +503,7 @@ class TestEvalSubset:
         pool = SamplingPool.from_records(
             make_records({"s": {Task.PG: {"a": 10, "b": 10, "c": 10}}})
         )
-        subset = select_eval_subset(pool.sources["s:pg"], 7, np.random.default_rng(0))
+        subset = select_eval_subset(pool.sources["s:pg"], 7, random.Random(0))
         by_cat = {}
         for rec in subset:
             by_cat[rec.category] = by_cat.get(rec.category, 0) + 1
@@ -472,7 +513,7 @@ class TestEvalSubset:
         pool = SamplingPool.from_records(
             make_records({"s": {Task.PG: {"a": 1, "b": 10}}})
         )
-        subset = select_eval_subset(pool.sources["s:pg"], 8, np.random.default_rng(0))
+        subset = select_eval_subset(pool.sources["s:pg"], 8, random.Random(0))
         by_cat = {}
         for rec in subset:
             by_cat[rec.category] = by_cat.get(rec.category, 0) + 1
@@ -482,31 +523,47 @@ class TestEvalSubset:
         pool = SamplingPool.from_records(
             make_records({"s": {Task.PG: {"a": 30, "b": 30}}})
         )
-        a = select_eval_subset(pool.sources["s:pg"], 10, np.random.default_rng(5))
-        b = select_eval_subset(pool.sources["s:pg"], 10, np.random.default_rng(5))
+        a = select_eval_subset(pool.sources["s:pg"], 10, random.Random(5))
+        b = select_eval_subset(pool.sources["s:pg"], 10, random.Random(5))
         assert [r.image_id for r in a] == [r.image_id for r in b]
 
     def test_a_source_without_categories_gives_nothing(self):
         source = PoolSource(DataSourceId("s", TaskFamily.PG), {})
-        assert select_eval_subset(source, 5, np.random.default_rng(0)) == []
+        assert select_eval_subset(source, 5, random.Random(0)) == []
 
     def test_fewer_slots_than_categories_draw_only_for_the_earliest(self):
         # A category whose share is 0 asks the generator for nothing.
-        class CountingRng:
-            def __init__(self):
-                self.rng, self.sizes = np.random.default_rng(0), []
+        class CountingRng(random.Random):
+            calls = 0
 
-            def choice(self, n, size, replace):
-                self.sizes.append(size)
-                return self.rng.choice(n, size=size, replace=replace)
+            def random(self):
+                self.calls += 1
+                return super().random()
 
         pool = SamplingPool.from_records(
             make_records({"s": {Task.PG: {"a": 10, "b": 10, "c": 10}}})
         )
-        rng = CountingRng()
+        rng = CountingRng(0)
         subset = select_eval_subset(pool.sources["s:pg"], 2, rng)
         assert [d.category for d in subset] == ["a", "b"]
-        assert rng.sizes == [1, 1]
+        assert rng.calls == 2
+
+    @given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4), n=st.integers(0, 20),
+           seed=st.integers(0, 2**32))
+    def test_each_category_is_a_stated_partial_shuffle(self, sizes, n, seed):
+        pool = SamplingPool.from_records(
+            make_records({"s": {Task.PG: {f"c{i}": k for i, k in enumerate(sizes)}}}))
+        rng, expected = random.Random(seed), []
+        for i, (cat, ids) in enumerate(pool.sources["s:pg"].subtasks[Task.PG].items()):
+            m = len(ids)
+            want = min(n // len(sizes) + (i < n % len(sizes)), m)
+            order = list(range(m))
+            for k in range(want):
+                j = k + min(int(rng.random() * (m - k)), m - k - 1)
+                order[k], order[j] = order[j], order[k]
+            expected += [ids[j] for j in sorted(order[:want])]
+        subset = select_eval_subset(pool.sources["s:pg"], n, random.Random(seed))
+        assert [d.image_id for d in subset] == expected
 
 
 class TestConfig:
@@ -684,6 +741,7 @@ class TestStateJson:
             (0.5, [-1.0, 2.0], "subtask 'pg' of 'pgsrc:pg': 'a' has negative probability -1.0"),
             (0.5, [0.5, 0.6], "subtask 'pg' of 'pgsrc:pg': probabilities sum to 1.1, not 1"),
             (0.5, [0.25, 0.75], None),
+            (0.5, [1e308, 1e308], "subtask 'pg' of 'pgsrc:pg': probabilities sum to inf, not 1"),
         ],
     )
     def test_levels_must_be_non_negative_and_sum_to_one(self, source, subtask_probs, message):
@@ -711,6 +769,16 @@ class TestDecay:
         assert decayed_error(p, 0) == pytest.approx(0.85)
         assert decayed_error(p, 10_000) == pytest.approx(0.05, abs=1e-4)
         assert decayed_error(p, 100) == pytest.approx(0.8 * math.exp(-0.1) + 0.05)
+
+
+class TestSimulatedLearner:
+    def test_a_source_mean_is_correctly_rounded(self):
+        e0s = [0.3] + [0.9] * 9
+        params = {("s:pg", Task.PG, f"c{i}"): DecayParams(e0, 0.0) for i, e0 in enumerate(e0s)}
+        metrics = SimulatedLearner(params).evaluate()["s:pg"]
+        ious = [e.iou for e in metrics.per_category.values()]
+        assert sum(ious) != math.fsum(ious)  # the case tells the two sums apart
+        assert metrics.iou == math.fsum(ious) / len(ious)
 
 
 class TestRunCurriculum:

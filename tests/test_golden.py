@@ -209,8 +209,10 @@ GOLDEN_DIGESTS = {
     "plan-metrics": "187193d844b77f6f11fd787dd31f11d332498dbec0f686ea6dd68fd5ef03fb4b",
     "plan-uniform": "dd4f130d99cf0742c93370d1fde389e3e6a609ea9d09af278f42873aa71efa78",
     "preprocess": "ddd5f07e8089e9d20ef70da8c24b5484d453858a0f3086f23db9b44f33bf17fc",
-    "sample": "ec96a5ff4f87ef17e120cbba40a811ca211a083257810b4d1cbb45b1cdb1cfe0",
-    "simulate": "5bb8bff30673348b691ba6b0c4bf0b16aa58b08be0ae79a119445d7547e37e7b",
+    # Re-recorded at 0.11.0 (2026-10-19), when sample and simulate moved from a numpy
+    # generator to the stated random.Random stream.
+    "sample": "7636f8353d7992ee16dbbdc8bc646076f9c5c64d46e400ec41dd0a2bd226270b",
+    "simulate": "6fed3289afc019f41423f9a7de07ec76a41283069cc78af62739c8bc8c86be3c",
     # Recorded at 0.2.0, before each output's field lists were derived from its dataclass.
     "eval-agrg-both-lenient": "13c7abf4b1a19f53398dc156d8ee53c8f0d071909dd25d90df0ffaaae35d4885",
     "eval-agrg-both-strict": "99ce1ed40a5f2059bc074948ddb5d1c24f1519b220db388e948cb0eb0c51a567",
@@ -238,19 +240,35 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
+def fresh_digests(cases, inputs, outdir, prelude="", **env):
+    """Run ``cases`` in one fresh interpreter that first runs ``prelude``,
+    with ``env`` added to its environment; return each output's digest."""
+    outs = {case: outdir / case for case in cases}
+    argvs = [[inputs.get(a, a) for a in GOLDEN_CASES[case]] + ["--out", str(out)]
+             for case, out in outs.items()]
+    src = str(Path(radloop.__file__).resolve().parents[1])
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", prelude + _DISPATCH_ALL, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return {case: hashlib.sha256(out.read_bytes()).hexdigest() for case, out in outs.items()}
+
+
 def test_outputs_do_not_depend_on_the_hash_seed(golden_inputs, tmp_path):
     """String hash order (``PYTHONHASHSEED``) never reaches the seeded chain's
     bytes: under two hash seeds each output matches its recorded digest."""
     cases = ("gen-tasks", "augment", "plan-metrics", "sample", "simulate")
-    src = str(Path(radloop.__file__).resolve().parents[1])
     for hash_seed in ("0", "77"):
-        outs = {case: tmp_path / hash_seed / case for case in cases}
-        argvs = [[golden_inputs.get(a, a) for a in GOLDEN_CASES[case]] + ["--out", str(out)]
-                 for case, out in outs.items()]
-        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", _DISPATCH_ALL, json.dumps(argvs)], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        digests = {case: hashlib.sha256(out.read_bytes()).hexdigest() for case, out in outs.items()}
+        digests = fresh_digests(cases, golden_inputs, tmp_path / hash_seed,
+                                PYTHONHASHSEED=hash_seed)
         assert digests == {case: GOLDEN_DIGESTS[case] for case in cases}, hash_seed
+
+
+def test_the_sampler_needs_no_numpy(golden_inputs, tmp_path):
+    """``plan``, ``sample`` and ``simulate`` write their recorded bytes in an
+    interpreter where ``import numpy`` fails."""
+    cases = ("plan-metrics", "sample", "simulate")
+    digests = fresh_digests(cases, golden_inputs, tmp_path,
+                            prelude="import sys\nsys.modules['numpy'] = None\n")
+    assert digests == {case: GOLDEN_DIGESTS[case] for case in cases}
