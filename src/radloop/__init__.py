@@ -18,6 +18,12 @@ _EXPORTS = {
 __all__ = [*_EXPORTS, "__version__"]
 
 
+def main() -> None:
+    """The ``radloop`` script: run ``radloop.cli`` as ``__main__``, so it parses, then imports."""
+    import runpy
+    runpy.run_module("radloop.cli", run_name="__main__", alter_sys=True)
+
+
 def __getattr__(name: str):
     if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -228,6 +228,9 @@ class IntensityGrid:
         values = obj["values"]
         if not isinstance(values, list):
             raise FormatError(0, "grid values must be a flat array of JSON integers")
+        if len(values) != obj["width"] * obj["height"]:
+            raise FormatError(0, f"grid has {len(values)} values, not width * height = "
+                                 f"{obj['width'] * obj['height']}")
         try:
             # array("q") takes ints and bools; floats, strings, nulls, arrays
             # and ints beyond 64 bits raise.

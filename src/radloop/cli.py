@@ -499,9 +499,5 @@ def dispatch(argv: Sequence[str]) -> int:
     return _run(args)
 
 
-def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
-
-
 if __name__ == "__main__":
     sys.exit(_run(_MAIN_ARGS))

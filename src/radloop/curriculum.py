@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, fields
@@ -202,6 +203,7 @@ def normalize_errors(errors: Sequence[float]) -> list[float]:
 
     Probabilities are the errors over their ``math.fsum``. All-equal inputs
     (which include the all-zero case) return the exact uniform distribution.
+    Errors whose exact sum passes ``sys.float_info.max`` raise ``ValueError``.
     """
     errs = [float(e) for e in errors]
     if not errs:
@@ -211,7 +213,10 @@ def normalize_errors(errors: Sequence[float]) -> list[float]:
             raise ValueError(f"errors must be finite and non-negative, got {e}")
     if max(errs) == min(errs):
         return [1.0 / len(errs)] * len(errs)
-    total = math.fsum(errs)
+    try:
+        total = math.fsum(errs)
+    except OverflowError as exc:
+        raise ValueError(f"errors must sum to at most {sys.float_info.max}") from exc
     return [e / total for e in errs]
 
 

@@ -261,6 +261,13 @@ class TestIntensityGrid:
         with pytest.raises(FormatError, match=f"grid {key} must be a positive JSON integer"):
             IntensityGrid.from_json(doc)
 
+    @pytest.mark.parametrize("width,height,n", [(2, 1, 1), (2, 2, 5), (3, 1, 0)])
+    def test_decoder_checks_the_value_count(self, width, height, n):
+        doc = {"width": width, "height": height, "max_level": 1, "values": [0] * n}
+        with pytest.raises(FormatError, match=f"grid has {n} values, not width \\* height = "
+                                              f"{width * height}"):
+            IntensityGrid.from_json(doc)
+
     @pytest.mark.parametrize("max_level", [MAX_GRID_LEVEL + 1, 2**40])
     def test_decoder_bounds_max_level(self, max_level):
         doc = {"width": 8, "height": 8, "max_level": max_level, "values": [0] * 64}

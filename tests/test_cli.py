@@ -65,12 +65,18 @@ class TestUsageErrors:
     def test_version_flag(self):
         assert dispatch(["--version"]) == 0
 
-    def test_console_script_exits_through_main(self, monkeypatch, capsys):
-        monkeypatch.setattr(sys, "argv", ["radloop", "--version"])
-        with pytest.raises(SystemExit) as exc:
-            cli.main()
-        assert exc.value.code == 0
-        assert capsys.readouterr().out == f"radloop {radloop.__version__}\n"
+    def test_console_script_exits_through_main(self):
+        # What the installed wrapper runs, in a fresh interpreter: radloop.main
+        # must run before radloop.cli is imported, or runpy warns.
+        script = "import sys\nfrom radloop import main\nsys.exit(main())"
+        proc = run_fresh(script, "--version")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == f"radloop {radloop.__version__}\n"
+
+    def test_console_script_is_radloop_main(self):
+        # A text match: tomllib is not in the standard library before 3.11.
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        assert re.search(r'^\[project\.scripts\]\nradloop = "radloop:main"$', text, re.M)
 
 
 def test_parser_choices_are_their_sources_in_order():
@@ -1949,41 +1955,56 @@ def test_judge_runs_without_requests(judge_server, tmp_path):
     assert read_jsonl(out)[0]["verdict"]["reason"] == "as main"
 
 
-# The last line of stderr lists the radloop submodules the run loaded.
-_RUN_MAIN = """
-import runpy, sys
+def _run_main(call):
+    return f"""
+import runpy, sys, radloop
 sys.argv = ["radloop", *sys.argv[1:]]
 try:
-    runpy.run_module("radloop.cli", run_name="__main__", alter_sys=True)
+    {call}
 finally:
     print("loaded:", *sorted(m for m in sys.modules if m.startswith("radloop.")), file=sys.stderr)
 """
+
+
+# Both entry points run radloop.cli as __main__: the runpy call that
+# ``python -m radloop.cli`` makes, and radloop.main, which the installed script
+# calls. The last line of stderr lists the radloop submodules the run loaded.
+_RUN_MAIN = [
+    _run_main('runpy.run_module("radloop.cli", run_name="__main__", alter_sys=True)'),
+    _run_main("radloop.main()"),
+]
 
 
 @pytest.mark.parametrize(
     "argv, code", [(["--version"], 0), (["--help"], 0), (["frobnicate", "--out", "x"], 2)]
 )
 def test_parse_only_runs_load_no_submodule(argv, code, capsys):
-    proc = run_fresh(_RUN_MAIN, *argv)
-    assert proc.returncode == code, proc.stderr
-    assert proc.stderr.splitlines()[-1] == "loaded:"
     assert dispatch(argv) == code
-    assert proc.stdout == capsys.readouterr().out
+    expected = capsys.readouterr().out
     if argv == ["--version"]:
-        assert proc.stdout == f"radloop {radloop.__version__}\n"
+        assert expected == f"radloop {radloop.__version__}\n"
+    for script in _RUN_MAIN:
+        proc = run_fresh(script, *argv)
+        assert proc.returncode == code, proc.stderr
+        assert "Warning" not in proc.stderr
+        assert proc.stderr.splitlines()[-1] == "loaded:"
+        assert proc.stdout == expected
 
 
 def test_a_subcommand_run_as_main_parses_then_runs(records_path, tmp_path):
-    outs = [tmp_path / "main.jsonl", tmp_path / "dispatch.jsonl"]
     argv = ["gen-tasks", "--records", str(records_path), "--out"]
-    proc = run_fresh(_RUN_MAIN, *argv, str(outs[0]))
-    assert proc.returncode == 0, proc.stderr
-    assert "radloop.taskgen" in proc.stderr.splitlines()[-1]
-    assert dispatch(argv + [str(outs[1])]) == 0
-    assert outs[0].read_bytes() == outs[1].read_bytes()
-    proc = run_fresh(_RUN_MAIN, "gen-tasks", "--records", str(tmp_path / "missing"), "--out", "x")
-    assert proc.returncode == 1
-    assert "ERROR radloop: FileNotFoundError" in proc.stderr
+    assert dispatch(argv + [str(tmp_path / "dispatch.jsonl")]) == 0
+    expected = (tmp_path / "dispatch.jsonl").read_bytes()
+    for script in _RUN_MAIN:
+        out = tmp_path / "main.jsonl"
+        proc = run_fresh(script, *argv, str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert "radloop.taskgen" in proc.stderr.splitlines()[-1]
+        assert out.read_bytes() == expected
+        out.unlink()
+        proc = run_fresh(script, "gen-tasks", "--records", str(tmp_path / "missing"), "--out", "x")
+        assert proc.returncode == 1
+        assert "ERROR radloop: FileNotFoundError" in proc.stderr
 
 
 def test_bare_import_loads_no_submodule():

@@ -142,6 +142,13 @@ class TestNormalizeErrors:
         with pytest.raises(ValueError):
             normalize_errors([])
 
+    def test_rejects_a_sum_beyond_the_largest_double(self):
+        with pytest.raises(ValueError, match="sum to at most 1.7976931348623157e"):
+            normalize_errors([1e308, 1.7e308])
+        with pytest.raises(ValueError, match="sum to at most"):
+            build_distribution(Level.INTER, Strategy.CURRICULUM, scores=[-1e308, -1.7e308])
+        assert normalize_errors([1e308, 1e308]) == [0.5, 0.5]  # all equal: no sum is taken
+
 
 class TestBuildDistribution:
     def test_natural_from_sizes(self):
