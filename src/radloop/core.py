@@ -28,12 +28,13 @@ instance, prediction and judge row decoders (built on :func:`get_str` and
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConfigError, EmptyAfterClamp, FormatError
 
@@ -155,6 +156,12 @@ def spread(total: int, parts: int) -> list[int]:
     """Split ``total`` into ``parts`` near-equal counts; the earliest get the remainder."""
     base, extra = divmod(total, parts)
     return [base + (1 if i < extra else 0) for i in range(parts)]
+
+
+def mean(values: Sequence[float]) -> float:
+    """The one float mean: ``math.fsum`` is correctly rounded, so the result
+    depends neither on the order of ``values`` nor on the CPython version."""
+    return math.fsum(values) / len(values)
 
 
 @dataclass(frozen=True, slots=True)

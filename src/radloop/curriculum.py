@@ -47,6 +47,7 @@ from .core import (
     expect,
     is_number,
     list_of,
+    mean,
     ruled,
     spread,
 )
@@ -764,7 +765,7 @@ class SimulatedLearner:
         for src_key, subtasks in by_source.items():
             source = DataSourceId.parse(src_key)
             all_entries = [e for cats in subtasks.values() for e in cats.values()]
-            mean_iou = math.fsum(e.iou for e in all_entries) / len(all_entries)
+            mean_iou = mean([e.iou for e in all_entries])
             if source.task is TaskFamily.AGRG:
                 out[src_key] = SourceMetrics(
                     source=source, iou=mean_iou, per_subtask=subtasks

@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .core import AnnotationRecord, Finding, NormBox, Task, intersection
+from .core import AnnotationRecord, Finding, NormBox, Task, intersection, mean
 from .errors import (
     DuplicateId,
     EmptyGroundTruth,
@@ -281,17 +281,6 @@ def grounding_iou(gt_boxes: Sequence[NormBox], pred_boxes: Sequence[NormBox]) ->
     return inter_area / total if total > 0 else 0.0
 
 
-def aggregate_iou(per_class: Mapping[str, Sequence[float]]) -> tuple[float, float]:
-    """Micro (mean over samples) and macro (mean of class means) IoU."""
-    classes = {k: list(v) for k, v in per_class.items() if len(v) > 0}
-    if not classes:
-        raise ValueError("aggregate_iou needs at least one scored sample")
-    all_vals = [v for vals in classes.values() for v in vals]
-    micro = sum(all_vals) / len(all_vals)
-    macro = sum(sum(v) / len(v) for v in classes.values()) / len(classes)
-    return micro, macro
-
-
 # ---------------------------------------------------------------------------
 # Text scoring
 
@@ -355,9 +344,10 @@ class SampleRow:
 class EvalReport:
     """One task's scored rows and the summaries derived from them.
 
-    ``per_class`` lists categories in the order they first appear; the micro
-    means sum the scores grouped by category, in the order each category
-    first scores. ``to_json`` writes schema version 1.
+    Every mean is :func:`radloop.core.mean`: micro is the mean of a metric's
+    scores, macro the mean of its category means. ``per_class`` lists
+    categories in the order they first appear. ``to_json`` writes schema
+    version 1.
     """
 
     task: Task
@@ -380,12 +370,16 @@ class EvalReport:
                 ious.setdefault(row.category, []).append(row.iou)
             if row.text_score is not None:
                 texts.setdefault(row.category, []).append(row.text_score)
+        iou_means = {cat: mean(v) for cat, v in ious.items()}
+        text_means = {cat: mean(v) for cat, v in texts.items()}
         self.n = len(self.rows)
         self.parse_failures = sum(row.parse_failed for row in self.rows)
-        self.micro_iou, self.macro_iou = aggregate_iou(ious) if ious else (None, None)
-        self.micro_text, self.macro_text = aggregate_iou(texts) if texts else (None, None)
+        self.micro_iou = mean([v for vs in ious.values() for v in vs]) if ious else None
+        self.macro_iou = mean(list(iou_means.values())) if ious else None
+        self.micro_text = mean([v for vs in texts.values() for v in vs]) if texts else None
+        self.macro_text = mean(list(text_means.values())) if texts else None
         self.per_class = {
-            cat: {"n": n, "iou": _mean(ious.get(cat)), "text_score": _mean(texts.get(cat))}
+            cat: {"n": n, "iou": iou_means.get(cat), "text_score": text_means.get(cat)}
             for cat, n in Counter(row.category for row in self.rows).items()
         }
 
@@ -428,11 +422,7 @@ def _grg_sample_iou(gold: Sequence[Finding], pred: Sequence[Finding]) -> float |
         if best_j is not None:
             used.add(best_j)
         scores.append(best)
-    return sum(scores) / len(scores)
-
-
-def _mean(values: Sequence[float] | None) -> float | None:
-    return sum(values) / len(values) if values else None
+    return mean(scores)
 
 
 def _score_sample(

@@ -22,7 +22,7 @@ from threading import TIMEOUT_MAX
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .core import (Rules, atomic_write, check_fields, config_from_json, decode_json, get_str,
-                   is_number, ruled)
+                   is_number, mean, ruled)
 from .errors import (
     EmptyInput,
     FormatError,
@@ -334,8 +334,9 @@ def aggregate_verdicts(
     """Reduce (anatomy, verdict) rows to per-anatomy rates plus a mean row.
 
     Rates are percentages of each anatomy's row count; the mean row is the
-    unweighted arithmetic mean of the per-anatomy rates, so it is invariant
-    to per-anatomy sample counts. Anatomies appear in first-seen order.
+    unweighted :func:`radloop.core.mean` of the per-anatomy rates, so it is
+    invariant to per-anatomy sample counts and to row order. Anatomies
+    appear in first-seen order.
     """
     by_anatomy: dict[str, list[JudgeVerdict]] = {}
     for anatomy, verdict in rows:
@@ -348,11 +349,8 @@ def aggregate_verdicts(
         n = len(verdicts)
         hits = (list(map(attrgetter(f), verdicts)).count(value) for f, value in _RATES.values())
         stats.append(AnatomyStats(anatomy, n, *(100.0 * h / n for h in hits)))
-    k = len(stats)
-    mean = AnatomyStats(
-        "mean", sum(s.n for s in stats), *(sum(getattr(s, r) for s in stats) / k for r in _RATES)
-    )
-    return stats, mean
+    means = (mean([getattr(s, r) for s in stats]) for r in _RATES)
+    return stats, AnatomyStats("mean", sum(s.n for s in stats), *means)
 
 
 def aggregation_table(

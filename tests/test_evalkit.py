@@ -16,7 +16,6 @@ from radloop.errors import (
 from radloop.evalkit import (
     EvalReport,
     SampleRow,
-    aggregate_iou,
     evaluate_task,
     get_scorer,
     grounding_iou,
@@ -391,19 +390,19 @@ def test_grounding_iou_is_symmetric_and_blind_to_box_order_and_repeats(gt, pred,
 
 
 class TestAggregateIou:
-    def test_micro_vs_macro(self):
-        per_class = {"a": [1.0, 0.0], "b": [0.5]}
-        micro, macro = aggregate_iou(per_class)
-        assert micro == pytest.approx(0.5)
-        assert macro == pytest.approx((0.5 + 0.5) / 2)
+    """Micro and macro IoU of an :class:`EvalReport`'s rows."""
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_iou({})
+    def test_micro_vs_macro(self):
+        rows = [SampleRow("i", cat, iou, None, False, False)
+                for cat, iou in (("a", 1.0), ("a", 0.0), ("b", 0.5))]
+        report = EvalReport(Task.PG, "strict", "lexical", rows)
+        assert report.micro_iou == pytest.approx(0.5)
+        assert report.macro_iou == pytest.approx((0.5 + 0.5) / 2)
 
     def test_single_class_equal(self):
-        micro, macro = aggregate_iou({"a": [0.2, 0.4]})
-        assert micro == macro == pytest.approx(0.3)
+        rows = [SampleRow("i", "a", iou, None, False, False) for iou in (0.2, 0.4)]
+        report = EvalReport(Task.PG, "strict", "lexical", rows)
+        assert report.micro_iou == report.macro_iou == pytest.approx(0.3)
 
 
 class TestLexicalScore:
@@ -595,23 +594,22 @@ _rows = st.lists(st.builds(SampleRow, st.just("i"), st.sampled_from("abc"), _sco
 
 
 @given(rows=_rows)
-# "a" appears first but "b" scores first, and the two orders sum to different doubles.
-@example(rows=[SampleRow("i", cat, iou, None, False, False)
-               for cat, iou in (("a", None), ("b", 0.58), ("b", 0.91), ("a", 0.5))])
-def test_every_summary_is_its_rows_summed_in_the_documented_order(rows):
+# A left-to-right sum of 0.1, 0.2 and 0.3 is not their correctly rounded sum.
+@example(rows=[SampleRow("i", "a", v, v, False, False) for v in (0.1, 0.2, 0.3)])
+def test_every_summary_is_its_rows_exact_sum_over_their_count(rows):
     report = EvalReport(Task.PG, "strict", "lexical", rows)
 
     def summary(metric):
-        """Micro, macro and per-category means of ``metric``, summed category
-        by category in the order each category first scores."""
+        """Micro, macro and per-category means of ``metric``: each exact sum is
+        rounded once to a double, then divided by the count."""
         values = [(r.category, getattr(r, metric)) for r in rows if getattr(r, metric) is not None]
-        scored = list(dict.fromkeys(cat for cat, _ in values))
-        groups = {cat: [v for c, v in values if c == cat] for cat in scored}
-        means = {cat: sum(g) / len(g) for cat, g in groups.items()}
-        if not scored:
+        groups = {cat: [v for c, v in values if c == cat] for cat, _ in values}
+        means = {cat: float(sum(map(Fraction, g))) / len(g) for cat, g in groups.items()}
+        if not values:
             return None, None, means
-        flat = [v for g in groups.values() for v in g]
-        return sum(flat) / len(flat), sum(means.values()) / len(means), means
+        flat = [v for _, v in values]
+        return (float(sum(map(Fraction, flat))) / len(flat),
+                float(sum(map(Fraction, means.values()))) / len(means), means)
 
     micro_iou, macro_iou, iou_means = summary("iou")
     micro_text, macro_text, text_means = summary("text_score")
@@ -626,3 +624,15 @@ def test_every_summary_is_its_rows_summed_in_the_documented_order(rows):
         for cat in categories
     }
     assert report.to_json()["rows"] == [vars(r) for r in rows]
+
+
+@given(pair=_rows.flatmap(lambda rows: st.tuples(st.just(rows), st.permutations(rows))))
+@example(pair=([SampleRow("i", "a", v, v, False, False) for v in (0.1, 0.2, 0.3)],
+               [SampleRow("i", "a", v, v, False, False) for v in (0.3, 0.2, 0.1)]))
+def test_summaries_do_not_depend_on_row_order(pair):
+    rows, shuffled = pair
+    report = EvalReport(Task.PG, "strict", "lexical", rows)
+    other = EvalReport(Task.PG, "strict", "lexical", shuffled)
+    assert (other.micro_iou, other.macro_iou) == (report.micro_iou, report.macro_iou)
+    assert (other.micro_text, other.macro_text) == (report.micro_text, report.macro_text)
+    assert other.per_class == report.per_class

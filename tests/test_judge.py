@@ -7,7 +7,7 @@ from threading import TIMEOUT_MAX
 from urllib.error import URLError
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from radloop.errors import (
     ConfigError,
@@ -549,10 +549,19 @@ _verdicts = st.fixed_dictionaries(
 ).map(lambda values: make_verdict(**values))
 
 
-@given(rows=st.lists(
+_verdict_rows = st.lists(
     st.tuples(st.sampled_from(("lung", "heart", "mean")) | st.text(max_size=3), _verdicts),
     min_size=1, max_size=80,
-))
+)
+_YES, _NO = make_verdict(gen_has_hallucinated_abnormalities="yes"), make_verdict()
+#: Rates 100, 66.67 and 33.33: summed left to right in this order they miss
+#: their correctly rounded sum, and in the reverse order they hit it.
+_ORDER_SENSITIVE = [("a", _YES), ("b", _YES), ("b", _YES), ("b", _NO),
+                    ("c", _YES), ("c", _NO), ("c", _NO)]
+
+
+@given(rows=_verdict_rows)
+@example(rows=_ORDER_SENSITIVE)
 def test_rates_are_reference_counts_and_the_mean_row_their_mean(rows):
     stats, mean = aggregate_verdicts(rows)
     assert [s.anatomy for s in stats] == list(dict.fromkeys(anatomy for anatomy, _ in rows))
@@ -567,8 +576,16 @@ def test_rates_are_reference_counts_and_the_mean_row_their_mean(rows):
             assert getattr(s, rate) == 100.0 * hits / len(own)
     assert (mean.anatomy, mean.n) == ("mean", len(rows))
     for rate in REFERENCE_RATES:
-        assert getattr(mean, rate) == sum(getattr(s, rate) for s in stats) / len(stats)
+        values = [getattr(s, rate) for s in stats]
+        assert getattr(mean, rate) == float(sum(map(Fraction, values))) / len(values)
     assert list(aggregation_table(stats, mean)["mean"]) == ["anatomy", "n", *REFERENCE_RATES]
+
+
+@given(pair=_verdict_rows.flatmap(lambda rows: st.tuples(st.just(rows), st.permutations(rows))))
+@example(pair=(_ORDER_SENSITIVE, _ORDER_SENSITIVE[::-1]))
+def test_the_mean_row_does_not_depend_on_row_order(pair):
+    rows, shuffled = pair
+    assert aggregate_verdicts(shuffled)[1] == aggregate_verdicts(rows)[1]
 
 
 class TestVerdictRows:
