@@ -14,9 +14,10 @@ first tries the strict grammar and then falls back to scanning for bracketed
 Out-of-range coordinates are clamped and reported through
 ``ParsedOutput.warnings`` in both modes.
 
-Geometry uses exact rectangle-union areas computed by coordinate sweep, so
-grounding IoU carries no rasterization error. All functions are pure and
-safe to call from multiple threads.
+Geometry takes the exact intersection and union areas of the gold and
+predicted regions from one coordinate sweep, so grounding IoU carries no
+rasterization error and lies in [0, 1]. All functions are pure and safe to
+call from multiple threads.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .core import AnnotationRecord, Finding, NormBox, Task, intersection, mean
+from .core import AnnotationRecord, Finding, NormBox, Task, mean
 from .errors import (
     DuplicateId,
     EmptyGroundTruth,
@@ -233,28 +234,41 @@ def parse_output(text: str, task: Task, mode: str = "strict") -> ParsedOutput:
 # Exact rectangle-union geometry
 
 
+def _covered(gold: Sequence[NormBox], pred: Sequence[NormBox]) -> tuple[float, float]:
+    """Areas covered by both sides and by either side, from one x sweep.
+
+    A strip between neighbouring x edges walks the y edges of the boxes that
+    span it with a depth count per side. Each covered gap between y edges adds
+    to "either", and in the same order to "both" where both sides cover it, so
+    both <= either in doubles. A strip adds area only where its covered length
+    is non-zero, so an infinite strip over nothing adds no ``inf * 0``.
+    """
+    rects = sorted(((x1, x2, ((y1, dg, dp), (y2, -dg, -dp)))
+                    for dg, dp, boxes in ((1, 0, gold), (0, 1, pred)) for b in boxes
+                    for x1, y1, x2, y2 in (b.corners(),)), reverse=True)
+    xs = sorted({x for r in rects for x in r[:2]})
+    both = either = 0.0
+    active: list[tuple] = []
+    for x0, x1 in zip(xs, xs[1:]):
+        while rects and rects[-1][0] <= x0:
+            active.append(rects.pop())
+        active = [r for r in active if r[1] > x0]
+        g = p = 0  # the gold and predicted boxes over the gap below y
+        on_both = on_either = y0 = 0.0
+        for y, dg, dp in sorted([e for r in active for e in r[2]]):
+            if y > y0 and (g or p):
+                on_either += y - y0
+                if g and p:
+                    on_both += y - y0
+            g, p, y0 = g + dg, p + dp, y
+        either += (x1 - x0) * on_either if on_either else 0.0
+        both += (x1 - x0) * on_both if on_both else 0.0
+    return both, either
+
+
 def union_area(boxes: Sequence[NormBox]) -> float:
     """Exact area of the union of axis-aligned boxes (coordinate sweep)."""
-    if not boxes:
-        return 0.0
-    rects = [b.corners() for b in boxes]
-    xs = sorted({x for r in rects for x in (r[0], r[2])})
-    total = 0.0
-    for x0, x1 in zip(xs, xs[1:]):
-        spans = sorted(
-            (r[1], r[3]) for r in rects if r[0] <= x0 and r[2] >= x1
-        )
-        covered = 0.0
-        cur_end = float("-inf")
-        for y1, y2 in spans:
-            if y1 > cur_end:
-                covered += y2 - y1
-                cur_end = y2
-            elif y2 > cur_end:
-                covered += y2 - cur_end
-                cur_end = y2
-        total += (x1 - x0) * covered
-    return total
+    return _covered(boxes, ())[1]
 
 
 def grounding_iou(gt_boxes: Sequence[NormBox], pred_boxes: Sequence[NormBox]) -> float:
@@ -262,23 +276,19 @@ def grounding_iou(gt_boxes: Sequence[NormBox], pred_boxes: Sequence[NormBox]) ->
 
     All ground-truth boxes are merged into one region and all predicted boxes
     into another; the score is the area of their intersection over the area
-    of their union. An empty prediction, or a union with no area in doubles,
-    scores 0; empty ground truth raises :class:`EmptyGroundTruth`, and an
+    of their union, both from one :func:`_covered` sweep, so it lies in
+    [0, 1]. An empty prediction, or a union with no area in doubles, scores
+    0; empty ground truth raises :class:`EmptyGroundTruth`, and an
     intersection beyond double range a ``ValueError``.
     """
     if not gt_boxes:
         raise EmptyGroundTruth("grounding IoU needs at least one ground-truth box")
     if not pred_boxes:
         return 0.0
-    try:
-        inter_area = union_area([NormBox.from_corners(*box) for g in gt_boxes for p in pred_boxes
-                                 if (box := intersection(g.corners(), p.corners())) is not None])
-    except ValueError:  # from_corners: a centre or side out of double range
-        inter_area = _INF
-    if not inter_area < _INF:
+    both, either = _covered(gt_boxes, pred_boxes)
+    if not both < _INF:
         raise ValueError("the intersection of the boxes overflows a double")
-    total = union_area(list(gt_boxes) + list(pred_boxes))
-    return inter_area / total if total > 0 else 0.0
+    return both / either if either > 0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +426,7 @@ def _grg_sample_iou(gold: Sequence[Finding], pred: Sequence[Finding]) -> float |
         for j, p in enumerate(pred):
             if j in used or not p.boxes:
                 continue
-            value = grounding_iou(list(g.boxes), list(p.boxes))
+            value = grounding_iou(g.boxes, p.boxes)
             if value > best:
                 best, best_j = value, j
         if best_j is not None:
@@ -449,13 +459,9 @@ def _score_sample(
     if "boxes" in fields:
         if not record.boxes:
             raise EmptyGroundTruth(f"gold record {record.image_id!r} has no boxes")
-        iou = 0.0 if parsed is None else grounding_iou(list(record.boxes), parsed.boxes)
+        iou = 0.0 if parsed is None else grounding_iou(record.boxes, parsed.boxes)
     if "description" in fields:
-        reference = record.text or ""
-        if parsed is None:
-            text = 0.0
-        else:
-            text = scorer(parsed.description or "", reference)
+        text = 0.0 if parsed is None else scorer(parsed.description or "", record.text or "")
     return iou, text
 
 
@@ -496,14 +502,6 @@ def evaluate_task(
         except ParseError:
             parsed = None
         iou, text_score = _score_sample(record, parsed, task, scorer_fn)
-        rows.append(
-            SampleRow(
-                id=pid,
-                category=record.category,
-                iou=iou,
-                text_score=text_score,
-                parse_failed=parsed is None,
-                salvaged=bool(parsed.salvaged) if parsed else False,
-            )
-        )
+        rows.append(SampleRow(pid, record.category, iou, text_score, parse_failed=parsed is None,
+                              salvaged=parsed is not None and parsed.salvaged))
     return EvalReport(task, mode, scorer, rows)
