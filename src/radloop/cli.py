@@ -371,16 +371,10 @@ def _cmd_eval(args, config) -> Iterable[str]:
     return _json_doc(report.to_json())
 
 
-def _endpoint_config(args, config: ToolConfig) -> EndpointConfig:
-    if args.endpoint:
-        return load_json(args.endpoint, EndpointConfig.from_json)
-    if config.endpoint is not None:
-        return config.endpoint
-    raise ConfigError("the judge command needs --endpoint (or a config endpoint)")
-
-
 def _cmd_judge(args, config) -> Iterable[str]:
-    endpoint = _endpoint_config(args, config)
+    endpoint = load_json(args.endpoint, EndpointConfig.from_json) if args.endpoint else config.endpoint
+    if endpoint is None:
+        raise ConfigError("the judge command needs --endpoint (or a config endpoint)")
     gold = _by_id(args.gold, judge_gold_from_json, "gold")
 
     def pred_rows() -> Iterator[tuple[str, str, str]]:
@@ -392,10 +386,36 @@ def _cmd_judge(args, config) -> Iterable[str]:
 
     total = sum(1 for _ in pred_rows())  # every row is checked before the first request
 
+    def replies() -> Iterator[tuple[str, str, str]]:
+        """(image_id, anatomy, reply) per row in file order, from a window of at most ``parallelism``
+        rows: the main thread fetches the oldest unless a helper has it; helpers take the rows behind."""
+        rows, window, fetches, pool = islice(pred_rows(), total), [], {}, None
+        try:
+            while True:
+                for image_id, anatomy, text in islice(rows, endpoint.parallelism - len(window)):
+                    prompt = build_judge_prompt(text, gold[image_id])
+                    window.append((image_id, anatomy, prompt))
+                    fetches.setdefault(prompt, None)  # None: unfetched; a repeated prompt shares it
+                if not window:
+                    return
+                image_id, anatomy, prompt = window.pop(0)
+                if (fetch := fetches[prompt]) is None:  # hand the rows behind to helpers first
+                    for behind in [p for p, f in fetches.items() if f is None and p != prompt]:
+                        if pool is None:
+                            from concurrent.futures import ThreadPoolExecutor
+                            pool = ThreadPoolExecutor(endpoint.parallelism - 1)
+                        fetches[behind] = pool.submit(call_judge, behind, endpoint)
+                if not isinstance(fetch, str):
+                    fetches[prompt] = call_judge(prompt, endpoint) if fetch is None else fetch.result()
+                shared = any(p == prompt for *_, p in window)
+                yield image_id, anatomy, fetches[prompt] if shared else fetches.pop(prompt)
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
+
     def verdict_rows() -> Iterator[dict[str, Any]]:
-        failures = 0
-        for image_id, anatomy, text in pred_rows():
-            raw = call_judge(build_judge_prompt(text, gold[image_id]), endpoint)
+        failures = n = 0
+        for n, (image_id, anatomy, raw) in enumerate(replies(), 1):
             row: dict[str, Any] = {"image_id": image_id, "anatomy": anatomy}
             try:
                 row["verdict"] = validate_verdict(raw, lenient=args.lenient).to_json()
@@ -405,6 +425,8 @@ def _cmd_judge(args, config) -> Iterable[str]:
                 row["raw"] = raw
                 log.warning("verdict for %s/%s failed validation: %s", image_id, anatomy, exc)
             yield row
+        if n < total:  # a pipe is empty the second time it is read
+            raise FormatError(0, f"--pred gave {total} rows, then {n}: a pipe cannot be read twice")
         if failures:
             log.warning("%d of %d verdicts failed validation", failures, total)
 

@@ -22,7 +22,7 @@ from threading import TIMEOUT_MAX
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .core import (Rules, atomic_write, check_fields, config_from_json, decode_json, get_str,
-                   is_number, mean, ruled)
+                   is_int, is_number, mean, ruled)
 from .errors import (
     EmptyInput,
     FormatError,
@@ -183,7 +183,7 @@ class EndpointConfig:
     backoff: float = ruled(Rules.NON_NEGATIVE, 0.5)
     api_key_env: str | None = ruled(Rules.TEXT, None)
     cache_dir: str | None = ruled(Rules.TEXT, None)
-    parallelism: int = ruled(Rules.POSITIVE_INT, 4)
+    parallelism: int = ruled((lambda v: is_int(v) and 1 <= v <= 32, "an integer in [1, 32]"), 1)
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -272,29 +272,6 @@ def call_judge(
     if config.max_retries == 0:
         raise last_error
     raise RetriesExhausted(attempts, req_hash) from last_error
-
-
-def judge_pairs(
-    pairs: Sequence[tuple[str, str]],
-    config: EndpointConfig,
-    transport: Transport | None = None,
-    sleep: Callable[[float], None] = time.sleep,
-) -> list[str]:
-    """Call the judge on (gen, gt) pairs, preserving order.
-
-    Requests run on a thread pool capped at ``config.parallelism``. Each
-    distinct prompt is fetched once and its response shared by every pair
-    that builds it.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-    prompts = [build_judge_prompt(gen, gt) for gen, gt in pairs]
-    if not prompts:
-        return []
-    with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-        futures = {
-            p: pool.submit(call_judge, p, config, transport, sleep) for p in dict.fromkeys(prompts)
-        }
-        return [futures[p].result() for p in prompts]
 
 
 # ---------------------------------------------------------------------------

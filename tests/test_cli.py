@@ -876,18 +876,22 @@ class TestJudgeTransport:
         assert read_jsonl(out)[0]["verdict"]["reason"] == "upper case"
         assert hits == ["upper case"]
 
-    def test_judge_pairs_in_parallel_match_the_serial_run(self, judge_server):
+    def test_judge_in_parallel_matches_the_serial_run(self, tmp_path, judge_server):
         url, hits, _ = judge_server
-        pairs = [(f"gen {i % 7}", "gt") for i in range(28)]
-        responses = {}
+        gens = [f"gen {i % 7}" for i in range(28)]
+        outputs = {}
         for parallelism in (1, 4):
             hits.clear()
-            config = judge_module.EndpointConfig(url, "judge-model", timeout=10, max_retries=0,
-                                                 parallelism=parallelism)
-            responses[parallelism] = judge_module.judge_pairs(pairs, config)
-            assert sorted(hits) == sorted({gen for gen, _ in pairs})
-        assert responses[4] == responses[1]
-        assert [json.loads(r)["reason"] for r in responses[1]] == [gen for gen, _ in pairs]
+            argv, out = _judge_one_row(tmp_path, url, "unused", parallelism=parallelism,
+                                       cache_dir=str(tmp_path / f"cache-{parallelism}"))
+            (tmp_path / "pred.jsonl").write_text(
+                "".join(json.dumps({"image_id": "im1", "anatomy": "lung", "text": gen}) + "\n"
+                        for gen in gens), encoding="utf-8")
+            assert dispatch(argv) == 0
+            assert sorted(hits) == sorted(set(gens))
+            outputs[parallelism] = out.read_bytes()
+        assert outputs[4] == outputs[1]
+        assert [json.loads(line)["verdict"]["reason"] for line in outputs[1].splitlines()] == gens
 
 
 @pytest.mark.usefixtures("block_requests")
@@ -1921,12 +1925,14 @@ except SystemExit as exc:
 """
 
 
-def run_fresh(code, *args):
-    """Run ``code`` in a fresh interpreter that imports this tree's radloop."""
+def run_fresh(code, *args, stdin=None):
+    """Run ``code`` in a fresh interpreter that imports this tree's radloop,
+    with ``stdin``, if given, on a pipe."""
     path = [str(Path(radloop.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     return subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120,
+        input=stdin,
     )
 
 
@@ -1942,7 +1948,8 @@ def loaded_after(script, *args):
 
 
 def test_import_and_version_leave_numpy_unloaded():
-    # Nor the judge's thread pool: only judge_pairs imports concurrent.futures.
+    # Nor the judge's thread pool: `judge` imports concurrent.futures only when
+    # it hands a row to a helper thread, which it never does at parallelism 1.
     assert loaded_after("import radloop.cli") == set()
     assert loaded_after(_RUN_AS_MAIN, "--version") == set()
 
@@ -1953,6 +1960,24 @@ def test_judge_runs_without_requests(judge_server, tmp_path):
     assert loaded_after(_RUN_AS_MAIN, *argv) == set()
     assert hits == ["as main"]
     assert read_jsonl(out)[0]["verdict"]["reason"] == "as main"
+
+
+def test_judge_fails_on_a_piped_pred_file_without_touching_the_output(judge_server, tmp_path):
+    # The row check reads --pred once and the judging reads it again. A pipe is
+    # empty the second time, so the run must fail by name, not write no rows.
+    url, hits, _ = judge_server
+    argv, out = _judge_one_row(tmp_path, url, "unused")
+    out.write_bytes(b"old output\n")
+    argv[argv.index("--pred") + 1] = "/dev/stdin"
+    rows = "".join(json.dumps({"image_id": "im1", "anatomy": "lung", "text": f"gen {i}"}) + "\n"
+                   for i in range(3))
+    code = 'import runpy, sys\nsys.argv[0] = "radloop"\nrunpy.run_module("radloop.cli", run_name="__main__")'
+    proc = run_fresh(code, *argv, stdin=rows)
+    assert proc.returncode == 1
+    assert proc.stderr == ("ERROR radloop: FormatError: line 0: --pred gave 3 rows, then 0: "
+                           "a pipe cannot be read twice\n")
+    assert out.read_bytes() == b"old output\n"
+    assert hits == []
 
 
 def _run_main(call):

@@ -1,5 +1,6 @@
 import json
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -7,8 +8,10 @@ from threading import TIMEOUT_MAX
 from urllib.error import URLError
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from radloop import judge as judge_module
+from radloop.cli import dispatch
 from radloop.errors import (
     ConfigError,
     EmptyInput,
@@ -30,7 +33,6 @@ from radloop.judge import (
     aggregation_table,
     build_judge_prompt,
     call_judge,
-    judge_pairs,
     request_hash,
     validate_verdict,
     verdict_row_from_json,
@@ -337,39 +339,96 @@ class TestCallJudge:
         assert "Authorization" not in transport.calls[0]["headers"]
 
 
+class EchoTransport:
+    """Stands in for the default transport. After ``wait`` seconds it answers a
+    request with a verdict whose reason is the request's [GEN] line; "garble"
+    gets a reply that is no verdict, and "fail" a connection error. It records
+    each request's GEN, thread and thread count, and the most in flight at once."""
+
+    def __init__(self):
+        self.wait = 0.0
+        self.lock = threading.Lock()
+        self.gens, self.threads, self.thread_counts = [], [], []
+        self.in_flight = self.max_in_flight = 0
+
+    def __call__(self, url, payload, timeout, headers):
+        gen = payload["prompt"].split("[GEN]:\n", 1)[1].split("\n", 1)[0]
+        with self.lock:
+            self.gens.append(gen)
+            self.threads.append(threading.current_thread())
+            self.thread_counts.append(threading.active_count())
+            self.in_flight += 1
+            self.max_in_flight = max(self.max_in_flight, self.in_flight)
+        try:
+            time.sleep(self.wait)
+            if gen == "fail":
+                raise ConnectionError("connection reset")
+            return "no verdict" if gen == "garble" else json.dumps(verdict_dict(reason=gen))
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
+@pytest.fixture()
+def echo(monkeypatch):
+    transport = EchoTransport()
+    monkeypatch.setattr(judge_module, "_default_transport", transport)
+    return transport
+
+
+def run_judge(tmp_path, gens, parallelism, name="out.jsonl", **endpoint):
+    """``radloop judge`` one pred row per gen, each against the same gold report,
+    at ``parallelism``; return the exit code and the output path."""
+    gold, pred, endpoint_path = (tmp_path / n for n in ("gold.jsonl", "pred.jsonl", "endpoint.json"))
+    gold.write_text(json.dumps({"image_id": "im1", "text": "gt report"}) + "\n", encoding="utf-8")
+    pred.write_text("".join(json.dumps({"image_id": "im1", "anatomy": f"a{i % 3}", "text": gen}) + "\n"
+                            for i, gen in enumerate(gens)), encoding="utf-8")
+    endpoint_path.write_text(json.dumps({"url": "http://judge.invalid/v1", "model": "judge-model",
+                                         "max_retries": 0, "parallelism": parallelism, **endpoint}),
+                             encoding="utf-8")
+    out = tmp_path / name
+    argv = ["judge", "--pred", str(pred), "--gold", str(gold), "--endpoint", str(endpoint_path)]
+    return dispatch(argv + ["--out", str(out)]), out
+
+
 class TestJudgePairs:
-    def test_order_preserved(self):
-        def transport(url, payload, timeout, headers):
-            # Echo back the [GEN] line so each response is identifiable.
-            body = payload["prompt"]
-            return body.split("[GEN]:\n", 1)[1].split("\n", 1)[0]
+    """(gen, gt) pairs judged by ``radloop judge`` at any parallelism."""
 
-        pairs = [(f"gen-{i}", "gt") for i in range(16)]
-        out = judge_pairs(pairs, config(parallelism=8), transport, sleep=lambda s: None)
-        assert out == [f"gen-{i}" for i in range(16)]
+    def test_order_preserved(self, tmp_path, echo):
+        gens = [f"gen-{i}" for i in range(16)] + ["gen-3", "garble", "gen-3", "gen-0"]
+        outputs = set()
+        for parallelism in (1, 2, 4, 8):
+            rc, out = run_judge(tmp_path, gens, parallelism, name=f"out-{parallelism}.jsonl")
+            assert rc == 0
+            outputs.add(out.read_bytes())
+        rows = [{"image_id": "im1", "anatomy": f"a{i % 3}", "verdict": verdict_dict(reason=gen)}
+                for i, gen in enumerate(gens)]
+        rows[17] = {"image_id": "im1", "anatomy": "a2", "error": "no JSON object found in response",
+                    "raw": "no verdict"}
+        assert outputs == {"".join(json.dumps(row) + "\n" for row in rows).encode()}
 
-    def test_empty(self):
-        assert judge_pairs([], config(), None, sleep=lambda s: None) == []
+    def test_empty(self, tmp_path, echo):
+        rc, out = run_judge(tmp_path, [], 8)
+        assert rc == 0
+        assert out.read_bytes() == b""
+        assert echo.gens == []
 
-    def test_identical_prompts_fetched_once(self, tmp_path):
-        calls = []
-
-        def transport(url, payload, timeout, headers):
-            calls.append(payload["prompt"])
-            time.sleep(0.001)
-            return "same verdict"
-
-        pairs = [("N/A", "gt report")] * 16
-        for cache_dir in (None, str(tmp_path / "cache")):
-            calls.clear()
-            cfg = config(parallelism=8, cache_dir=cache_dir)
-            assert judge_pairs(pairs, cfg, transport, sleep=lambda s: None) == ["same verdict"] * 16
-            assert len(calls) == 1
+    def test_identical_prompts_fetched_once(self, tmp_path, echo):
+        echo.wait = 0.001
+        for cache in ({}, {"cache_dir": str(tmp_path / "cache")}):
+            echo.gens.clear()
+            assert run_judge(tmp_path, ["N/A"] * 16, 8, **cache)[0] == 0
+            assert echo.gens == ["N/A"]
+        # With the cache, a prompt that comes back after it left the window is a hit.
+        echo.gens.clear()
+        mix = ["N/A", *(f"gen-{i}" for i in range(10)), "N/A", "gen-3", "N/A", *["gen-9"] * 3]
+        assert run_judge(tmp_path, mix, 8, name="mix.jsonl", **cache)[0] == 0
+        assert sorted(echo.gens) == sorted(set(mix) - {"N/A"})
 
     def test_duplicate_prompts_share_the_cache_safely(self, tmp_path):
         # Identical prompts hash to one cache file that several threads write
         # at once; every write must land whole and leave no temp file behind.
-        # judge_pairs fetches a prompt once, so the threads call call_judge.
+        # `judge` sends a prompt once per window, so the threads call call_judge.
         def transport(url, payload, timeout, headers):
             time.sleep(0.001)
             return "same verdict"
@@ -391,6 +450,46 @@ class TestJudgePairs:
         finally:
             sys.setswitchinterval(interval)
 
+    @pytest.mark.parametrize("parallelism", [2, 4, 8])
+    def test_at_most_parallelism_requests_are_in_flight(self, tmp_path, echo, parallelism):
+        echo.wait = 0.05
+        assert run_judge(tmp_path, [f"gen-{i}" for i in range(2 * parallelism)], parallelism)[0] == 0
+        assert 1 < echo.max_in_flight <= parallelism
+
+    def test_at_parallelism_1_the_main_thread_sends_each_request_in_file_order(self, tmp_path, echo):
+        baseline = threading.active_count()
+        gens = ["gen-b", "gen-a", "gen-b", "garble", "gen-c"]
+        assert run_judge(tmp_path, gens, 1)[0] == 0
+        assert echo.gens == gens
+        assert all(thread is threading.main_thread() for thread in echo.threads)
+        assert echo.thread_counts == [baseline] * len(gens)
+
+    def test_a_transport_failure_midway_fails_the_run_and_stops_every_helper(
+        self, tmp_path, echo, capsys
+    ):
+        echo.wait = 0.005
+        baseline = threading.active_count()
+        (tmp_path / "out.jsonl").write_bytes(b"old output\n")
+        gens = [f"gen-{i}" for i in range(6)] + ["fail"] + [f"gen-{i}" for i in range(6, 12)]
+        rc, out = run_judge(tmp_path, gens, 4)
+        assert rc == 1
+        assert "ERROR radloop: TransportError: connection reset" in capsys.readouterr().err
+        assert out.read_bytes() == b"old output\n"
+        assert threading.active_count() == baseline
+        assert set(echo.gens) <= set(gens[:10])  # no row past the failed one's window
+
+    @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(gens=st.lists(st.sampled_from(["N/A", "Clear.", "Effusion.", "garble"]),
+                         min_size=1, max_size=30),
+           parallelism=st.integers(1, 8))
+    def test_any_rows_at_any_parallelism_give_the_serial_bytes(
+        self, tmp_path, echo, gens, parallelism
+    ):
+        serial = run_judge(tmp_path, gens, 1, name="serial.jsonl")[1].read_bytes()
+        rc, out = run_judge(tmp_path, gens, parallelism, name="parallel.jsonl")
+        assert rc == 0
+        assert out.read_bytes() == serial
+
 
 class TestEndpointConfig:
     def test_from_json_rejects_extras(self):
@@ -406,8 +505,11 @@ class TestEndpointConfig:
             config(max_retries=-1)
         with pytest.raises(ValueError):
             config(timeout=0)
-        with pytest.raises(ValueError):
-            config(parallelism=0)
+        for parallelism in (0, 33, 4.0, True):
+            with pytest.raises(ValueError, match="parallelism must be an integer in"):
+                config(parallelism=parallelism)
+        assert config(parallelism=32).parallelism == 32
+        assert config().parallelism == 1
 
     def test_the_last_wait_and_the_timeout_are_at_most_timeout_max(self):
         # backoff * 2**attempt overflowed a float from attempt 1024, and
