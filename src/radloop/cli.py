@@ -182,6 +182,7 @@ from .judge import (
     aggregate_verdicts,
     aggregation_table,
     build_judge_prompt,
+    cached_reply,
     call_judge,
     validate_verdict,
     verdict_row_from_json,
@@ -376,46 +377,42 @@ def _cmd_judge(args, config) -> Iterable[str]:
     if endpoint is None:
         raise ConfigError("the judge command needs --endpoint (or a config endpoint)")
     gold = _by_id(args.gold, judge_gold_from_json, "gold")
-
-    def pred_rows() -> Iterator[tuple[str, str, str]]:
-        for line_no, obj in iter_jsonl(args.pred):
-            image_id, anatomy, text = judge_pred_from_json(obj, line_no)
-            if image_id not in gold:
-                raise FormatError(line_no, f"no gold report for image {image_id!r}")
-            yield image_id, anatomy, text
-
-    total = sum(1 for _ in pred_rows())  # every row is checked before the first request
+    pred: list[tuple[str, str, str]] = []  # every row is checked before the first request
+    for line_no, obj in iter_jsonl(args.pred):
+        image_id, anatomy, text = judge_pred_from_json(obj, line_no)
+        if image_id not in gold:
+            raise FormatError(line_no, f"no gold report for image {image_id!r}")
+        pred.append((image_id, anatomy, text))
 
     def replies() -> Iterator[tuple[str, str, str]]:
         """(image_id, anatomy, reply) per row in file order, from a window of at most ``parallelism``
         rows: the main thread fetches the oldest unless a helper has it; helpers take the rows behind."""
-        rows, window, fetches, pool = islice(pred_rows(), total), [], {}, None
+        window, fetches, pool = [], {}, None
         try:
-            while True:
-                for image_id, anatomy, text in islice(rows, endpoint.parallelism - len(window)):
-                    prompt = build_judge_prompt(text, gold[image_id])
-                    window.append((image_id, anatomy, prompt))
+            for i, (image_id, anatomy, _) in enumerate(pred):
+                for behind_id, _, text in pred[i + len(window):i + endpoint.parallelism]:
+                    window.append(prompt := build_judge_prompt(text, gold[behind_id]))
                     fetches.setdefault(prompt, None)  # None: unfetched; a repeated prompt shares it
-                if not window:
-                    return
-                image_id, anatomy, prompt = window.pop(0)
+                prompt = window.pop(0)
                 if (fetch := fetches[prompt]) is None:  # hand the rows behind to helpers first
                     for behind in [p for p, f in fetches.items() if f is None and p != prompt]:
-                        if pool is None:
-                            from concurrent.futures import ThreadPoolExecutor
-                            pool = ThreadPoolExecutor(endpoint.parallelism - 1)
-                        fetches[behind] = pool.submit(call_judge, behind, endpoint)
+                        if (fetched := cached_reply(behind, endpoint)) is None:  # a hit needs no helper
+                            if pool is None:
+                                from concurrent.futures import ThreadPoolExecutor
+                                pool = ThreadPoolExecutor(endpoint.parallelism - 1)
+                            fetched = pool.submit(call_judge, behind, endpoint)
+                        fetches[behind] = fetched
                 if not isinstance(fetch, str):
                     fetches[prompt] = call_judge(prompt, endpoint) if fetch is None else fetch.result()
-                shared = any(p == prompt for *_, p in window)
+                shared = prompt in window
                 yield image_id, anatomy, fetches[prompt] if shared else fetches.pop(prompt)
         finally:
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
 
     def verdict_rows() -> Iterator[dict[str, Any]]:
-        failures = n = 0
-        for n, (image_id, anatomy, raw) in enumerate(replies(), 1):
+        failures = 0
+        for image_id, anatomy, raw in replies():
             row: dict[str, Any] = {"image_id": image_id, "anatomy": anatomy}
             try:
                 row["verdict"] = validate_verdict(raw, lenient=args.lenient).to_json()
@@ -425,10 +422,8 @@ def _cmd_judge(args, config) -> Iterable[str]:
                 row["raw"] = raw
                 log.warning("verdict for %s/%s failed validation: %s", image_id, anatomy, exc)
             yield row
-        if n < total:  # a pipe is empty the second time it is read
-            raise FormatError(0, f"--pred gave {total} rows, then {n}: a pipe cannot be read twice")
         if failures:
-            log.warning("%d of %d verdicts failed validation", failures, total)
+            log.warning("%d of %d verdicts failed validation", failures, len(pred))
 
     return jsonl_lines(verdict_rows())
 

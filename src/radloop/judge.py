@@ -182,7 +182,7 @@ class EndpointConfig:
     max_retries: int = ruled(Rules.NON_NEGATIVE_INT, 2)
     backoff: float = ruled(Rules.NON_NEGATIVE, 0.5)
     api_key_env: str | None = ruled(Rules.TEXT, None)
-    cache_dir: str | None = ruled(Rules.TEXT, None)
+    cache_dir: str | None = ruled((lambda v: isinstance(v, str) and v != "", "a non-empty string"), None)
     parallelism: int = ruled((lambda v: is_int(v) and 1 <= v <= 32, "an integer in [1, 32]"), 1)
 
     def __post_init__(self) -> None:
@@ -204,6 +204,19 @@ def request_hash(prompt: str, model: str) -> str:
     h.update(b"\x00")
     h.update(prompt.encode("utf-8"))
     return h.hexdigest()
+
+
+def _cache_file(config: EndpointConfig, req_hash: str) -> Path:
+    """The file that caches a request's reply: ``cache_dir/<request_hash>.txt``."""
+    return Path(config.cache_dir) / f"{req_hash}.txt"
+
+
+def cached_reply(prompt: str, config: EndpointConfig) -> str | None:
+    """The reply to ``prompt`` cached in ``config.cache_dir``, bad bytes as U+FFFD; else None."""
+    if config.cache_dir is None:
+        return None
+    path = _cache_file(config, request_hash(prompt, config.model))
+    return path.read_text(encoding="utf-8", errors="replace") if path.exists() else None
 
 
 def _default_transport(
@@ -237,12 +250,9 @@ def call_judge(
     request hash. With ``cache_dir`` set, responses are stored under their
     request hash and replayed without touching the network.
     """
+    if (cached := cached_reply(prompt, config)) is not None:
+        return cached
     req_hash = request_hash(prompt, config.model)
-    cache_path = None
-    if config.cache_dir is not None:
-        cache_path = Path(config.cache_dir) / f"{req_hash}.txt"
-        if cache_path.exists():
-            return cache_path.read_text(encoding="utf-8", errors="replace")
 
     if transport is None:
         transport = _default_transport
@@ -265,8 +275,8 @@ def call_judge(
             if attempt + 1 < attempts:
                 sleep(math.ldexp(config.backoff, attempt))
             continue
-        if cache_path is not None:
-            atomic_write(cache_path, text)
+        if config.cache_dir is not None:
+            atomic_write(_cache_file(config, req_hash), text)
         return text
     assert last_error is not None
     if config.max_retries == 0:

@@ -1925,14 +1925,14 @@ except SystemExit as exc:
 """
 
 
-def run_fresh(code, *args, stdin=None):
+def run_fresh(code, *args, stdin=None, timeout=120):
     """Run ``code`` in a fresh interpreter that imports this tree's radloop,
     with ``stdin``, if given, on a pipe."""
     path = [str(Path(radloop.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     return subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120,
-        input=stdin,
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+        timeout=timeout, input=stdin,
     )
 
 
@@ -1962,22 +1962,54 @@ def test_judge_runs_without_requests(judge_server, tmp_path):
     assert read_jsonl(out)[0]["verdict"]["reason"] == "as main"
 
 
-def test_judge_fails_on_a_piped_pred_file_without_touching_the_output(judge_server, tmp_path):
-    # The row check reads --pred once and the judging reads it again. A pipe is
-    # empty the second time, so the run must fail by name, not write no rows.
-    url, hits, _ = judge_server
+_AS_MAIN = 'import runpy, sys\nsys.argv[0] = "radloop"\nrunpy.run_module("radloop.cli", run_name="__main__")'
+
+
+def _judge_three_rows(tmp_path, url):
+    """Judge three pred rows from a regular file against ``url``; return the
+    judge argv, the rows as text and the output bytes."""
     argv, out = _judge_one_row(tmp_path, url, "unused")
-    out.write_bytes(b"old output\n")
-    argv[argv.index("--pred") + 1] = "/dev/stdin"
     rows = "".join(json.dumps({"image_id": "im1", "anatomy": "lung", "text": f"gen {i}"}) + "\n"
                    for i in range(3))
-    code = 'import runpy, sys\nsys.argv[0] = "radloop"\nrunpy.run_module("radloop.cli", run_name="__main__")'
-    proc = run_fresh(code, *argv, stdin=rows)
-    assert proc.returncode == 1
-    assert proc.stderr == ("ERROR radloop: FormatError: line 0: --pred gave 3 rows, then 0: "
-                           "a pipe cannot be read twice\n")
-    assert out.read_bytes() == b"old output\n"
-    assert hits == []
+    Path(argv[argv.index("--pred") + 1]).write_text(rows, encoding="utf-8")
+    assert dispatch(argv) == 0
+    return argv, rows, out.read_bytes()
+
+
+def test_judge_reads_a_piped_pred_file_as_it_reads_a_regular_one(judge_server, tmp_path):
+    # judge reads --pred once, so a pipe it cannot rewind is judged like a file.
+    url, hits, _ = judge_server
+    argv, rows, regular = _judge_three_rows(tmp_path, url)
+    hits.clear()
+    argv[argv.index("--pred") + 1] = "/dev/stdin"
+    argv[-1] = str(tmp_path / "piped.jsonl")
+    proc = run_fresh(_AS_MAIN, *argv, stdin=rows, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "piped.jsonl").read_bytes() == regular
+    assert hits == ["gen 0", "gen 1", "gen 2"]
+
+
+def test_judge_reads_a_named_fifo_as_it_reads_a_regular_one(judge_server, tmp_path):
+    # A second read of a FIFO blocks until a new writer opens it, so a run
+    # that read --pred twice hung for good; the timeout turns that into a failure.
+    url, hits, _ = judge_server
+    argv, rows, regular = _judge_three_rows(tmp_path, url)
+    hits.clear()
+    fifo = tmp_path / "pred.fifo"
+    os.mkfifo(fifo)
+    argv[argv.index("--pred") + 1] = str(fifo)
+    argv[-1] = str(tmp_path / "fifo.jsonl")
+    # The writer is a process, so that it can be killed wherever it blocks.
+    write = "import sys\nwith open(sys.argv[1], 'w') as fh:\n    fh.write(sys.argv[2])"
+    writer = subprocess.Popen([sys.executable, "-c", write, str(fifo), rows])
+    try:
+        proc = run_fresh(_AS_MAIN, *argv, timeout=30)
+    finally:
+        writer.kill()
+        writer.wait(10)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "fifo.jsonl").read_bytes() == regular
+    assert hits == ["gen 0", "gen 1", "gen 2"]
 
 
 def _run_main(call):

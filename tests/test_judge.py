@@ -450,6 +450,22 @@ class TestJudgePairs:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_a_warm_cache_is_read_on_the_main_thread_at_any_parallelism(
+        self, tmp_path, echo, monkeypatch
+    ):
+        # A cache hit behind the oldest row is read before any hand-off, so a
+        # fully cached run starts no helper thread.
+        gens = [f"gen-{i}" for i in range(20)] + ["gen-3", "garble", "gen-3", "gen-0"]
+        cache = {"cache_dir": str(tmp_path / "cache")}
+        serial = run_judge(tmp_path, gens, 1, name="serial.jsonl", **cache)[1].read_bytes()
+        echo.gens.clear()
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: (started.append(t), start(t))[1])
+        rc, out = run_judge(tmp_path, gens, 8, name="warm.jsonl", **cache)
+        assert rc == 0
+        assert (started, echo.gens) == ([], [])
+        assert out.read_bytes() == serial
+
     @pytest.mark.parametrize("parallelism", [2, 4, 8])
     def test_at_most_parallelism_requests_are_in_flight(self, tmp_path, echo, parallelism):
         echo.wait = 0.05
@@ -510,6 +526,9 @@ class TestEndpointConfig:
                 config(parallelism=parallelism)
         assert config(parallelism=32).parallelism == 32
         assert config().parallelism == 1
+        # An empty cache_dir would put the cache files in the working directory.
+        with pytest.raises(ValueError, match="cache_dir must be a non-empty string, got ''"):
+            config(cache_dir="")
 
     def test_the_last_wait_and_the_timeout_are_at_most_timeout_max(self):
         # backoff * 2**attempt overflowed a float from attempt 1024, and
