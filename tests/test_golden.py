@@ -1,10 +1,15 @@
 """Primary outputs of the file-in/file-out chain, pinned by sha256 digest.
 
 The corpus, plan, metrics, predictions and grid below are all seeded, so
-each command's output bytes are a function of the code alone. The digests
-were recorded while the sampling pool still held whole records, so they pin
-the bytes across that redesign; a change that moves any of them changes the
-bytes users get, and has to say so.
+each command's output bytes are a function of the code alone. A digest that
+was re-recorded is dated, by version, in a comment beside it; a change that
+moves any of them changes the bytes users get, and has to say so.
+
+Every case but ``preprocess`` is also replayed in a fresh process where
+``import numpy`` fails, under the running interpreter and under each one that
+``RADLOOP_OTHER_PYTHONS`` lists (``os.pathsep``-separated paths), on inputs the
+running interpreter wrote. So the digests also check the promise that these
+bytes do not depend on the CPython minor version.
 """
 
 import dataclasses
@@ -22,7 +27,7 @@ import pytest
 
 import radloop
 from radloop.cli import dispatch
-from radloop.core import Task, dump_records_jsonl
+from radloop.core import NormBox, Task, dump_records_jsonl
 from radloop.ingest import make_fixture_dataset
 from radloop.taskgen import AGRG29, render_instruction
 
@@ -105,6 +110,14 @@ def _nudged(response):
     return re.sub(r"(\d\.\d)(\d)", lambda m: m[1] + str((int(m[2]) + 3) % 10), response)
 
 
+def _strips(rec):
+    """The record with each box split into three overlapping half-width strips,
+    so that a prediction's IoU comes from the sweep over many boxes."""
+    return dataclasses.replace(rec, boxes=tuple(
+        NormBox(round(b.cx + k * b.w / 4, 4), b.cy, round(b.w / 2, 4), b.h)
+        for b in rec.boxes for k in (-1, 0, 1)))
+
+
 GRG_DRIFTS = (
     _nudged,
     lambda r: r.rstrip("."),
@@ -151,7 +164,8 @@ def golden_inputs(tmp_path_factory):
     records = golden_corpus()
     paths = {name: d / name for name in
              ("records.jsonl", "metrics.json", "preds.jsonl", "grid.json", "plan.json",
-              "grg_gold.jsonl", "grg_preds.jsonl", "agrg_preds.jsonl", "verdicts.jsonl")}
+              "grg_gold.jsonl", "grg_preds.jsonl", "agrg_preds.jsonl", "verdicts.jsonl",
+              "pg_multi_preds.jsonl")}
     dump_records_jsonl(paths["records.jsonl"], records)
     gold = grg_gold()
     dump_records_jsonl(paths["grg_gold.jsonl"], gold)
@@ -160,13 +174,15 @@ def golden_inputs(tmp_path_factory):
     write_jsonl(paths["agrg_preds.jsonl"], drifted_preds(agrg_both, AGRG_DRIFTS))
     write_jsonl(paths["verdicts.jsonl"], golden_verdicts())
     paths["metrics.json"].write_text(json.dumps(golden_metrics()), encoding="utf-8")
-    preds = [
-        {"image_id": rec.image_id, "output": render_instruction(rec).response}
-        for rec in records if rec.task is Task.PG
-    ]
+    pg = [rec for rec in records if rec.task is Task.PG]
+    preds = [{"image_id": rec.image_id, "output": render_instruction(rec).response}
+             for rec in pg]
     for row in preds[::5]:
         row["output"] = row["output"].replace(": [", " at [")
     write_jsonl(paths["preds.jsonl"], preds)
+    write_jsonl(paths["pg_multi_preds.jsonl"], [
+        {"image_id": rec.image_id, "output": _nudged(render_instruction(_strips(rec)).response)}
+        for rec in pg])
     rng = np.random.default_rng(4)
     grid = {"width": 20, "height": 12, "max_level": 255,
             "values": [int(v) for v in rng.integers(0, 256, size=240)]}
@@ -188,6 +204,7 @@ GOLDEN_CASES = {
     "eval-strict": ["eval", "--pred", "PREDS", "--gold", "RECORDS", "--task", "pg"],
     "eval-lenient": ["eval", "--pred", "PREDS", "--gold", "RECORDS", "--task", "pg",
                      "--mode", "lenient"],
+    "eval-pg-multi": ["eval", "--pred", "PG_MULTI_PREDS", "--gold", "RECORDS", "--task", "pg"],
     "preprocess": ["preprocess", "--in", "GRID", "--resize-w", "9", "--resize-h", "7"],
     "eval-grg-strict": ["eval", "--pred", "GRG_PREDS", "--gold", "GRG_GOLD", "--task", "grg"],
     "eval-grg-lenient": ["eval", "--pred", "GRG_PREDS", "--gold", "GRG_GOLD", "--task", "grg",
@@ -219,6 +236,9 @@ GOLDEN_DIGESTS = {
     "eval-grg-strict": "0a334b8ce3a0ad0f1fe841b9661b00cfbee6e8f572b7bf3b8f58a9d0a37220e0",
     "eval-lenient": "ad35b5a7c7352be5fc67e3ce247850e5072062c57b59c2a83ac83ba4882c66cc",
     "eval-strict": "831d744d0a488bb6633d1d740272cbf1936b5b547208d41b3c38b732757b0bbd",
+    # Recorded at 0.15.0 (2026-10-19), when the case was added; CPython 3.10-3.13
+    # wrote the same bytes.
+    "eval-pg-multi": "7287901314accd10f92c3e2c3b3861805c9d2c9c49760ecbd47df813ab458230",
     # Re-recorded at 0.12.0, when every mean became math.fsum(values) / len(values).
     # These are the bytes that CPython 3.12 and 3.13 wrote before that change.
     "judge-aggregate": "42058f542e1758504ba874dd8175cab87aa88a87815a57b5815396d609620c6c",
@@ -243,8 +263,8 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
-def fresh_digests(cases, inputs, outdir, prelude="", **env):
-    """Run ``cases`` in one fresh interpreter that first runs ``prelude``,
+def fresh_digests(cases, inputs, outdir, python=sys.executable, prelude="", **env):
+    """Run ``cases`` in one fresh ``python`` process that first runs ``prelude``,
     with ``env`` added to its environment; return each output's digest."""
     outs = {case: outdir / case for case in cases}
     argvs = [[inputs.get(a, a) for a in GOLDEN_CASES[case]] + ["--out", str(out)]
@@ -252,9 +272,9 @@ def fresh_digests(cases, inputs, outdir, prelude="", **env):
     src = str(Path(radloop.__file__).resolve().parents[1])
     env = {**os.environ, **env,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", prelude + _DISPATCH_ALL, json.dumps(argvs)],
+    proc = subprocess.run([python, "-c", prelude + _DISPATCH_ALL, json.dumps(argvs)],
                           env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 0, f"{python} exited {proc.returncode}:\n{proc.stderr}"
     return {case: hashlib.sha256(out.read_bytes()).hexdigest() for case, out in outs.items()}
 
 
@@ -271,17 +291,41 @@ def test_outputs_do_not_depend_on_the_hash_seed(golden_inputs, tmp_path):
 _NO_NUMPY = "import sys\nsys.modules['numpy'] = None\n"
 
 
-def test_the_sampler_needs_no_numpy(golden_inputs, tmp_path):
-    """``plan``, ``sample`` and ``simulate`` write their recorded bytes in an
-    interpreter where ``import numpy`` fails."""
-    cases = ("plan-metrics", "sample", "simulate")
-    digests = fresh_digests(cases, golden_inputs, tmp_path, prelude=_NO_NUMPY)
+# Every case but ``preprocess`` (which computes with numpy) runs without it.
+_SCORING = {case for case in GOLDEN_CASES if case.startswith("eval")} | {"judge-aggregate"}
+_SAMPLING = GOLDEN_CASES.keys() - _SCORING - {"preprocess"}
+
+
+def _replay_without_numpy(python, cases, inputs, outdir):
+    """Assert that ``python``, where ``import numpy`` fails, writes the recorded
+    bytes of each of ``cases`` from inputs the running interpreter wrote."""
+    cases = sorted(cases)
+    digests = fresh_digests(cases, inputs, outdir, python, prelude=_NO_NUMPY)
     assert digests == {case: GOLDEN_DIGESTS[case] for case in cases}
+
+
+def test_the_sampler_needs_no_numpy(golden_inputs, tmp_path):
+    """``plan``, ``sample``, ``simulate``, ``gen-tasks`` and ``augment`` write
+    their recorded bytes in an interpreter where ``import numpy`` fails."""
+    _replay_without_numpy(sys.executable, _SAMPLING, golden_inputs, tmp_path)
 
 
 def test_eval_and_judge_aggregate_need_no_numpy(golden_inputs, tmp_path):
     """Every ``eval`` case and ``judge-aggregate`` write their recorded bytes in
     an interpreter where ``import numpy`` fails."""
-    cases = [case for case in GOLDEN_CASES if case.startswith("eval")] + ["judge-aggregate"]
-    digests = fresh_digests(cases, golden_inputs, tmp_path, prelude=_NO_NUMPY)
-    assert digests == {case: GOLDEN_DIGESTS[case] for case in cases}
+    _replay_without_numpy(sys.executable, _SCORING, golden_inputs, tmp_path)
+
+
+def _other_pythons():
+    paths = [p for p in os.environ.get("RADLOOP_OTHER_PYTHONS", "").split(os.pathsep) if p]
+    if not paths:
+        return [pytest.param(None, id="other", marks=pytest.mark.skip(
+            reason="RADLOOP_OTHER_PYTHONS is unset or empty: no other CPython was checked"))]
+    return [pytest.param(path, id=path) for path in paths]
+
+
+@pytest.mark.parametrize("python", _other_pythons())
+def test_other_pythons_write_the_recorded_bytes_without_numpy(python, golden_inputs, tmp_path):
+    """Each interpreter in ``RADLOOP_OTHER_PYTHONS`` passes both tests above:
+    every case but ``preprocess`` writes its recorded bytes without numpy."""
+    _replay_without_numpy(python, _SAMPLING | _SCORING, golden_inputs, tmp_path)
