@@ -33,6 +33,7 @@ from .core import (
     positive_range,
     ruled,
     spread,
+    uniform,
 )
 from .errors import EmptyAfterClamp, FormatError, GridTooFine
 from .taskgen import render_instruction
@@ -384,23 +385,18 @@ def instance_seed(global_seed: int, image_id: str, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _uniform(rng: random.Random, lo: float, hi: float) -> float:
-    # Spelled out: Python pins only random()'s stream per int seed, not uniform()'s.
-    return lo + (hi - lo) * rng.random()
-
-
 def _sample_affine(rng: random.Random) -> AffineParams:
     ranges = AFFINE_POLICY_RANGES.items()
-    return AffineParams(**{name: _uniform(rng, lo, hi) for name, (lo, hi) in ranges})
+    return AffineParams(**{name: uniform(rng, lo, hi) for name, (lo, hi) in ranges})
 
 
 def _sample_crop(rng: random.Random, policy: AugPolicy) -> CropParams:
-    area = _uniform(rng, *policy.crop_scale_range)
-    aspect = _uniform(rng, *policy.crop_aspect_range)
+    area = uniform(rng, *policy.crop_scale_range)
+    aspect = uniform(rng, *policy.crop_aspect_range)
     cw = min(math.sqrt(area * aspect), 1.0)
     ch = min(math.sqrt(area / aspect), 1.0)
-    x1 = _uniform(rng, 0.0, 1.0 - cw)
-    y1 = _uniform(rng, 0.0, 1.0 - ch)
+    x1 = uniform(rng, 0.0, 1.0 - cw)
+    y1 = uniform(rng, 0.0, 1.0 - ch)
     return CropParams(x1, y1, x1 + cw, y1 + ch)
 
 
@@ -453,7 +449,7 @@ def augment_instance(
     else:
         aug = {"pipeline": "train"}
         if rng.random() < policy.p_clahe:
-            aug["clahe_clip"] = _uniform(rng, *policy.clahe_clip_range)
+            aug["clahe_clip"] = uniform(rng, *policy.clahe_clip_range)
             aug["clahe_grid"] = list(policy.clahe_grid)
         crop = _sample_crop(rng, policy) if rng.random() < policy.p_crop else None
         affine = _sample_affine(rng) if rng.random() < policy.p_affine else None

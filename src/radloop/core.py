@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import random
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
@@ -162,6 +163,28 @@ def mean(values: Sequence[float]) -> float:
     """The one float mean: ``math.fsum`` is correctly rounded, so the result
     depends neither on the order of ``values`` nor on the CPython version."""
     return math.fsum(values) / len(values)
+
+
+def uniform(rng: random.Random, lo: float, hi: float) -> float:
+    # Spelled out: Python pins only random()'s stream per int seed, not uniform()'s.
+    return lo + (hi - lo) * rng.random()
+
+
+def pick(rng: random.Random, n: int) -> int:
+    """An index in [0, n) from one uniform: ``min(int(rng.random() * n), n - 1)``."""
+    return min(int(rng.random() * n), n - 1)
+
+
+def pick_sorted(rng: random.Random, m: int, k: int) -> list[int]:
+    """``k`` distinct indices of ``m``, sorted, by a partial Fisher-Yates shuffle: for ``i``
+    in ``0..k-1``, swap index ``i`` with ``i + pick(rng, m - i)``. ``k`` must lie in [0, m]."""
+    if not 0 <= k <= m:
+        raise ValueError(f"cannot pick {k} of {m} indices")
+    order = list(range(m))
+    for i in range(k):
+        j = i + pick(rng, m - i)
+        order[i], order[j] = order[j], order[i]
+    return sorted(order[:k])
 
 
 @dataclass(frozen=True, slots=True)

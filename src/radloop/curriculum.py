@@ -48,6 +48,8 @@ from .core import (
     is_number,
     list_of,
     mean,
+    pick,
+    pick_sorted,
     ruled,
     spread,
 )
@@ -563,12 +565,11 @@ def draw_sample(table: DrawTable, rng: random.Random) -> Draw:
 
     The first picks the leaf whose CDF entry is the first to exceed it; past
     the last entry (the weights sum just below 1) it takes the last leaf.
-    The second picks the instance at index ``min(int(u * n), n - 1)`` of the
-    leaf's ``n`` ids.
+    The second picks the instance at index ``core.pick(rng, n)`` of the leaf's ``n`` ids.
     """
     cdf = table.cdf
     ids, source_id, task, category = table.leaves[bisect_right(cdf, rng.random(), 0, len(cdf) - 1)]
-    return Draw(ids[min(int(rng.random() * len(ids)), len(ids) - 1)], source_id, task, category)
+    return Draw(ids[pick(rng, len(ids))], source_id, task, category)
 
 
 def draw_samples(
@@ -605,26 +606,19 @@ def select_eval_subset(pool_source: PoolSource, n: int, rng: random.Random) -> l
 
     Allocation goes category by category in pool order; leftover slots go to
     the earliest categories. Categories smaller than their allocation
-    contribute everything they have. A category's ``k`` ids are picked by a
-    partial Fisher-Yates shuffle of its indices: for ``i`` in ``0..k-1``, swap
-    index ``i`` with index ``i + min(int(u * (m - i)), m - i - 1)`` for a fresh
-    ``u = rng.random()``; the first ``k`` indices are then taken in sorted order.
+    contribute everything they have. A category's ``k`` ids of ``m`` are those at
+    the indices ``core.pick_sorted(rng, m, k)``, a partial Fisher-Yates shuffle in
+    sorted order. A negative ``n`` is a ValueError.
     """
-    cats: list[tuple[Task, str, list[str]]] = []
-    for task, cat_map in pool_source.subtasks.items():
-        for cat, ids in cat_map.items():
-            cats.append((task, cat, ids))
+    cats = [(task, cat, ids) for task, cat_map in pool_source.subtasks.items()
+            for cat, ids in cat_map.items()]
     if not cats:
         return []
     name = pool_source.source.name
     chosen: list[Draw] = []
     for (task, cat, ids), share in zip(cats, spread(n, len(cats))):
-        m, want = len(ids), min(share, len(ids))
-        order = list(range(m))
-        for i in range(want):
-            j = i + min(int(rng.random() * (m - i)), m - i - 1)
-            order[i], order[j] = order[j], order[i]
-        chosen.extend(Draw(ids[j], name, task, cat) for j in sorted(order[:want]))
+        picked = pick_sorted(rng, len(ids), min(share, len(ids)))
+        chosen.extend(Draw(ids[j], name, task, cat) for j in picked)
     return chosen
 
 

@@ -34,6 +34,7 @@ raises :class:`FormatError` with its line number; nothing is skipped silently.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -43,15 +44,22 @@ from .core import (
     AnnotationRecord,
     Finding,
     NormBox,
+    Rules,
     Split,
     Task,
     boxes_from_json,
+    check_fields,
     clamp_box,
     enum_from_json,
+    expect,
     finding_from_json,
     get_str,
     iter_jsonl,
+    pick,
+    pick_sorted,
+    ruled,
     spread,
+    uniform,
 )
 from .errors import EmptyAfterClamp, FormatError, InsufficientStratum
 from .taskgen import RESPONSE_FIELDS
@@ -248,18 +256,18 @@ _FIXTURE_FINDING_WORDS = (
 _FIXTURE_QUALIFIERS = ("mild", "moderate", "subtle", "extensive", "chronic", "focal")
 
 
-def _fixture_box(rng: np.random.Generator) -> NormBox:
+def _fixture_box(rng: random.Random) -> NormBox:
     # Stay on the 2-decimal grid so rendered text round-trips exactly.
-    cx = round(rng.uniform(0.2, 0.8), 2)
-    cy = round(rng.uniform(0.2, 0.8), 2)
-    w = round(rng.uniform(0.05, min(cx, 1 - cx) * 2), 2)
-    h = round(rng.uniform(0.05, min(cy, 1 - cy) * 2), 2)
-    return NormBox(cx, cy, max(w, 0.05), max(h, 0.05))
+    cx = round(uniform(rng, 0.2, 0.8), 2)
+    cy = round(uniform(rng, 0.2, 0.8), 2)
+    w = round(uniform(rng, 0.05, min(cx, 1 - cx) * 2), 2)
+    h = round(uniform(rng, 0.05, min(cy, 1 - cy) * 2), 2)
+    return NormBox(cx, cy, w, h)
 
 
-def _fixture_phrase(rng: np.random.Generator, category: str) -> str:
-    q = _FIXTURE_QUALIFIERS[int(rng.integers(len(_FIXTURE_QUALIFIERS)))]
-    f = _FIXTURE_FINDING_WORDS[int(rng.integers(len(_FIXTURE_FINDING_WORDS)))]
+def _fixture_phrase(rng: random.Random, category: str) -> str:
+    q = _FIXTURE_QUALIFIERS[pick(rng, len(_FIXTURE_QUALIFIERS))]
+    f = _FIXTURE_FINDING_WORDS[pick(rng, len(_FIXTURE_FINDING_WORDS))]
     return f"{q} {f} of the {category}"
 
 
@@ -274,36 +282,32 @@ def make_fixture_dataset(
     each), or ``"source:task"`` to control the source id. Identical
     (seed, spec) pairs produce identical record lists.
     """
-    import numpy as np
-    rng = np.random.default_rng(seed)
+    rng = random.Random(expect(Rules.NON_NEGATIVE_INT, seed, "seed"))
     records: list[AnnotationRecord] = []
     for task_key in spec:
         source_id, _, task_value = task_key.rpartition(":")
         tasks = AGRG_SUBTASKS if task_value == "agrg" else (Task(task_value),)
-        if not source_id:
-            source_id = f"fixture-{task_value}"
+        source_id = source_id or f"fixture-{task_value}"
         for category, count in spec[task_key].items():
             for i in range(count):
                 for task in tasks:
                     fields = RESPONSE_FIELDS[task]
-                    image_id = f"{source_id}-{task.value}-{category}-{i:05d}"
                     meta = {
-                        "has_abnormality": bool(rng.random() < 0.5),
-                        "has_device": bool(rng.random() < 0.5),
+                        "has_abnormality": rng.random() < 0.5,
+                        "has_device": rng.random() < 0.5,
                     }
                     # Draw order per record: meta flags, text, box, findings.
                     has_text = "phrase" in fields or "description" in fields
                     text = _fixture_phrase(rng, category) if has_text else None
                     boxes = (_fixture_box(rng),) if "boxes" in fields else ()
-                    findings = ()
-                    if "findings" in fields:
-                        findings = tuple(
-                            Finding(_fixture_phrase(rng, category), (_fixture_box(rng),))
-                            for _ in range(int(rng.integers(1, 4)))
-                        )
+                    n_findings = 1 + pick(rng, 3) if "findings" in fields else 0
+                    findings = tuple(
+                        Finding(_fixture_phrase(rng, category), (_fixture_box(rng),))
+                        for _ in range(n_findings)
+                    )
                     records.append(
                         AnnotationRecord(
-                            image_id=image_id,
+                            image_id=f"{source_id}-{task.value}-{category}-{i:05d}",
                             source_id=source_id,
                             task=task,
                             category=category,
@@ -331,8 +335,11 @@ class BenchmarkSubsetSpec:
     locations (per-location counts never differ by more than one).
     """
 
-    n_with_findings: int = 700
-    n_without_findings: int = 300
+    n_with_findings: int = ruled(Rules.NON_NEGATIVE_INT, 700)
+    n_without_findings: int = ruled(Rules.NON_NEGATIVE_INT, 300)
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 def build_benchmark_subset(
@@ -349,8 +356,7 @@ def build_benchmark_subset(
     the outcome is deterministic given (records, spec, seed). A stratum
     that cannot supply its allocation raises :class:`InsufficientStratum`.
     """
-    import numpy as np
-    rng = np.random.default_rng(seed)
+    rng = random.Random(expect(Rules.NON_NEGATIVE_INT, seed, "seed"))
     with_findings: dict[tuple[str, bool, bool], list[AnnotationRecord]] = {}
     without: dict[str, list[AnnotationRecord]] = {}
     for rec in records:
@@ -369,20 +375,17 @@ def build_benchmark_subset(
 
 
 def _draw_spread(
-    groups: Mapping[Any, list[AnnotationRecord]], total: int, name: str, rng: np.random.Generator
+    groups: Mapping[Any, list[AnnotationRecord]], total: int, name: str, rng: random.Random
 ) -> list[AnnotationRecord]:
     """Draw ``total`` records without replacement, spread evenly over ``groups``
     in their insertion order; a group too small for its share raises."""
-    if total <= 0:
+    if total == 0:
         return []
     if not groups:
         raise InsufficientStratum(name, 0, total)
     chosen: list[AnnotationRecord] = []
-    for key, want in zip(groups, spread(total, len(groups))):
-        pool = groups[key]
+    for (key, pool), want in zip(groups.items(), spread(total, len(groups))):
         if want > len(pool):
             raise InsufficientStratum(key, len(pool), want)
-        if want:
-            idx = rng.choice(len(pool), size=want, replace=False)
-            chosen.extend(pool[int(i)] for i in sorted(idx))
+        chosen.extend(pool[i] for i in pick_sorted(rng, len(pool), want))
     return chosen

@@ -2105,6 +2105,16 @@ def test_every_public_function_is_called_or_documented():
     assert unused == []
 
 
+#: One valid raw row of each ingest format.
+_RAW_ROWS = {
+    "scene_graph": {"image_id": "a", "location": "spine", "box": [0.5, 0.5, 0.2, 0.2],
+                    "sentence": "Clear."},
+    "phrase_boxes": {"image_id": "b", "phrase": "effusion", "boxes": [[0.5, 0.5, 0.2, 0.2]]},
+    "grounded_report": {"image_id": "c", "findings": [{"text": "mass", "boxes": [[0.5, 0.5, 0.2, 0.2]]}]},
+    "detection": {"image_id": "d", "findings": [{"label": "ILD", "boxes": [[0.5, 0.5, 0.2, 0.2]]}]},
+}
+
+
 def test_only_array_subcommands_load_numpy(chain_inputs, tmp_path):
     verdicts = tmp_path / "verdicts.jsonl"
     rows = [
@@ -2115,9 +2125,22 @@ def test_only_array_subcommands_load_numpy(chain_inputs, tmp_path):
     cases = ("gen-tasks", "augment", "plan", "sample", "simulate", "eval")
     argvs = [chain_argv(c, chain_inputs, tmp_path / c) for c in cases]
     argvs.append(["judge-aggregate", "--in", str(verdicts), "--out", str(tmp_path / "table.json")])
+    for fmt, row in _RAW_ROWS.items():
+        raw = tmp_path / f"raw_{fmt}.jsonl"
+        raw.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        argvs.append(["ingest", "--in", str(raw), "--format", fmt, "--out", str(tmp_path / fmt)])
     assert "numpy" not in loaded_after(_DISPATCH_ALL, json.dumps(argvs))
     # Preprocess builds arrays, so it loads numpy at first use.
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps(IntensityGrid(8, 8, 255, [9] * 64).to_json()), encoding="utf-8")
     argvs.append(["preprocess", "--in", str(grid), "--out", str(tmp_path / "grid_out.json")])
     assert "numpy" in loaded_after(_DISPATCH_ALL, json.dumps(argvs))
+
+
+def test_the_fixture_generators_load_no_numpy():
+    script = """
+from radloop.ingest import BenchmarkSubsetSpec, build_benchmark_subset, make_fixture_dataset
+records = make_fixture_dataset(3, {"pg": {"a": 4}, "agrg": {"spine": 4}, "grg": {"report": 2}})
+assert len(build_benchmark_subset(records, BenchmarkSubsetSpec(2, 2), seed=3)) == 4
+"""
+    assert "numpy" not in loaded_after(script)

@@ -14,6 +14,7 @@ from radloop.augment import MIN_CROP_SIDE, AugPolicy
 from radloop.cli import ToolConfig
 from radloop.curriculum import CurriculumConfig, DecayParams
 from radloop.errors import ConfigError
+from radloop.ingest import BenchmarkSubsetSpec
 from radloop.judge import EndpointConfig
 
 #: Each ruled class, with values for its required fields.
@@ -23,7 +24,11 @@ _REQUIRED = {
     AugPolicy: {},
     ToolConfig: {},
     DecayParams: {"e0": 0.5, "rate": 0.001},
+    BenchmarkSubsetSpec: {},
 }
+
+#: The ruled classes built in Python, from flags or a library call, never from a document.
+_BUILT_IN_PYTHON = (DecayParams, BenchmarkSubsetSpec)
 
 #: The rules that relate two fields, over a class's full set of field values.
 _CROSS_FIELD = {
@@ -83,10 +88,9 @@ def test_a_field_takes_exactly_the_values_its_rule_takes(cls, f, data):
     by_rule = bool(check(value)) or (value is None and f.default is None)
     cross_field = _CROSS_FIELD.get(cls, lambda v: True)
     valid = by_rule and cross_field({g.name: g.default for g in fields(cls)} | doc)
-    error = ValueError if cls is DecayParams else ConfigError
+    error = ValueError if cls in _BUILT_IN_PYTHON else ConfigError
     try:
-        # DecayParams is built from flags, never from a document.
-        obj = cls(**doc) if cls is DecayParams else cls.from_json(doc)
+        obj = cls(**doc) if cls in _BUILT_IN_PYTHON else cls.from_json(doc)
     except error as exc:
         assert not valid, exc
         assert f.name in str(exc)

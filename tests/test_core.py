@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import os
+import random
 import re
 import stat
 import sys
@@ -37,6 +38,8 @@ from radloop.core import (
     judge_pred_from_json,
     load_json,
     load_records_jsonl,
+    pick,
+    pick_sorted,
     prediction_from_json,
     record_from_json,
     record_to_json,
@@ -153,6 +156,26 @@ def test_spread_gives_the_remainder_to_the_earliest_parts(total, parts):
     assert sum(shares) == total
     assert shares == sorted(shares, reverse=True)
     assert shares[0] - shares[-1] <= 1
+
+
+@given(seed=st.integers(0, 2**64), m=st.integers(0, 30), k=st.integers(-3, 33))
+def test_pick_sorted_takes_k_distinct_indices_or_rejects_k(seed, m, k):
+    if 0 <= k <= m:
+        picked = pick_sorted(random.Random(seed), m, k)
+        assert picked == sorted(set(picked)) and len(picked) == k
+        assert all(0 <= i < m for i in picked)
+    else:
+        with pytest.raises(ValueError, match=f"cannot pick {k} of {m} indices"):
+            pick_sorted(random.Random(seed), m, k)
+
+
+def test_pick_stays_below_n_even_for_a_uniform_of_one():
+    # random.Random never returns 1.0; a generator passed in by a caller might.
+    class One(random.Random):
+        def random(self):
+            return 1.0
+
+    assert [pick(One(), n) for n in (1, 3, 7)] == [0, 2, 6]
 
 
 class TestDataSourceId:

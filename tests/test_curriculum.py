@@ -538,6 +538,15 @@ class TestEvalSubset:
         source = PoolSource(DataSourceId("s", TaskFamily.PG), {})
         assert select_eval_subset(source, 5, random.Random(0)) == []
 
+    @pytest.mark.parametrize("n", [-1, -2])
+    def test_a_negative_size_is_rejected(self, n):
+        # Such an n gives some category a negative share, which pick_sorted rejects.
+        pool = SamplingPool.from_records(
+            make_records({"s": {Task.PG: {"a": 5, "b": 5, "c": 5}}})
+        )
+        with pytest.raises(ValueError, match="cannot pick -1 of 5"):
+            select_eval_subset(pool.sources["s:pg"], n, random.Random(0))
+
     def test_fewer_slots_than_categories_draw_only_for_the_earliest(self):
         # A category whose share is 0 asks the generator for nothing.
         class CountingRng(random.Random):

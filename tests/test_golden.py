@@ -9,7 +9,9 @@ Every case but ``preprocess`` is also replayed in a fresh process where
 ``import numpy`` fails, under the running interpreter and under each one that
 ``RADLOOP_OTHER_PYTHONS`` lists (``os.pathsep``-separated paths), on inputs the
 running interpreter wrote. So the digests also check the promise that these
-bytes do not depend on the CPython minor version.
+bytes do not depend on the CPython minor version. Each of those interpreters
+also writes the fixture corpora the inputs start from, with numpy blocked, in
+the running interpreter's bytes.
 """
 
 import dataclasses
@@ -35,15 +37,19 @@ PG_CATEGORIES = ("Effusion", "Nodule", "Atelectasis")
 AGRG_LOCATIONS = AGRG29.locations[:4]
 
 
+#: The fixture corpora the golden inputs start from: name -> (seed, spec).
+FIXTURE_CORPORA = {
+    "corpus.jsonl": (11, {
+        "pgsrc:pg": {c: 12 for c in PG_CATEGORIES},
+        "cig:agrg": {loc: 5 for loc in AGRG_LOCATIONS},
+        "grgsrc:grg": {"report": 15},
+    }),
+    "grg_corpus.jsonl": (17, {"grgsrc:grg": {"report": 7, "followup": 7, "screening": 6}}),
+}
+
+
 def golden_corpus():
-    records = make_fixture_dataset(
-        11,
-        {
-            "pgsrc:pg": {c: 12 for c in PG_CATEGORIES},
-            "cig:agrg": {loc: 5 for loc in AGRG_LOCATIONS},
-            "grgsrc:grg": {"report": 15},
-        },
-    )
+    records = make_fixture_dataset(*FIXTURE_CORPORA["corpus.jsonl"])
     # Every third PG record carries a label, for gen-tasks --expand-labels.
     return [
         dataclasses.replace(rec, meta={**rec.meta, "label": f"label {i}"})
@@ -71,9 +77,7 @@ def golden_metrics():
 def grg_gold():
     """GRG records in three categories; 40% have no boxed finding, and some
     more lose the boxes of their first finding only."""
-    records = make_fixture_dataset(
-        17, {"grgsrc:grg": {"report": 7, "followup": 7, "screening": 6}}
-    )
+    records = make_fixture_dataset(*FIXTURE_CORPORA["grg_corpus.jsonl"])
     out = []
     for i, rec in enumerate(records):
         if i % 5 in (0, 2):
@@ -217,13 +221,20 @@ GOLDEN_CASES = {
 }
 
 GOLDEN_DIGESTS = {
-    # Re-recorded at 0.2.0, when augment's draws moved to a random.Random stream.
-    "augment": "6f5698211f85cfa41914ce425991525fb6c6af902866f713015a61cac43bae1c",
-    "gen-tasks": "a6f2557686bac3dfb3d7bee277c2b7f696ac1a422013412606505e2e6bc0b3df",
-    "gen-tasks-expand": "b11714644214b1116eb9a303a9f7fa1b0a51cf77280088210c3bc52fc060d7e4",
     "plan-metrics": "187193d844b77f6f11fd787dd31f11d332498dbec0f686ea6dd68fd5ef03fb4b",
     "plan-uniform": "dd4f130d99cf0742c93370d1fde389e3e6a609ea9d09af278f42873aa71efa78",
     "preprocess": "ddd5f07e8089e9d20ef70da8c24b5484d453858a0f3086f23db9b44f33bf17fc",
+    # Re-recorded at 0.16.0 (2026-10-20), when make_fixture_dataset moved from a numpy
+    # generator to the stated random.Random stream: their inputs changed, and on the
+    # inputs 0.15.0 wrote they keep 0.15.0's bytes. Before that, augment was re-recorded
+    # at 0.2.0 (its draws moved to a random.Random stream), the eval-grg cases at 0.13.0,
+    # and eval-pg-multi was recorded at 0.15.0, when the case was added.
+    "augment": "7cf1ca559e303270804691801ec9843d788e3aa3e86768dab6e9f843215c8d52",
+    "gen-tasks": "5780616d87bdd99affc9f43fc494a2e61778baa9aaa0470396c0699e78111c8e",
+    "gen-tasks-expand": "30381296af9849df454843c31ddb91131c028dda0d2365f23b7f87ef3269b0e4",
+    "eval-grg-lenient": "f53cb7a23ffc45241f218293838470c32fe782f9cceddaaff66cf368a07a0f1c",
+    "eval-grg-strict": "0642277fa8bd15d4fea68ce980baa9244ceb7d78ca17e49734e7203ac059b2d1",
+    "eval-pg-multi": "f835c60e6f1a1a2830c940d2172ce4ed80ca2a96be46088cb869bac017ae3f45",
     # Re-recorded at 0.11.0 (2026-10-19), when sample and simulate moved from a numpy
     # generator to the stated random.Random stream.
     "sample": "7636f8353d7992ee16dbbdc8bc646076f9c5c64d46e400ec41dd0a2bd226270b",
@@ -232,13 +243,8 @@ GOLDEN_DIGESTS = {
     # IoUs that scored above 1 now score 1, and some others move by an ulp.
     "eval-agrg-both-lenient": "219750bc9113f7f3373a5e04105d20e78be866bccffc77eb2a6a5ad50df78f9d",
     "eval-agrg-both-strict": "7e61bdbf96c48b155b35eaafa92c906beff240e2f083f84a1950c9d23e5bd5c7",
-    "eval-grg-lenient": "3e94f374d1beecc5df6a25d26d3fc27125355d4c7554418efed6c3847ddf4358",
-    "eval-grg-strict": "0a334b8ce3a0ad0f1fe841b9661b00cfbee6e8f572b7bf3b8f58a9d0a37220e0",
     "eval-lenient": "ad35b5a7c7352be5fc67e3ce247850e5072062c57b59c2a83ac83ba4882c66cc",
     "eval-strict": "831d744d0a488bb6633d1d740272cbf1936b5b547208d41b3c38b732757b0bbd",
-    # Recorded at 0.15.0 (2026-10-19), when the case was added; CPython 3.10-3.13
-    # wrote the same bytes.
-    "eval-pg-multi": "7287901314accd10f92c3e2c3b3861805c9d2c9c49760ecbd47df813ab458230",
     # Re-recorded at 0.12.0, when every mean became math.fsum(values) / len(values).
     # These are the bytes that CPython 3.12 and 3.13 wrote before that change.
     "judge-aggregate": "42058f542e1758504ba874dd8175cab87aa88a87815a57b5815396d609620c6c",
@@ -329,3 +335,32 @@ def test_other_pythons_write_the_recorded_bytes_without_numpy(python, golden_inp
     """Each interpreter in ``RADLOOP_OTHER_PYTHONS`` passes both tests above:
     every case but ``preprocess`` writes its recorded bytes without numpy."""
     _replay_without_numpy(python, _SAMPLING | _SCORING, golden_inputs, tmp_path)
+
+
+#: Writes each fixture corpus, and a benchmark subset of the first (one record
+#: from each of its 26 text strata, and 12 box-only records), into ``outdir``.
+_WRITE_CORPORA = """
+from pathlib import Path
+from radloop.core import dump_records_jsonl
+from radloop.ingest import BenchmarkSubsetSpec, build_benchmark_subset, make_fixture_dataset
+corpora = {{name: make_fixture_dataset(*args) for name, args in {corpora!r}.items()}}
+corpora["subset.jsonl"] = build_benchmark_subset(
+    corpora["corpus.jsonl"], BenchmarkSubsetSpec(26, 12), seed=5)
+for name, records in corpora.items():
+    dump_records_jsonl(Path({outdir!r}) / name, records)
+"""
+
+
+@pytest.mark.parametrize("python", _other_pythons())
+def test_other_pythons_write_the_fixture_corpora_without_numpy(python, tmp_path):
+    """Each interpreter in ``RADLOOP_OTHER_PYTHONS``, where ``import numpy``
+    fails, writes the fixture corpora that the golden inputs start from, and a
+    benchmark subset, in the bytes that the running interpreter writes."""
+    here, there = tmp_path / "here", tmp_path / "there"
+    exec(_WRITE_CORPORA.format(corpora=FIXTURE_CORPORA, outdir=str(here)), {})
+    prelude = _NO_NUMPY + _WRITE_CORPORA.format(corpora=FIXTURE_CORPORA, outdir=str(there))
+    assert fresh_digests((), {}, there, python, prelude=prelude) == {}
+    names = ["corpus.jsonl", "grg_corpus.jsonl", "subset.jsonl"]
+    assert sorted(p.name for p in there.iterdir()) == names
+    for name in names:
+        assert (there / name).read_bytes() == (here / name).read_bytes(), name

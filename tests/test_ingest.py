@@ -1,9 +1,12 @@
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from radloop.core import Split, Task
+from radloop.core import AGRG_SUBTASKS, TEXT_ROUNDTRIP_TOL, Split, Task, clamp_box, record_to_json
 from radloop.errors import FormatError, InsufficientStratum
+from radloop.evalkit import parse_output
 from radloop.ingest import (
     ABNORMALITY_LABELING_PROMPT,
     LABEL_PHRASES,
@@ -14,6 +17,7 @@ from radloop.ingest import (
     load_records,
     make_fixture_dataset,
 )
+from radloop.taskgen import AGRG29, render_instruction
 
 
 def write_jsonl(path, rows):
@@ -338,7 +342,92 @@ class TestPrompts:
         assert '"mentions_devices"' in ABNORMALITY_LABELING_PROMPT
 
 
+#: Category names the golden cases and the benchmark use. Arbitrary category
+#: text is a whole-chain concern, not the fixture's.
+_CATEGORIES = ("Effusion", "Nodule", "Atelectasis", "Nodule/Mass", "Enlarged PA",
+               "report", "followup", "screening", *AGRG29.locations)
+
+
+@st.composite
+def fixture_specs(draw):
+    """A spec with every task key form: a PG, a GRG and an AGRG family key, one
+    AGRG subtask, and a ``source:task`` key."""
+    counts = st.dictionaries(st.sampled_from(_CATEGORIES), st.integers(0, 3), max_size=3)
+    subtask = draw(st.sampled_from([t.value for t in AGRG_SUBTASKS]))
+    sourced = draw(st.sampled_from(["pg", "grg", "agrg", *(t.value for t in AGRG_SUBTASKS)]))
+    return {key: draw(counts) for key in ("pg", "grg", "agrg", subtask, f"src:{sourced}")}
+
+
 class TestFixtureDataset:
+    # 200 examples take about 1.3 s of tier-1 (2 CPUs, Python 3.11).
+    @settings(max_examples=200)
+    @given(seed=st.integers(0, 2**64 - 1), spec=fixture_specs())
+    def test_every_record_is_on_the_grid_and_parses_back(self, seed, spec):
+        """Each box lies on the 2-decimal grid inside the unit square, and the
+        strict parse of each record's rendered response gives back its boxes
+        (for GRG, its findings) within TEXT_ROUNDTRIP_TOL."""
+        for rec in make_fixture_dataset(seed, spec):
+            for box in (*rec.boxes, *(b for f in rec.findings for b in f.boxes)):
+                assert clamp_box(box) is box
+                assert all(round(v, 2) == v for v in box.to_list()), box
+            out = parse_output(render_instruction(rec).response, rec.task)
+            if rec.task is Task.GRG:
+                assert [f.text for f in out.findings] == [f.text for f in rec.findings]
+                assert [len(f.boxes) for f in out.findings] == [len(f.boxes) for f in rec.findings]
+                pairs = [(g, w) for got, want in zip(out.findings, rec.findings)
+                         for g, w in zip(got.boxes, want.boxes)]
+            else:
+                assert len(out.boxes) == len(rec.boxes)
+                pairs = list(zip(out.boxes, rec.boxes))
+            for got, want in pairs:
+                for g, w in zip(got.to_list(), want.to_list()):
+                    assert abs(g - w) <= TEXT_ROUNDTRIP_TOL
+
+    def test_records_follow_the_stated_stream(self):
+        """A reference written from the README's "The draw stream", with only
+        ``random.Random.random()``, rebuilds each record's text, boxes,
+        findings and flags."""
+        spec = {"pg": {"Effusion": 3}, "src:agrg": {"spine": 2}, "grg": {"report": 3}}
+        rng = random.Random(2024)
+        qualifiers = ("mild", "moderate", "subtle", "extensive", "chronic", "focal")
+        words = ("opacity", "consolidation", "effusion", "atelectasis", "nodularity", "thickening")
+
+        def uniform(lo, hi):
+            return lo + (hi - lo) * rng.random()
+
+        def pick(n):
+            return min(int(rng.random() * n), n - 1)
+
+        def text(category):
+            q = qualifiers[pick(6)]
+            return f"{q} {words[pick(6)]} of the {category}"
+
+        def box():
+            cx, cy = round(uniform(0.2, 0.8), 2), round(uniform(0.2, 0.8), 2)
+            w = round(uniform(0.05, min(cx, 1 - cx) * 2), 2)
+            h = round(uniform(0.05, min(cy, 1 - cy) * 2), 2)
+            return [cx, cy, w, h]
+
+        expected = []
+        for key, categories in spec.items():
+            task = key.rpartition(":")[2]
+            tasks = ["agrg_locate", "agrg_describe", "agrg_both"] if task == "agrg" else [task]
+            for category, count in categories.items():
+                for _ in range(count):
+                    for t in tasks:
+                        row = {"meta": {"has_abnormality": rng.random() < 0.5,
+                                        "has_device": rng.random() < 0.5}}
+                        row["text"] = text(category) if t not in ("grg", "agrg_locate") else None
+                        row["boxes"] = [box()] if t not in ("grg", "agrg_describe") else []
+                        if t == "grg":
+                            n = 1 + pick(3)
+                            row["findings"] = [{"text": text(category), "boxes": [box()]}
+                                               for _ in range(n)]
+                        expected.append(row)
+        records = make_fixture_dataset(2024, spec)
+        assert len(records) == len(expected) == 3 + 6 + 3
+        assert [{k: record_to_json(rec)[k] for k in row} for rec, row in zip(records, expected)] == expected
+
     def test_deterministic(self):
         spec = {"pg": {"Effusion": 5}, "grg": {"report": 3}}
         a = make_fixture_dataset(7, spec)
@@ -379,6 +468,14 @@ class TestFixtureDataset:
     def test_split_argument(self):
         records = make_fixture_dataset(0, {"pg": {"a": 1}}, split=Split.VAL)
         assert records[0].split is Split.VAL
+
+    @pytest.mark.parametrize("seed", [-3, 2.5, True, "3"])
+    def test_a_seed_is_a_non_negative_integer(self, seed):
+        # random.Random(-3) would draw the stream of random.Random(3).
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            make_fixture_dataset(seed, {"pg": {"a": 1}})
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            build_benchmark_subset(_benchmark_pool(), BenchmarkSubsetSpec(1, 1), seed)
 
 
 def _benchmark_pool(per_stratum=10, n_boxonly=30):
