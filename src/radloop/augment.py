@@ -32,6 +32,7 @@ from .core import (
     intersection,
     positive_range,
     ruled,
+    seeded,
     spread,
     uniform,
 )
@@ -439,9 +440,9 @@ def augment_instance(
     leave a grounded finding without boxes, or cannot map or measure a box
     in doubles, the original instance is returned unchanged. The response is
     rebuilt from the transformed record by the template renderer. Every draw
-    comes from ``random.Random(seed)``.
+    comes from ``seeded(seed)``.
     """
-    rng = random.Random(seed)
+    rng = seeded(seed)
     record = instance.structured
     if rng.random() < policy.p_bypass:
         aug: dict[str, Any] = {"pipeline": "eval", "clahe_clip": EVAL_CLAHE_CLIP,

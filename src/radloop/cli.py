@@ -14,6 +14,7 @@ unreachable endpoint), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import __version__
@@ -28,6 +29,7 @@ _INGEST_FORMATS = ("scene_graph", "phrase_boxes", "grounded_report", "detection"
 # Parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="radloop",
@@ -124,7 +126,6 @@ import datetime as _dt
 import hashlib
 import json
 import logging
-import random
 from dataclasses import dataclass, fields, replace
 from itertools import islice
 from pathlib import Path
@@ -160,6 +161,7 @@ from .core import (
     record_from_json,
     record_to_json,
     ruled,
+    seeded,
 )
 from .curriculum import (
     CurriculumConfig,
@@ -333,7 +335,7 @@ def _cmd_sample(args, config) -> Iterable[str]:
     seed = _require_seed(args, config)
     pool = SamplingPool.from_records(_records(args.records))
     state = load_json(args.plan, lambda doc: CurriculumState.from_json(doc["state"]))
-    draws = draw_samples(state, pool, args.n, random.Random(seed))
+    draws = draw_samples(state, pool, args.n, seeded(seed))
     return jsonl_lines({**draw._asdict(), "task": draw.task.value} for draw in draws)
 
 
@@ -464,27 +466,15 @@ _HANDLERS = {
 
 class _JsonLogFormatter(logging.Formatter):
     def format(self, record: logging.LogRecord) -> str:
-        return json.dumps(
-            {
-                "level": record.levelname.lower(),
-                "logger": record.name,
-                "message": record.getMessage(),
-            },
-            ensure_ascii=False,
-        )
+        obj = {"level": record.levelname.lower(), "logger": record.name, "message": record.getMessage()}
+        return json.dumps(obj, ensure_ascii=False)
 
 
 def _setup_logging(mode: str) -> None:
-    root = logging.getLogger()
-    for h in list(root.handlers):
-        root.removeHandler(h)
     handler = logging.StreamHandler(sys.stderr)
-    if mode == "json":
-        handler.setFormatter(_JsonLogFormatter())
-    else:
-        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    root.addHandler(handler)
-    root.setLevel(logging.INFO)
+    handler.setFormatter(_JsonLogFormatter() if mode == "json"
+                         else logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    logging.basicConfig(handlers=[handler], level=logging.INFO, force=True)
 
 
 def _run(args: argparse.Namespace) -> int:

@@ -165,6 +165,11 @@ def mean(values: Sequence[float]) -> float:
     return math.fsum(values) / len(values)
 
 
+def seeded(seed: int) -> random.Random:
+    """The one seeded generator: ``random.Random(seed)`` for a non-negative integer ``seed``."""
+    return random.Random(expect(Rules.NON_NEGATIVE_INT, seed, "seed"))
+
+
 def uniform(rng: random.Random, lo: float, hi: float) -> float:
     # Spelled out: Python pins only random()'s stream per int seed, not uniform()'s.
     return lo + (hi - lo) * rng.random()

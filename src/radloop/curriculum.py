@@ -51,6 +51,7 @@ from .core import (
     pick,
     pick_sorted,
     ruled,
+    seeded,
     spread,
 )
 from .errors import ConfigError, EmptyLeaf, FormatError, MissingMetrics, NoMetrics
@@ -673,9 +674,9 @@ def run_curriculum(
     Stage 0 samples uniformly (warmup); each later stage samples from the
     distributions computed out of the previous stage's evaluation. The
     learner sees the per-leaf sample tally after every stage and is then
-    asked once for that stage's metrics.
+    asked once for that stage's metrics. Every draw comes from ``seeded(seed)``.
     """
-    rng = random.Random(seed)
+    rng = seeded(seed)
     state = initial_state(pool)
     logs: list[StageLog] = []
 

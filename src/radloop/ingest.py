@@ -51,13 +51,13 @@ from .core import (
     check_fields,
     clamp_box,
     enum_from_json,
-    expect,
     finding_from_json,
     get_str,
     iter_jsonl,
     pick,
     pick_sorted,
     ruled,
+    seeded,
     spread,
     uniform,
 )
@@ -282,7 +282,7 @@ def make_fixture_dataset(
     each), or ``"source:task"`` to control the source id. Identical
     (seed, spec) pairs produce identical record lists.
     """
-    rng = random.Random(expect(Rules.NON_NEGATIVE_INT, seed, "seed"))
+    rng = seeded(seed)
     records: list[AnnotationRecord] = []
     for task_key in spec:
         source_id, _, task_value = task_key.rpartition(":")
@@ -356,7 +356,7 @@ def build_benchmark_subset(
     the outcome is deterministic given (records, spec, seed). A stratum
     that cannot supply its allocation raises :class:`InsufficientStratum`.
     """
-    rng = random.Random(expect(Rules.NON_NEGATIVE_INT, seed, "seed"))
+    rng = seeded(seed)
     with_findings: dict[tuple[str, bool, bool], list[AnnotationRecord]] = {}
     without: dict[str, list[AnnotationRecord]] = {}
     for rec in records:

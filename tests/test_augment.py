@@ -530,6 +530,17 @@ class TestAugmentInstance:
         assert 1.0 <= clip <= 4.0
         assert out.structured.meta["pipeline"] == "train"
 
+    @pytest.mark.parametrize("seed", [-3, 2.5, True, "3"])
+    def test_a_seed_is_a_non_negative_integer(self, seed):
+        # random.Random(-3) would draw the stream of random.Random(3), and True that of 1.
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            augment_instance(_pg_instance(), seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_any_non_negative_integer_is_a_seed(self, seed):
+        inst = _pg_instance()
+        assert augment_instance(inst, seed=seed) == augment_instance(inst, seed=seed)
+
 
 def _range(lo, hi):
     return st.tuples(st.floats(lo, hi), st.floats(lo, hi)).map(lambda pair: tuple(sorted(pair)))

@@ -1915,6 +1915,21 @@ for argv in json.loads(sys.argv[1]):
     assert dispatch(argv) == 0, argv
 """
 
+#: Run each argv of ``sys.argv[1]`` through ``dispatch``; print, per call, its exit
+#: code, its stderr and its output file, then how often the parser was built.
+_DISPATCH_EACH = """
+import io, json, sys
+from pathlib import Path
+from radloop import cli
+calls = []
+for argv in json.loads(sys.argv[1]):
+    sys.stderr = io.StringIO()
+    code = cli.dispatch(argv)
+    out = Path(argv[argv.index("--out") + 1])
+    calls.append([code, sys.stderr.getvalue(), out.read_text(encoding="utf-8") if out.exists() else None])
+print(json.dumps([calls, cli._build_parser.cache_info().misses]))
+"""
+
 _RUN_AS_MAIN = """
 import runpy
 sys.argv = ["radloop", *sys.argv[1:]]
@@ -1945,6 +1960,22 @@ def loaded_after(script, *args):
     proc = run_fresh(code, *args)
     assert proc.returncode == 0, proc.stderr
     return set(filter(None, proc.stdout.splitlines()[-1].split(",")))
+
+
+def test_dispatch_builds_one_parser_that_keeps_no_state(chain_inputs, tmp_path):
+    # In one process, a usage error and then two subcommands: each call writes
+    # the bytes it writes when it runs first, and the parser is built once.
+    argvs = [chain_argv("simulate", chain_inputs, tmp_path / "usage") + ["--e0", "x"],
+             chain_argv("gen-tasks", chain_inputs, tmp_path / "gen-tasks"),
+             chain_argv("simulate", chain_inputs, tmp_path / "simulate")]
+    proc = run_fresh(_DISPATCH_EACH, json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+    calls, builds = json.loads(proc.stdout)
+    assert [code for code, _, _ in calls] == [2, 0, 0] and builds == 1
+    assert "argument --e0: invalid float value: 'x'" in calls[0][1]
+    for argv, call in zip(argvs, calls):
+        alone = run_fresh(_DISPATCH_EACH, json.dumps([argv]))
+        assert json.loads(alone.stdout) == [[call], 1]
 
 
 def test_import_and_version_leave_numpy_unloaded():
@@ -2103,6 +2134,19 @@ def test_every_public_function_is_called_or_documented():
             ) and not re.search(rf"\b{fn.name}\b", readme):
                 unused.append(fn.name)
     assert unused == []
+
+
+def test_only_core_builds_a_random_generator():
+    """Every seeded generator comes from ``core.seeded``, which checks the seed:
+    no other module of ``src/radloop`` calls ``random.Random``."""
+    src = Path(__file__).resolve().parents[1] / "src" / "radloop"
+    callers = [
+        path.name for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and "Random" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+    ]
+    assert callers == ["core.py"]
 
 
 #: One valid raw row of each ingest format.

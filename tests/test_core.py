@@ -43,6 +43,7 @@ from radloop.core import (
     prediction_from_json,
     record_from_json,
     record_to_json,
+    seeded,
     spread,
 )
 from radloop.errors import EmptyAfterClamp, FormatError
@@ -167,6 +168,18 @@ def test_pick_sorted_takes_k_distinct_indices_or_rejects_k(seed, m, k):
     else:
         with pytest.raises(ValueError, match=f"cannot pick {k} of {m} indices"):
             pick_sorted(random.Random(seed), m, k)
+
+
+@pytest.mark.parametrize("seed", [-3, 2.5, True, "3", None])
+def test_seeded_takes_only_a_non_negative_integer(seed):
+    # random.Random(-3) would draw the stream of random.Random(3), and True that of 1.
+    with pytest.raises(ValueError, match=rf"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"):
+        seeded(seed)
+
+
+@given(seed=st.integers(0, 2**70))
+def test_seeded_is_the_generator_of_its_seed(seed):
+    assert seeded(seed).getstate() == random.Random(seed).getstate()
 
 
 def test_pick_stays_below_n_even_for_a_uniform_of_one():

@@ -862,3 +862,16 @@ class TestRunCurriculum:
             for c in cats.values()
         )
         assert total == 600
+
+    @pytest.mark.parametrize("seed", [-3, 2.5, True, "3"])
+    def test_a_seed_is_a_non_negative_integer(self, seed):
+        # random.Random(-3) would draw the stream of random.Random(3), and True that of 1.
+        pool, cfg, learner = self._setup()
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            run_curriculum(cfg, pool, learner, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_any_non_negative_integer_is_a_seed(self, seed):
+        pool, cfg, learner = self._setup()
+        logs, _ = run_curriculum(cfg, pool, learner, seed=seed)
+        assert sum(entry.steps for entry in logs) == 600
