@@ -30,6 +30,7 @@ from .core import (
     clamp_box,
     config_from_json,
     intersection,
+    is_int,
     positive_range,
     ruled,
     seeded,
@@ -212,9 +213,12 @@ class IntensityGrid:
 
     def __post_init__(self) -> None:
         import numpy as np
-        self.values = np.asarray(self.values, dtype=np.int64).reshape(self.height, self.width)
+        if not is_int(self.max_level) or self.max_level > MAX_GRID_LEVEL:
+            raise ValueError(f"max_level must be an integer of at most {MAX_GRID_LEVEL}, "
+                             f"got {self.max_level!r}")
         if self.max_level < 1:
             raise ValueError("max_level must be at least 1")
+        self.values = np.asarray(self.values, dtype=np.int64).reshape(self.height, self.width)
         if self.values.min() < 0 or self.values.max() > self.max_level:
             raise ValueError("values must lie in [0, max_level]")
 

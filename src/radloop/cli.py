@@ -491,7 +491,7 @@ def _run(args: argparse.Namespace) -> int:
             config_doc = load_json(args.config)
             config = ToolConfig.from_json(config_doc)
         _emit(args.out, _HANDLERS[args.command](args, config), args, config_doc)
-    except (RadloopError, OSError, ValueError, KeyError) as exc:
+    except (RadloopError, OSError, ValueError, KeyError, MemoryError) as exc:
         log.error("%s: %s", type(exc).__name__, exc)
         return 1
     return 0

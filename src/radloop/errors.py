@@ -75,7 +75,7 @@ class MissingMetrics(RadloopError):
 
 
 class EmptyLeaf(RadloopError):
-    """A sampling leaf with positive probability holds no records."""
+    """A leaf the sampling plan lists holds no records, whatever its probability."""
 
 
 class GridTooFine(RadloopError):

@@ -11,8 +11,9 @@ settings.register_profile("radloop", deadline=None)
 settings.load_profile("radloop")
 
 
-@pytest.fixture()
+@pytest.fixture(autouse=True)
 def block_requests(monkeypatch):
-    """Make ``import requests`` fail, as where it is not installed: radloop's
-    judge client posts with the standard library alone."""
+    """Make ``import requests`` fail in every test here, as where it is not
+    installed: radloop's judge client posts with the standard library alone.
+    ``bench/tests`` keeps it, because ``bench/tracing.py`` binds it."""
     monkeypatch.setitem(sys.modules, "requests", None)

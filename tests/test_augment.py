@@ -651,6 +651,13 @@ def test_a_grid_without_levels_is_rejected():
         IntensityGrid(1, 1, 0, [0])
 
 
+@pytest.mark.parametrize("max_level", [MAX_GRID_LEVEL + 1, 3_000_000, 2.5, True, "3"])
+def test_a_library_grid_keeps_the_decoders_max_level_bound(max_level):
+    # clahe's tables grow with max_level: at 3,000,000 an 8x8 grid peaked at 1.5 GB.
+    with pytest.raises(ValueError, match="^max_level must be an integer of at most 65535, got "):
+        IntensityGrid(2, 2, max_level, [0, 1, 2, 2])
+
+
 @pytest.mark.parametrize("size", [(0, 4), (4, 0)])
 def test_a_resize_to_nothing_is_rejected(size):
     grid = IntensityGrid(2, 2, 255, [0, 1, 2, 3])

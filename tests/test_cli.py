@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import radloop
-from radloop import cli, core, errors, evalkit, ingest
+from radloop import augment, cli, core, errors, evalkit, ingest
 from radloop import judge as judge_module
 from radloop.augment import AugPolicy, IntensityGrid
 from radloop.cli import dispatch
@@ -631,7 +631,6 @@ def judge_server():
     server.server_close()
 
 
-@pytest.mark.usefixtures("block_requests")
 class TestJudgeCommands:
     def _write_judge_inputs(self, tmp_path, url, cache_dir=None):
         endpoint = {"url": url, "model": "judge-model", "max_retries": 0, "timeout": 10}
@@ -799,7 +798,6 @@ def _judge_one_row(tmp_path, url, gen, **endpoint):
     return argv + ["--out", str(out)], out
 
 
-@pytest.mark.usefixtures("block_requests")
 class TestJudgeTransport:
     """The default transport against a real local endpoint."""
 
@@ -894,7 +892,6 @@ class TestJudgeTransport:
         assert [json.loads(line)["verdict"]["reason"] for line in outputs[1].splitlines()] == gens
 
 
-@pytest.mark.usefixtures("block_requests")
 class TestJudgeDecoding:
     """Every reply, live or cached, is decoded by the rule of every JSON input,
     and the endpoint document is too."""
@@ -1018,6 +1015,25 @@ class TestPreprocess:
         doc = read_json(out)
         assert doc["width"] == 32 and doc["height"] == 32
         assert all(v == pytest.approx(100.0, abs=1e-9) for v in doc["values"])
+
+    def test_a_target_too_large_to_hold_is_a_clean_failure(self, tmp_path, monkeypatch, capsys):
+        # A 10,000,000-square target passes the flag rules, but its index
+        # arrays alone take about 640 MB before numpy fails to allocate the
+        # grid, so the test raises the MemoryError in place of the resize.
+        def no_memory(grid, width, height):
+            raise MemoryError(f"Unable to allocate a {width}x{height} grid")
+
+        monkeypatch.setattr(augment, "resize_bilinear", no_memory)
+        src, out = tmp_path / "grid.json", tmp_path / "eval.json"
+        src.write_text(json.dumps(IntensityGrid(8, 8, 255, [9] * 64).to_json()), encoding="utf-8")
+        out.write_text("old", encoding="utf-8")
+        argv = ["preprocess", "--in", str(src), "--resize-w", "10000000", "--resize-h",
+                "10000000", "--out", str(out)]
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err == ("ERROR radloop: MemoryError: Unable to allocate a "
+                                           "10000000x10000000 grid\n")
+        assert out.read_text(encoding="utf-8") == "old"
+        assert not (tmp_path / "eval.json.manifest.json").exists()
 
 
 class TestConfigHandling:
@@ -1615,6 +1631,9 @@ def test_a_document_escaping_a_lone_surrogate_is_rejected(case, fuzz_inputs, tmp
 @pytest.mark.parametrize("plan, message", [
     (_plan_doc(categories=[], sizes=[], probs=[]), "subtask 'pgsrc:pg'/pg has no categories"),
     (_plan_source_doc(subtasks={}), "source 'pgsrc:pg' has no subtasks"),
+    # A leaf the plan lists must hold records, even at probability 0.
+    (_plan_doc(categories=["a", "c"], sizes=[6, 0], probs=[1.0, 0.0]),
+     "leaf 'pgsrc:pg'/pg/'c' has no records"),
 ])
 def test_a_plan_level_with_nothing_to_draw_is_an_empty_leaf(plan, message, fuzz_inputs, tmp_path,
                                                             capsys):

@@ -6,12 +6,12 @@ was re-recorded is dated, by version, in a comment beside it; a change that
 moves any of them changes the bytes users get, and has to say so.
 
 Every case but ``preprocess`` is also replayed in a fresh process where
-``import numpy`` fails, under the running interpreter and under each one that
-``RADLOOP_OTHER_PYTHONS`` lists (``os.pathsep``-separated paths), on inputs the
-running interpreter wrote. So the digests also check the promise that these
-bytes do not depend on the CPython minor version. Each of those interpreters
-also writes the fixture corpora the inputs start from, with numpy blocked, in
-the running interpreter's bytes.
+``import numpy`` and ``import requests`` fail, under the running interpreter
+and under each one that ``RADLOOP_OTHER_PYTHONS`` lists (``os.pathsep``-separated
+paths), on inputs the running interpreter wrote. So the digests also check the
+promise that these bytes do not depend on the CPython minor version. Each of
+those interpreters also writes the fixture corpora the inputs start from, with
+both blocked, in the running interpreter's bytes.
 """
 
 import dataclasses
@@ -34,6 +34,7 @@ from radloop.ingest import make_fixture_dataset
 from radloop.taskgen import AGRG29, render_instruction
 
 PG_CATEGORIES = ("Effusion", "Nodule", "Atelectasis")
+INGEST_FORMATS = ("scene_graph", "phrase_boxes", "grounded_report", "detection")
 AGRG_LOCATIONS = AGRG29.locations[:4]
 
 
@@ -158,6 +159,57 @@ def golden_verdicts():
     return rows
 
 
+def _raw_box(box, i):
+    """``box`` as a raw [cx, cy, w, h] array; every third one (by ``i``) is pushed
+    a quarter of its side past the right or the bottom border, so ingest clamps it."""
+    if i % 3:
+        return box.to_list()
+    if i % 2:
+        return [1 - box.w / 4, box.cy, box.w, box.h]
+    return [box.cx, 1 - box.h / 4, box.w, box.h]
+
+
+def golden_raw_rows(records):
+    """Raw rows of each ``ingest`` format, built from the golden corpus."""
+    agrg = [rec for rec in records if rec.task is Task.AGRG_BOTH]
+    pg = [rec for rec in records if rec.task is Task.PG]
+    grg = [rec for rec in records if rec.task is Task.GRG]
+    scene_graph = []
+    for i, rec in enumerate(agrg):
+        # Box and sentence, but every fourth row has only one of the two.
+        row = {"image_id": rec.image_id, "location": rec.category, "source_id": rec.source_id}
+        if i % 8 != 7:
+            row["box"] = _raw_box(rec.boxes[0], i)
+        if i % 8 != 3:
+            row["sentence"] = rec.text
+        scene_graph.append(row)
+    phrase_boxes = [
+        {"image_id": rec.image_id, "phrase": rec.text, "category": rec.category,
+         "boxes": [_raw_box(b, i + k) for k, b in enumerate(rec.boxes)],
+         "split": rec.split.value, **rec.meta}
+        for i, rec in enumerate(pg)
+    ]
+    grounded_report = [
+        {"image_id": rec.image_id, "source_id": rec.source_id,
+         "findings": [{"text": f.text, "boxes": [_raw_box(b, i + k) for b in f.boxes]}
+                      for k, f in enumerate(rec.findings)]}
+        for i, rec in enumerate(grg)
+    ]
+    # One detector image per three PG records; every fourth label is global
+    # (no boxes), and every fifth is a short label that ingest expands.
+    detection = []
+    for j in range(0, len(pg), 3):
+        findings = []
+        for k, rec in enumerate(pg[j:j + 3], j):
+            finding = {"label": "Nodule/Mass" if k % 5 == 4 else rec.category}
+            if k % 4 != 3:
+                finding["boxes"] = [_raw_box(b, k) for b in rec.boxes]
+            findings.append(finding)
+        detection.append({"image_id": f"det-{j // 3}", "findings": findings})
+    return {"scene_graph": scene_graph, "phrase_boxes": phrase_boxes,
+            "grounded_report": grounded_report, "detection": detection}
+
+
 def write_jsonl(path, rows):
     path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
 
@@ -178,6 +230,9 @@ def golden_inputs(tmp_path_factory):
     write_jsonl(paths["agrg_preds.jsonl"], drifted_preds(agrg_both, AGRG_DRIFTS))
     write_jsonl(paths["verdicts.jsonl"], golden_verdicts())
     paths["metrics.json"].write_text(json.dumps(golden_metrics()), encoding="utf-8")
+    for fmt, rows in golden_raw_rows(records).items():
+        paths[f"raw_{fmt}.jsonl"] = d / f"raw_{fmt}.jsonl"
+        write_jsonl(paths[f"raw_{fmt}.jsonl"], rows)
     pg = [rec for rec in records if rec.task is Task.PG]
     preds = [{"image_id": rec.image_id, "output": render_instruction(rec).response}
              for rec in pg]
@@ -218,6 +273,8 @@ GOLDEN_CASES = {
     "eval-agrg-both-lenient": ["eval", "--pred", "AGRG_PREDS", "--gold", "RECORDS", "--task",
                                "agrg_both", "--mode", "lenient"],
     "judge-aggregate": ["judge-aggregate", "--in", "VERDICTS"],
+    **{f"ingest-{fmt}": ["ingest", "--in", f"RAW_{fmt.upper()}", "--format", fmt]
+       for fmt in INGEST_FORMATS},
 }
 
 GOLDEN_DIGESTS = {
@@ -248,6 +305,11 @@ GOLDEN_DIGESTS = {
     # Re-recorded at 0.12.0, when every mean became math.fsum(values) / len(values).
     # These are the bytes that CPython 3.12 and 3.13 wrote before that change.
     "judge-aggregate": "42058f542e1758504ba874dd8175cab87aa88a87815a57b5815396d609620c6c",
+    # Recorded at 0.18.0, when the cases were added, from 0.17.0's code.
+    "ingest-detection": "0445b138c1b93d1a113272fac431435e4ac5049b852fca0bf80755040ed98275",
+    "ingest-grounded_report": "409ca8701b91c404f06fab0352f16fe7f487299bef4f558fbe99376bba7c09cd",
+    "ingest-phrase_boxes": "95fcbeaa58f46b75181ecd8cc920a729a69147dc8b7f551830c1ed2a98cc258a",
+    "ingest-scene_graph": "8522760c0b7377e2c50ddd34350c5a64d79f5f7967a2ebc3c7c969eaa6ee70f5",
 }
 
 
@@ -294,7 +356,8 @@ def test_outputs_do_not_depend_on_the_hash_seed(golden_inputs, tmp_path):
         assert digests == {case: GOLDEN_DIGESTS[case] for case in cases}, hash_seed
 
 
-_NO_NUMPY = "import sys\nsys.modules['numpy'] = None\n"
+#: Every replay runs as where numpy and requests are not installed.
+_BLOCK_IMPORTS = "import sys\nsys.modules['numpy'] = sys.modules['requests'] = None\n"
 
 
 # Every case but ``preprocess`` (which computes with numpy) runs without it.
@@ -302,24 +365,26 @@ _SCORING = {case for case in GOLDEN_CASES if case.startswith("eval")} | {"judge-
 _SAMPLING = GOLDEN_CASES.keys() - _SCORING - {"preprocess"}
 
 
-def _replay_without_numpy(python, cases, inputs, outdir):
-    """Assert that ``python``, where ``import numpy`` fails, writes the recorded
-    bytes of each of ``cases`` from inputs the running interpreter wrote."""
+def _replay_blocked(python, cases, inputs, outdir):
+    """Assert that ``python``, where ``import numpy`` and ``import requests``
+    fail, writes the recorded bytes of each of ``cases`` from inputs the
+    running interpreter wrote."""
     cases = sorted(cases)
-    digests = fresh_digests(cases, inputs, outdir, python, prelude=_NO_NUMPY)
+    digests = fresh_digests(cases, inputs, outdir, python, prelude=_BLOCK_IMPORTS)
     assert digests == {case: GOLDEN_DIGESTS[case] for case in cases}
 
 
 def test_the_sampler_needs_no_numpy(golden_inputs, tmp_path):
-    """``plan``, ``sample``, ``simulate``, ``gen-tasks`` and ``augment`` write
-    their recorded bytes in an interpreter where ``import numpy`` fails."""
-    _replay_without_numpy(sys.executable, _SAMPLING, golden_inputs, tmp_path)
+    """``ingest``, ``plan``, ``sample``, ``simulate``, ``gen-tasks`` and
+    ``augment`` write their recorded bytes in an interpreter where ``import
+    numpy`` and ``import requests`` fail."""
+    _replay_blocked(sys.executable, _SAMPLING, golden_inputs, tmp_path)
 
 
 def test_eval_and_judge_aggregate_need_no_numpy(golden_inputs, tmp_path):
     """Every ``eval`` case and ``judge-aggregate`` write their recorded bytes in
-    an interpreter where ``import numpy`` fails."""
-    _replay_without_numpy(sys.executable, _SCORING, golden_inputs, tmp_path)
+    an interpreter where ``import numpy`` and ``import requests`` fail."""
+    _replay_blocked(sys.executable, _SCORING, golden_inputs, tmp_path)
 
 
 def _other_pythons():
@@ -333,8 +398,9 @@ def _other_pythons():
 @pytest.mark.parametrize("python", _other_pythons())
 def test_other_pythons_write_the_recorded_bytes_without_numpy(python, golden_inputs, tmp_path):
     """Each interpreter in ``RADLOOP_OTHER_PYTHONS`` passes both tests above:
-    every case but ``preprocess`` writes its recorded bytes without numpy."""
-    _replay_without_numpy(python, _SAMPLING | _SCORING, golden_inputs, tmp_path)
+    every case but ``preprocess`` writes its recorded bytes without numpy or
+    requests."""
+    _replay_blocked(python, _SAMPLING | _SCORING, golden_inputs, tmp_path)
 
 
 #: Writes each fixture corpus, and a benchmark subset of the first (one record
@@ -354,11 +420,12 @@ for name, records in corpora.items():
 @pytest.mark.parametrize("python", _other_pythons())
 def test_other_pythons_write_the_fixture_corpora_without_numpy(python, tmp_path):
     """Each interpreter in ``RADLOOP_OTHER_PYTHONS``, where ``import numpy``
-    fails, writes the fixture corpora that the golden inputs start from, and a
-    benchmark subset, in the bytes that the running interpreter writes."""
+    and ``import requests`` fail, writes the fixture corpora that the golden
+    inputs start from, and a benchmark subset, in the bytes that the running
+    interpreter writes."""
     here, there = tmp_path / "here", tmp_path / "there"
     exec(_WRITE_CORPORA.format(corpora=FIXTURE_CORPORA, outdir=str(here)), {})
-    prelude = _NO_NUMPY + _WRITE_CORPORA.format(corpora=FIXTURE_CORPORA, outdir=str(there))
+    prelude = _BLOCK_IMPORTS + _WRITE_CORPORA.format(corpora=FIXTURE_CORPORA, outdir=str(there))
     assert fresh_digests((), {}, there, python, prelude=prelude) == {}
     names = ["corpus.jsonl", "grg_corpus.jsonl", "subset.jsonl"]
     assert sorted(p.name for p in there.iterdir()) == names

@@ -38,8 +38,6 @@ from radloop.judge import (
     verdict_row_from_json,
 )
 
-pytestmark = pytest.mark.usefixtures("block_requests")
-
 ALL_FIELDS = (
     "reason",
     "gt_has_abnormalities",
