@@ -32,10 +32,11 @@ import math
 import os
 import random
 import sys
+from collections import Counter, defaultdict
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConfigError, EmptyAfterClamp, FormatError
 
@@ -46,6 +47,14 @@ EPSILON = 1e-9
 TEXT_ROUNDTRIP_TOL = 0.005
 
 _INF = float("inf")
+
+
+class TaskFamily(str, Enum):
+    """Task granularity at which data sources are identified."""
+
+    PG = "pg"
+    GRG = "grg"
+    AGRG = "agrg"
 
 
 class Task(str, Enum):
@@ -63,23 +72,14 @@ class Task(str, Enum):
     AGRG_BOTH = "agrg_both"
 
     @property
-    def family(self) -> "TaskFamily":
-        if self in _AGRG_TASKS:
-            return TaskFamily.AGRG
-        return TaskFamily(self.value)
+    def family(self) -> TaskFamily:
+        return _FAMILIES[self]
 
 
 #: Subtask ordering used wherever the three AGRG subtasks are enumerated.
 AGRG_SUBTASKS = (Task.AGRG_LOCATE, Task.AGRG_DESCRIBE, Task.AGRG_BOTH)
-_AGRG_TASKS = frozenset(AGRG_SUBTASKS)
-
-
-class TaskFamily(str, Enum):
-    """Task granularity at which data sources are identified."""
-
-    PG = "pg"
-    GRG = "grg"
-    AGRG = "agrg"
+#: Each task's family, looked up: an enum call per record or leaf costs more than the rest.
+_FAMILIES = {task: TaskFamily.AGRG if task in AGRG_SUBTASKS else TaskFamily(task.value) for task in Task}
 
 
 class Split(str, Enum):
@@ -163,6 +163,21 @@ def mean(values: Sequence[float]) -> float:
     """The one float mean: ``math.fsum`` is correctly rounded, so the result
     depends neither on the order of ``values`` nor on the CPython version."""
     return math.fsum(values) / len(values)
+
+
+def group_means(keys: Sequence[Hashable], **columns: Sequence[float | None]) -> dict[Any, dict]:
+    """The one grouping rule. Row ``i`` has key ``keys[i]``; each key maps, in first-seen
+    order, to ``{"n": its row count}`` plus, per column, the :func:`mean` of its rows'
+    values that are not None, or None if every one is."""
+    groups = {key: {"n": n} for key, n in Counter(keys).items()}
+    for name, column in columns.items():
+        present: defaultdict[Hashable, list[float]] = defaultdict(list)
+        for key, value in zip(keys, column):
+            if value is not None:
+                present[key].append(value)
+        for key, group in groups.items():
+            group[name] = mean(present[key]) if key in present else None
+    return groups
 
 
 def seeded(seed: int) -> random.Random:
@@ -262,13 +277,6 @@ class DataSourceId:
     @property
     def key(self) -> str:
         return f"{self.name}:{self.task.value}"
-
-    @classmethod
-    def parse(cls, key: str) -> "DataSourceId":
-        name, sep, fam = key.rpartition(":")
-        if not sep or not name:
-            raise ValueError(f"source key must look like 'name:task', got {key!r}")
-        return cls(name, TaskFamily(fam))
 
 
 # ---------------------------------------------------------------------------

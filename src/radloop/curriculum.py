@@ -45,9 +45,9 @@ from .core import (
     config_from_json,
     enum_from_json,
     expect,
+    group_means,
     is_number,
     list_of,
-    mean,
     pick,
     pick_sorted,
     ruled,
@@ -123,6 +123,26 @@ class SourceMetrics:
         )
 
 
+def metrics_from_rows(
+    rows: Sequence[tuple[str, Task, str, float | None, float | None]]
+) -> dict[str, SourceMetrics]:
+    """Source metrics from rows ``(source_id, task, category, iou, text_score)``: by
+    :func:`core.group_means`, a leaf's rows give its category entry, then a source's
+    entries (across subtasks for AGRG) give its ``iou`` and ``text_score``. AGRG sources
+    fill ``per_subtask``, others ``per_category``; all keep first-seen order."""
+    leaves = group_means([row[:3] for row in rows], iou=[row[3] for row in rows],
+                         text_score=[row[4] for row in rows])
+    sources = [(name, task.family) for name, task, _ in leaves]
+    totals = group_means(sources, iou=[e["iou"] for e in leaves.values()],
+                         text_score=[e["text_score"] for e in leaves.values()])
+    metrics = {s: SourceMetrics(DataSourceId(*s), t["iou"], t["text_score"]) for s, t in totals.items()}
+    for (name, family), (_, task, category), e in zip(sources, leaves, leaves.values()):
+        m = metrics[name, family]
+        entries = m.per_subtask.setdefault(task, {}) if family is TaskFamily.AGRG else m.per_category
+        entries[category] = MetricEntry(e["iou"], e["text_score"])
+    return {m.source.key: m for m in metrics.values()}
+
+
 def metrics_from_json(doc: Any) -> dict[str, SourceMetrics]:
     """Decode a metrics file, a JSON array of source metrics, keyed by source;
     a source listed twice is a :class:`FormatError`."""
@@ -184,7 +204,7 @@ def _entries_from_json(obj: Mapping[str, Any], where: str) -> dict[str, MetricEn
     return {c: _entry_from_json(e, f"{where} category {c!r}") for c, e in obj.items()}
 
 
-def aggregate_score(entry: MetricEntry, alpha: float = DEFAULT_ALPHA) -> float:
+def aggregate_score(entry: MetricEntry | SourceMetrics, alpha: float = DEFAULT_ALPHA) -> float:
     """Blend grounding and text quality into one score.
 
     With both metrics present the score is ``alpha * iou + (1 - alpha) *
@@ -433,11 +453,11 @@ def initial_state(pool: SamplingPool) -> CurriculumState:
     return CurriculumState(stage_index=0, sources=sources)
 
 
-def _source_score(m: SourceMetrics | None, alpha: float) -> float | None:
-    """A source's aggregate score; None without source-level metrics."""
+def _score(m: SourceMetrics | MetricEntry | None, alpha: float) -> float | None:
+    """A source's or a category's aggregate score; None without metrics or with neither."""
     if m is None or (m.iou is None and m.text_score is None):
         return None
-    return aggregate_score(MetricEntry(m.iou, m.text_score), alpha)
+    return aggregate_score(m, alpha)
 
 
 def _error(score: float | None) -> float | None:
@@ -450,14 +470,10 @@ def _category_scores(
     if m is None:
         raise MissingMetrics(f"no metrics for source {key!r}")
     entries = m.entries_for(st.task)
-    scores = []
-    for cat in st.categories:
-        entry = entries.get(cat)
-        if entry is None:
-            raise MissingMetrics(
-                f"source {key!r} subtask {st.task.value!r} lacks metrics for category {cat!r}"
-            )
-        scores.append(aggregate_score(entry, alpha))
+    scores = [_score(entries.get(cat), alpha) for cat in st.categories]
+    if None in scores:
+        cat = st.categories[scores.index(None)]
+        raise MissingMetrics(f"source {key!r} subtask {st.task.value!r} lacks metrics for category {cat!r}")
     return scores
 
 
@@ -473,7 +489,7 @@ def advance_stage(
     anything missing raises :class:`MissingMetrics` naming the gap.
     """
     keys = list(state.sources)
-    scores = [_source_score(metrics.get(key), cfg.alpha) for key in keys]
+    scores = [_score(metrics.get(key), cfg.alpha) for key in keys]
     if cfg.inter_strategy is Strategy.CURRICULUM:
         for key, score in zip(keys, scores):
             if score is None and key not in metrics:
@@ -702,7 +718,7 @@ def run_curriculum(
                 intra_probs=_intra_probs_of(state),
                 samples=samples_nested,
                 metrics={k: m.to_json() for k, m in metrics.items()},
-                errors={k: _error(_source_score(m, cfg.alpha)) for k, m in metrics.items()},
+                errors={k: _error(_score(m, cfg.alpha)) for k, m in metrics.items()},
             )
         )
         state = advance_stage(cfg, state, metrics)
@@ -734,8 +750,9 @@ class SimulatedLearner:
     """Closed-loop stand-in learner with deterministic error decay.
 
     Per-category errors shrink exponentially in the number of samples the
-    category received; reported category IoU is ``1 - error``. Source-level
-    metrics are the unweighted mean of the category metrics.
+    category received; reported category IoU is ``1 - error``. Leaves are keyed
+    ``(source key, task, category)``, as :func:`run_curriculum` tallies them;
+    :meth:`evaluate` reports one row per leaf to :func:`metrics_from_rows`.
     """
 
     def __init__(self, params: Mapping[tuple[str, Task, str], DecayParams]):
@@ -751,23 +768,9 @@ class SimulatedLearner:
         return decayed_error(self.params[key], self.counts[key])
 
     def evaluate(self) -> dict[str, SourceMetrics]:
-        by_source: dict[str, dict[Task, dict[str, MetricEntry]]] = {}
-        for (src_key, task, cat) in self.params:
-            error = min(max(self.category_error((src_key, task, cat)), 0.0), 1.0)
-            entry = MetricEntry(iou=1.0 - error)
-            by_source.setdefault(src_key, {}).setdefault(task, {})[cat] = entry
-        out: dict[str, SourceMetrics] = {}
-        for src_key, subtasks in by_source.items():
-            source = DataSourceId.parse(src_key)
-            all_entries = [e for cats in subtasks.values() for e in cats.values()]
-            mean_iou = mean([e.iou for e in all_entries])
-            if source.task is TaskFamily.AGRG:
-                out[src_key] = SourceMetrics(
-                    source=source, iou=mean_iou, per_subtask=subtasks
-                )
-            else:
-                only = next(iter(subtasks.values()))
-                out[src_key] = SourceMetrics(
-                    source=source, iou=mean_iou, per_category=only
-                )
-        return out
+        # A leaf names its source by key: the source's name, ":" and its family.
+        return metrics_from_rows([
+            (key.removesuffix(":" + task.family.value), task, cat,
+             1.0 - min(max(self.category_error((key, task, cat)), 0.0), 1.0), None)
+            for key, task, cat in self.params
+        ])

@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .core import AnnotationRecord, Finding, NormBox, Task, mean
+from .core import AnnotationRecord, Finding, NormBox, Task, group_means, mean
 from .errors import (
     DuplicateId,
     EmptyGroundTruth,
@@ -354,10 +354,9 @@ class SampleRow:
 class EvalReport:
     """One task's scored rows and the summaries derived from them.
 
-    Every mean is :func:`radloop.core.mean`: micro is the mean of a metric's
-    scores, macro the mean of its category means. ``per_class`` lists
-    categories in the order they first appear. ``to_json`` writes schema
-    version 1.
+    ``per_class`` is :func:`radloop.core.group_means` of the rows by category.
+    Micro is the :func:`radloop.core.mean` of a metric's scores, macro that of
+    its category means. ``to_json`` writes schema version 1.
     """
 
     task: Task
@@ -373,25 +372,14 @@ class EvalReport:
     per_class: dict[str, dict[str, float | int | None]] = field(init=False)
 
     def __post_init__(self) -> None:
-        ious: dict[str, list[float]] = {}
-        texts: dict[str, list[float]] = {}
-        for row in self.rows:
-            if row.iou is not None:
-                ious.setdefault(row.category, []).append(row.iou)
-            if row.text_score is not None:
-                texts.setdefault(row.category, []).append(row.text_score)
-        iou_means = {cat: mean(v) for cat, v in ious.items()}
-        text_means = {cat: mean(v) for cat, v in texts.items()}
+        ious, texts = [row.iou for row in self.rows], [row.text_score for row in self.rows]
+        self.per_class = group_means([row.category for row in self.rows], iou=ious, text_score=texts)
         self.n = len(self.rows)
-        self.parse_failures = sum(row.parse_failed for row in self.rows)
-        self.micro_iou = mean([v for vs in ious.values() for v in vs]) if ious else None
-        self.macro_iou = mean(list(iou_means.values())) if ious else None
-        self.micro_text = mean([v for vs in texts.values() for v in vs]) if texts else None
-        self.macro_text = mean(list(text_means.values())) if texts else None
-        self.per_class = {
-            cat: {"n": n, "iou": iou_means.get(cat), "text_score": text_means.get(cat)}
-            for cat, n in Counter(row.category for row in self.rows).items()
-        }
+        self.parse_failures = sum([row.parse_failed for row in self.rows])
+        classes = self.per_class.values()
+        columns = ious, texts, [c["iou"] for c in classes], [c["text_score"] for c in classes]
+        present = [[v for v in column if v is not None] for column in columns]
+        self.micro_iou, self.micro_text, self.macro_iou, self.macro_text = (mean(p) if p else None for p in present)
 
     def to_json(self) -> dict:
         return {

@@ -330,6 +330,18 @@ class TestPlan:
         )
         assert not (tmp_path / "plan.json").exists()
 
+    def test_a_category_entry_with_no_metric_names_the_gap(self, records_path, tmp_path, capsys):
+        metrics = read_json(write_metrics(tmp_path))
+        metrics[0]["per_category"] = {"a": {"iou": 0.2}, "b": {}}
+        path = tmp_path / "metrics.json"
+        path.write_text(json.dumps(metrics), encoding="utf-8")
+        argv = ["plan", "--records", str(records_path), "--metrics", str(path)]
+        assert dispatch(argv + ["--out", str(tmp_path / "plan.json")]) == 1
+        assert capsys.readouterr().err == (
+            "ERROR radloop: MissingMetrics: source 'pgsrc:pg' subtask 'pg' lacks metrics"
+            " for category 'b'\n"
+        )
+
 
 def _stage_probs(sources):
     """A plan state's ``sources`` as a stage log's (inter_probs, intra_probs)."""
@@ -409,6 +421,39 @@ class TestSample:
             ]
         )
         assert rc == 1
+
+
+def _simulate_and_plan(tmp_path, names):
+    """``simulate`` and ``plan`` on records of sources ``names``: each source's
+    (name, task) per key, as the final state and the plan list them."""
+    records = []
+    for i, name in enumerate(names):
+        for task, cat in ((Task.PG, "a"), (Task.PG, "b"), (Task.AGRG_LOCATE, "spine")):
+            box = (core.NormBox(0.5, 0.5, 0.2, 0.2),)
+            records.append(core.AnnotationRecord(f"{i}-{cat}", name, task, cat, "x", box))
+    path = tmp_path / "records.jsonl"
+    dump_records_jsonl(path, records)
+    sim, plan = tmp_path / "sim.json", tmp_path / "plan.json"
+    argv = ["simulate", "--records", str(path), "--warmup-steps", "4", "--reweight-interval", "4",
+            "--total-steps", "12", "--seed", "1", "--out", str(sim)]
+    assert dispatch(argv) == 0
+    assert dispatch(["plan", "--records", str(path), "--out", str(plan)]) == 0
+    return [{key: (s["name"], s["task"]) for key, s in sources.items()}
+            for sources in (read_json(sim)["final_state"]["sources"], read_json(plan)["state"]["sources"])]
+
+
+def test_simulate_accepts_a_source_named_empty(tmp_path):
+    # The key ":pg" holds the name "", which a parse of the key back would reject.
+    simulated, planned = _simulate_and_plan(tmp_path, [""])
+    assert simulated == planned == {":pg": ("", "pg"), ":agrg": ("", "agrg")}
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(names=st.lists(st.text(), min_size=1, max_size=3, unique=True))
+@example(names=["", ":", "a:pg", "a"])
+def test_simulate_names_every_source_as_plan_does(tmp_path_factory, names):
+    simulated, planned = _simulate_and_plan(tmp_path_factory.mktemp("names"), names)
+    assert simulated == planned
 
 
 class TestSimulate:

@@ -192,20 +192,9 @@ def test_pick_stays_below_n_even_for_a_uniform_of_one():
 
 
 class TestDataSourceId:
-    def test_key_round_trip(self):
-        sid = DataSourceId("ms-cxr", TaskFamily.PG)
-        assert sid.key == "ms-cxr:pg"
-        assert DataSourceId.parse(sid.key) == sid
-
-    def test_name_may_contain_colon(self):
-        sid = DataSourceId.parse("a:b:agrg")
-        assert sid.name == "a:b" and sid.task is TaskFamily.AGRG
-
-    def test_bad_keys(self):
-        with pytest.raises(ValueError):
-            DataSourceId.parse("nocolon")
-        with pytest.raises(ValueError):
-            DataSourceId.parse("name:not_a_family")
+    def test_key(self):
+        # Nothing parses a key back; tests/test_cli.py runs names that hold ":".
+        assert DataSourceId("ms-cxr", TaskFamily.PG).key == "ms-cxr:pg"
 
 
 class TestTaskFamily:

@@ -2,11 +2,12 @@ import json
 import math
 import random
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from radloop.core import (
     AGRG_SUBTASKS,
@@ -41,12 +42,16 @@ from radloop.curriculum import (
     draw_sample,
     draw_samples,
     initial_state,
+    metrics_from_rows,
     normalize_errors,
     run_curriculum,
     select_eval_subset,
     stage_lengths,
 )
 from radloop.errors import ConfigError, EmptyLeaf, MissingMetrics, NoMetrics
+from radloop.evalkit import evaluate_task
+from radloop.ingest import make_fixture_dataset
+from radloop.taskgen import render_instruction
 
 
 def _record(source_id, task, category, i):
@@ -785,6 +790,77 @@ class TestDecay:
         assert decayed_error(p, 0) == pytest.approx(0.85)
         assert decayed_error(p, 10_000) == pytest.approx(0.05, abs=1e-4)
         assert decayed_error(p, 100) == pytest.approx(0.8 * math.exp(-0.1) + 0.05)
+
+
+def _exact_mean(values):
+    """The README's mean of the values present: their exact sum, rounded once
+    to a double, over their count; None when no value is present."""
+    values = [v for v in values if v is not None]
+    return float(sum(map(Fraction, values))) / len(values) if values else None
+
+
+def _reference_metrics(rows):
+    """README "Curriculum sampling": a category's entry is the mean of its rows'
+    values, a source's the mean of its category entries', across AGRG's subtasks."""
+    leaves = {}
+    for name, task, category, iou, text in rows:
+        leaves.setdefault((name, task, category), []).append((iou, text))
+    out = {}
+    for (name, task, category), values in leaves.items():
+        source = DataSourceId(name, task.family)
+        m = out.setdefault(source.key, SourceMetrics(source))
+        entry = MetricEntry(*(_exact_mean(column) for column in zip(*values)))
+        if source.task is TaskFamily.AGRG:
+            m.per_subtask.setdefault(task, {})[category] = entry
+        else:
+            m.per_category[category] = entry
+    for m in out.values():
+        entries = [*m.per_category.values(), *(e for c in m.per_subtask.values() for e in c.values())]
+        m.iou = _exact_mean([e.iou for e in entries])
+        m.text_score = _exact_mean([e.text_score for e in entries])
+    return out
+
+
+_metric = st.none() | st.floats(0.0, 1.0)
+_metric_rows = st.lists(
+    st.tuples(st.sampled_from(["s", "t", "a:pg", ""]), st.sampled_from(list(Task)),
+              st.sampled_from(["x", "y", "z"]), _metric, _metric),
+    max_size=30,
+)
+
+
+@given(rows=_metric_rows)
+# A left-to-right sum of 0.1, 0.2 and 0.3 is not their correctly rounded sum.
+@example(rows=[("s", Task.PG, "x", v, v) for v in (0.1, 0.2, 0.3)])
+@example(rows=[("s", task, "x", 0.1 * i, None) for i, task in enumerate(AGRG_SUBTASKS * 2)])
+def test_metrics_from_rows_is_the_readme_rule(rows):
+    got = metrics_from_rows(rows)
+    expected = _reference_metrics(rows)
+    assert got == expected
+    # Equal dicts may differ in order; the JSON form keeps it.
+    assert json.dumps([m.to_json() for m in got.values()]) == json.dumps(
+        [m.to_json() for m in expected.values()])
+
+
+def test_metrics_from_rows_of_eval_rows_are_the_report():
+    gold = make_fixture_dataset(4, {"src:agrg": {"spine": 4, "left lung": 3, "trachea": 1}})
+    task = Task.AGRG_BOTH
+    own = [r for r in gold if r.task is task]
+    # Every other prediction answers for the next record, so scores spread.
+    preds = {r.image_id: render_instruction(own[(i + i % 2) % len(own)]).response
+             for i, r in enumerate(own)}
+    preds[own[0].image_id] = "no answer"  # a strict parse failure scores 0
+    report = evaluate_task(preds, gold, task)
+    source_ids = {r.image_id: r.source_id for r in own}
+    metrics = metrics_from_rows([(source_ids[row.id], task, row.category, row.iou, row.text_score)
+                                 for row in report.rows])
+    (m,) = metrics.values()
+    entries = {c: vars(e) for c, e in m.per_subtask[task].items()}
+    assert entries == {c: {"iou": v["iou"], "text_score": v["text_score"]}
+                       for c, v in report.per_class.items()}
+    assert list(entries) == list(report.per_class)
+    assert (m.iou, m.text_score) == (report.macro_iou, report.macro_text)
+    assert len({v["iou"] for v in report.per_class.values()}) == 3  # the case spreads
 
 
 class TestSimulatedLearner:
