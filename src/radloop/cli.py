@@ -69,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records", required=True)
     p.add_argument("--metrics", help="JSON array of per-source metrics")
     strategies(p)
-    p.add_argument("--min-prob", dest="min_prob", type=float)
     common(p)
 
     p = sub.add_parser("sample", help="draw instances from a sampling plan")

@@ -46,7 +46,6 @@ from .core import (
     enum_from_json,
     expect,
     group_means,
-    is_number,
     list_of,
     pick,
     pick_sorted,
@@ -109,16 +108,19 @@ class SourceMetrics:
 
     @classmethod
     def from_json(cls, obj: Mapping[str, Any]) -> "SourceMetrics":
-        """Decode one source's metrics; every metric is null or lies in [0, 1]."""
+        """Decode one source's metrics: objects of the keys :meth:`to_json` writes,
+        with ``per_category`` or ``per_subtask``, not both; every metric is null or in [0, 1]."""
         source = _source_id(obj)
         where = f"source {source.key!r}"
+        if "per_category" in obj and "per_subtask" in obj:
+            raise ValueError(f"{where} gives both per_category and per_subtask")
         return cls(
             source=source,
-            **vars(_entry_from_json(obj, where)),
-            per_category=_entries_from_json(obj.get("per_category", {}), where),
+            **vars(_entry_from_json(obj, where, {*_METRICS, "name", "task", "per_category", "per_subtask"})),
+            per_category=_entries_from_json(_object(obj.get("per_category", {}), f"{where} per_category"), where),
             per_subtask={
                 Task(t): _entries_from_json(cats, f"{where} subtask {t!r}")
-                for t, cats in obj.get("per_subtask", {}).items()
+                for t, cats in _object(obj.get("per_subtask", {}), f"{where} per_subtask").items()
             },
         )
 
@@ -195,13 +197,24 @@ def _source_id(obj: Mapping[str, Any]) -> DataSourceId:
     return DataSourceId(name, enum_from_json(TaskFamily, obj, "task", 0))
 
 
-def _entry_from_json(obj: Mapping[str, Any], where: str) -> MetricEntry:
-    names = (f.name for f in fields(MetricEntry))
-    return MetricEntry(**{n: expect(Rules.UNIT_METRIC, obj.get(n), f"{where}: {n}") for n in names})
+_METRICS = [f.name for f in fields(MetricEntry)]
 
 
-def _entries_from_json(obj: Mapping[str, Any], where: str) -> dict[str, MetricEntry]:
-    return {c: _entry_from_json(e, f"{where} category {c!r}") for c, e in obj.items()}
+def _object(obj: Any, where: str) -> dict[str, Any]:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be an object, got {obj!r:.60}")
+    return obj
+
+
+def _entry_from_json(obj: Any, where: str, keys: set[str]) -> MetricEntry:
+    """The metrics of object ``obj``, which holds no key outside ``keys``."""
+    if unknown := set(_object(obj, where)) - keys:
+        raise ValueError(f"{where} has unknown keys {sorted(unknown)}")
+    return MetricEntry(**{n: expect(Rules.UNIT_METRIC, obj.get(n), f"{where}: {n}") for n in _METRICS})
+
+
+def _entries_from_json(obj: Any, where: str) -> dict[str, MetricEntry]:
+    return {c: _entry_from_json(e, f"{where} category {c!r}", {*_METRICS}) for c, e in _object(obj, where).items()}
 
 
 def aggregate_score(entry: MetricEntry | SourceMetrics, alpha: float = DEFAULT_ALPHA) -> float:
@@ -251,17 +264,11 @@ def build_distribution(
     sizes: Sequence[int] | None = None,
     scores: Sequence[float | None] | None = None,
     grg: bool = False,
-    min_prob: float = 0.0,
 ) -> list[float]:
-    """Build one probability vector for a level under a strategy.
-
-    ``sizes`` feeds the natural strategy, ``scores`` (aggregate scores, one
-    per unit) the curriculum strategy. Intra-level distributions of
-    grounded-report sources (``grg=True``) are uniform under every strategy.
-    ``min_prob`` floors each probability at ``min_prob`` and then divides by
-    the floored vector's ``math.fsum``, so a result can fall below
-    ``min_prob`` (scores ``[0.02, 0.99, 0.99]`` with 0.4 give about ``[0.551,
-    0.225, 0.225]``); the default 0 leaves distributions untouched.
+    """Build one probability vector for a level under a strategy, by the README's
+    "Curriculum rule": ``sizes`` feed ``natural``, and ``scores`` (aggregate scores,
+    one per unit) feed ``curriculum``. Intra-level distributions of grounded-report
+    sources (``grg=True``) are uniform under every strategy.
     """
     level = Level(level)
     strategy = Strategy(strategy)
@@ -270,27 +277,20 @@ def build_distribution(
         raise ValueError("build_distribution needs at least one unit")
 
     if strategy is Strategy.UNIFORM or (level is Level.INTRA and grg):
-        probs = [1.0 / n] * n
-    elif strategy is Strategy.NATURAL:
+        return [1.0 / n] * n
+    if strategy is Strategy.NATURAL:
         if sizes is None:
             raise ValueError("the natural strategy needs sizes")
         total = sum(sizes)
         if total <= 0:
             raise ValueError("the natural strategy needs a non-empty pool")
-        probs = [s / total for s in sizes]
-    else:
-        if scores is None:
-            raise ValueError("the curriculum strategy needs scores")
-        for s in scores:
-            if s is None:
-                raise MissingMetrics("a unit is missing its aggregate score")
-        probs = normalize_errors([1.0 - float(s) for s in scores])
-
-    if min_prob > 0.0:
-        floored = [max(p, min_prob) for p in probs]
-        total = math.fsum(floored)
-        probs = [p / total for p in floored]
-    return probs
+        return [s / total for s in sizes]
+    if scores is None:
+        raise ValueError("the curriculum strategy needs scores")
+    for s in scores:
+        if s is None:
+            raise MissingMetrics("a unit is missing its aggregate score")
+    return normalize_errors([1.0 - float(s) for s in scores])
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +418,6 @@ class CurriculumConfig:
     total_steps: int = ruled(Rules.NON_NEGATIVE_INT, 3000)
     inter_strategy: Strategy = Strategy.CURRICULUM
     intra_strategy: Strategy = Strategy.CURRICULUM
-    min_prob: float = ruled((lambda v: is_number(v) and 0 <= v < 1, "a number in [0, 1)"), 0.0)
 
     def __post_init__(self) -> None:
         check_fields(self, ConfigError)
@@ -482,11 +481,12 @@ def advance_stage(
     state: CurriculumState,
     metrics: Mapping[str, SourceMetrics],
 ) -> CurriculumState:
-    """Compute the next stage's distributions from fresh evaluation metrics.
+    """Compute the next stage's distributions from fresh evaluation metrics, by
+    the README's "Curriculum rule".
 
     Under the curriculum strategy every source (inter level) and every
     category of every reweighted subtask (intra level) must have metrics;
-    anything missing raises :class:`MissingMetrics` naming the gap.
+    the first gap, inter level first, raises :class:`MissingMetrics` naming it.
     """
     keys = list(state.sources)
     scores = [_score(metrics.get(key), cfg.alpha) for key in keys]
@@ -501,7 +501,6 @@ def advance_stage(
         cfg.inter_strategy,
         sizes=[state.sources[k].size for k in keys],
         scores=scores,
-        min_prob=cfg.min_prob,
     )
 
     new_sources: dict[str, SourceState] = {}
@@ -517,7 +516,6 @@ def advance_stage(
                 sizes=st.sizes,
                 scores=_category_scores(metrics.get(key), key, st, cfg.alpha) if reweight else None,
                 grg=grg,
-                min_prob=cfg.min_prob,
             )
             new_subtasks[task] = SubtaskState(task, st.categories, st.sizes, probs)
         new_sources[key] = SourceState(

@@ -58,6 +58,10 @@ class TestUsageErrors:
     def test_missing_required_flag(self):
         assert dispatch(["ingest", "--format", "scene_graph", "--out", "x"]) == 2
 
+    def test_min_prob_is_no_plan_flag(self):
+        # The curriculum rule has no floor, so no flag sets one.
+        assert dispatch(["plan", "--records", "r", "--min-prob", "0.3", "--out", "x"]) == 2
+
     def test_detection_is_no_eval_task(self):
         argv = ["eval", "--pred", "p", "--gold", "g", "--task", "detection", "--out", "x"]
         assert dispatch(argv) == 2
@@ -1346,10 +1350,11 @@ def _miskeyed_plan():
               {"warmup_steps": 10, "reweight_interval": 10, "total_steps": 30.5},
               {"warmup_steps": True},
               {"alpha": True},
-              {"min_prob": 2.0},
-              {"min_prob": 1.0},
-              {"min_prob": -1.0},
           )),
+        # The curriculum rule has no floor: a min_prob key is unknown, whatever its value.
+        *((["simulate", "--records", "RECORDS", "--seed", "1", "--config", "BAD"],
+           json.dumps({"curriculum": {"min_prob": value}}), "ConfigError: unknown curriculum keys")
+          for value in (2.0, 1.0, -1.0)),
         (["augment", "--records", "RECORDS", "--seed", "1", "--policy", "BAD"],
          '{"p_crop": true, "p_bypass": false}', "ConfigError"),
         *((["gen-tasks", "--records", "RECORDS", "--config", "BAD"], body, "ConfigError")
@@ -1422,6 +1427,13 @@ def _miskeyed_plan():
          "FormatError: line 0: bad document: ValueError: source 'pgsrc:pg' category 'a'"),
         # A source whose key is not its name:task drew it under two probabilities.
         (_SAMPLE_BAD_PLAN, json.dumps(_miskeyed_plan()), "FormatError"),
+        # A metrics document holds only the keys it defines, and one of the entry maps.
+        (["plan", "--records", "RECORDS", "--metrics", "BAD"],
+         json.dumps([{**_GOOD_METRICS[0], "per_category": {"a": {"iou": 0.3, "bogus": 1}}},
+                     _GOOD_METRICS[1]]), "FormatError"),
+        (["plan", "--records", "RECORDS", "--metrics", "BAD"],
+         json.dumps([{**_GOOD_METRICS[0], "per_subtask": {"pg": _GOOD_METRICS[0]["per_category"]}},
+                     _GOOD_METRICS[1]]), "FormatError"),
     ],
 )
 def test_malformed_input_names_the_domain_error(
@@ -1440,6 +1452,33 @@ def test_malformed_input_names_the_domain_error(
     assert hits == []
 
 
+_PG_SOURCE = {"name": "pgsrc", "task": "pg"}
+
+
+@pytest.mark.parametrize("source, message", [
+    ({**_GOOD_METRICS[0], "txt": 0.3}, "source 'pgsrc:pg' has unknown keys ['txt']"),
+    ({**_GOOD_METRICS[0], "per_category": {"a": {"iou": 0.3, "bogus": 1}, "b": {"iou": 0.6}}},
+     "source 'pgsrc:pg' category 'a' has unknown keys ['bogus']"),
+    ({**_GOOD_METRICS[0], "per_subtask": {"pg": _GOOD_METRICS[0]["per_category"]}},
+     "source 'pgsrc:pg' gives both per_category and per_subtask"),
+    ({**_GOOD_METRICS[0], "per_category": [1]}, "source 'pgsrc:pg' per_category must be an object, got [1]"),
+    ({**_GOOD_METRICS[0], "per_category": {"a": 5, "b": {}}},
+     "source 'pgsrc:pg' category 'a' must be an object, got 5"),
+    ({**_PG_SOURCE, "per_subtask": []}, "source 'pgsrc:pg' per_subtask must be an object, got []"),
+    ({**_PG_SOURCE, "per_subtask": {"pg": [1]}}, "source 'pgsrc:pg' subtask 'pg' must be an object, got [1]"),
+    ({**_PG_SOURCE, "per_subtask": {"pg": {"a": {"iou": 0.1, "text": 0.5}}}},
+     "source 'pgsrc:pg' subtask 'pg' category 'a' has unknown keys ['text']"),
+])
+def test_a_metrics_document_holds_only_the_keys_it_defines(source, message, records_path, tmp_path, capsys):
+    # An ignored key would drop a misspelt metric from the score without a word, and an
+    # ignored per_category would leave its categories without metrics.
+    metrics = tmp_path / "metrics.json"
+    metrics.write_text(json.dumps([source, _GOOD_METRICS[1]]), encoding="utf-8")
+    argv = ["plan", "--records", str(records_path), "--metrics", str(metrics), "--out", str(tmp_path / "p")]
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err == f"ERROR radloop: FormatError: line 0: bad document: ValueError: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["gen-tasks", "--records", "BAD"],
     ["plan", "--records", "BAD"],
@@ -1456,7 +1495,7 @@ def test_a_detection_record_is_an_unknown_task(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags", [[], ["--metrics", "METRICS"], ["--metrics", "METRICS", "--min-prob", "0.3"]]
+    "flags", [[], ["--metrics", "METRICS"], ["--metrics", "METRICS", "--alpha", "0.5", "--inter", "natural"]]
 )
 def test_plans_the_plan_command_writes_are_sampled(flags, records_path, tmp_path):
     metrics = tmp_path / "metrics.json"
@@ -1564,7 +1603,7 @@ _GOOD_CONFIG = {
     "parse_mode": "lenient",
     "curriculum": {"alpha": 0.5, "warmup_steps": 10, "reweight_interval": 10,
                    "total_steps": 30, "inter_strategy": "natural",
-                   "intra_strategy": "curriculum", "min_prob": 0.01},
+                   "intra_strategy": "curriculum"},
     "policy": {"p_crop": 0.5, "clahe_grid": [4, 4]},
     "endpoint": {"url": "http://127.0.0.1:1/v1", "model": "m", "timeout": 5,
                  "max_retries": 0, "backoff": 0.1, "parallelism": 2},
@@ -1903,7 +1942,7 @@ _RULED_FLAGS = [
 
 def test_every_ruled_flag_is_taken_and_every_config_rule_without_a_flag_is_known():
     taken = {case.values[0] for case in _RULED_FLAGS}
-    assert taken == {"seed", "alpha", "warmup_steps", "reweight_interval", "total_steps", "min_prob",
+    assert taken == {"seed", "alpha", "warmup_steps", "reweight_interval", "total_steps",
                      "e0", "rate", "floor", "n", "resize_w", "resize_h", "scorer"}
     assert set(cli._flag_rules()) - taken == {"version", "parse_mode"}
 
@@ -2198,6 +2237,17 @@ def test_every_public_function_is_called_or_documented():
             ) and not re.search(rf"\b{fn.name}\b", readme):
                 unused.append(fn.name)
     assert unused == []
+
+
+def test_every_flag_and_config_field_is_named_in_the_readme():
+    """A knob the README never names is one a user cannot find: every long flag
+    of every subcommand, and every field of the config documents."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    knobs = {o for sub in _subcommand_parsers().values() for a in sub._actions
+             for o in a.option_strings if o.startswith("--")}
+    knobs |= {f.name for cls in (cli.ToolConfig, cli.CurriculumConfig, AugPolicy, judge_module.EndpointConfig)
+              for f in dataclasses.fields(cls)}
+    assert sorted(k for k in knobs if not re.search(rf"(?<![\w-]){re.escape(k)}(?![\w-])", readme)) == []
 
 
 def test_only_core_builds_a_random_generator():

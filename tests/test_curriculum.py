@@ -198,25 +198,6 @@ class TestBuildDistribution:
         with pytest.raises(ValueError):
             build_distribution(Level.INTER, Strategy.NATURAL, scores=[0.5, 0.5])
 
-    def test_min_prob_floor(self):
-        probs = build_distribution(
-            Level.INTER, Strategy.CURRICULUM, scores=[0.0, 1.0], min_prob=0.05
-        )
-        # Raw errors (1.0, 0.0) -> floor lifts the second to 0.05, renormalized.
-        assert probs == pytest.approx([1.0 / 1.05, 0.05 / 1.05], abs=1e-12)
-        assert sum(probs) == pytest.approx(1.0, abs=1e-12)
-        # Renormalising can take a floored probability back below min_prob.
-        probs = build_distribution(
-            Level.INTER, Strategy.CURRICULUM, scores=[0.02, 0.99, 0.99], min_prob=0.4
-        )
-        assert probs == pytest.approx([0.98 / 1.78, 0.4 / 1.78, 0.4 / 1.78], abs=1e-12)
-        assert min(probs) < 0.4
-
-    def test_min_prob_renormalises_by_the_correctly_rounded_sum(self):
-        # Ten 0.1s sum to 0.9999999999999999 left to right, and to 1.0 exactly rounded.
-        probs = build_distribution(Level.INTER, Strategy.UNIFORM, sizes=[1] * 10, min_prob=0.01)
-        assert probs == [0.1] * 10
-
     def test_natural_needs_a_non_empty_pool(self):
         with pytest.raises(ValueError, match="^the natural strategy needs a non-empty pool$"):
             build_distribution(Level.INTER, Strategy.NATURAL, sizes=[0, 0])
@@ -619,10 +600,10 @@ class TestConfig:
             {"alpha": True},
             {"alpha": "0.5"},
             {"alpha": math.nan},
-            {"min_prob": 2.0},
-            {"min_prob": 1.0},
-            {"min_prob": -1.0},
-            {"min_prob": False},
+            {"warmup_steps": -1},
+            {"total_steps": None},
+            {"reweight_interval": -3},
+            {"alpha": -0.5},
         ],
     )
     def test_wrong_types_and_ranges_are_config_errors(self, fields):
@@ -689,7 +670,8 @@ _entries = st.dictionaries(
     per_subtask=st.dictionaries(st.sampled_from(Task), _entries, max_size=3),
 )
 def test_any_source_metrics_round_trip(source, iou, text_score, per_category, per_subtask):
-    m = SourceMetrics(source, iou, text_score, per_category, per_subtask)
+    # A document gives per_category or per_subtask, never both.
+    m = SourceMetrics(source, iou, text_score, per_category, {} if per_category else per_subtask)
     assert SourceMetrics.from_json(json.loads(json.dumps(m.to_json()))) == m
 
 
