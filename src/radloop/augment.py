@@ -118,6 +118,8 @@ class AugPolicy:
 
     def __post_init__(self) -> None:
         check_fields(self)
+        for name in ("clahe_clip_range", "clahe_grid", "crop_scale_range", "crop_aspect_range"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))  # a JSON array is a list
         scale_lo, (aspect_lo, aspect_hi) = self.crop_scale_range[0], self.crop_aspect_range
         # Squared width and height of the narrowest window _sample_crop can draw.
         if min(scale_lo * aspect_lo, scale_lo / aspect_hi) < MIN_CROP_SIDE**2:

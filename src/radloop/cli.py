@@ -316,8 +316,8 @@ def _cmd_augment(args, config) -> Iterable[str]:
 
 def _curriculum_config(args, config: ToolConfig) -> CurriculumConfig:
     cfg = config.curriculum or CurriculumConfig()
-    flags = ((f, getattr(args, f.name.removesuffix("_strategy"), None)) for f in fields(cfg))
-    return replace(cfg, **{f.name: type(f.default)(v) for f, v in flags if v is not None})
+    flags = {f.name: getattr(args, f.name.removesuffix("_strategy"), None) for f in fields(cfg)}
+    return replace(cfg, **{name: v for name, v in flags.items() if v is not None})
 
 
 def _cmd_plan(args, config) -> Iterable[str]:

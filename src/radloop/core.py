@@ -439,23 +439,16 @@ def check_fields(obj: Any, error: type = ValueError, prefix: str = "") -> None:
 
 
 def config_from_json(cls: type, obj: Any, what: str, **convert: Callable[[Any], Any]) -> Any:
-    """Build config dataclass ``cls`` from a JSON object.
+    """Build config dataclass ``cls`` from a JSON object whose keys are all fields of ``cls``.
 
-    ``obj`` must be an object whose keys are all fields of ``cls``. A value is
-    converted by ``convert[name]``, else to its member for an enum field (a
-    value that names none is a :class:`ConfigError` naming the field), else
-    from a JSON array to a tuple; anything they or ``cls`` reject is a :class:`ConfigError`.
+    ``convert[name]``, where given, converts the value of ``name``, and ``cls``
+    converts its own values; anything either rejects is a :class:`ConfigError`.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"the {what} must be a JSON object")
     unknown = set(obj) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
-    enums = {f.name: type(f.default) for f in fields(cls) if isinstance(f.default, Enum)}
-    for name, kind in enums.items():
-        if name in obj:
-            expect(one_of(*(m.value for m in kind)), obj[name], name, ConfigError)
-    convert = {k: tuple for k, v in obj.items() if isinstance(v, list)} | enums | convert
     try:
         return cls(**{k: convert[k](v) if k in convert else v for k, v in obj.items()})
     except (TypeError, ValueError) as exc:

@@ -47,6 +47,7 @@ from .core import (
     expect,
     group_means,
     list_of,
+    one_of,
     pick,
     pick_sorted,
     ruled,
@@ -82,8 +83,8 @@ class SourceMetrics:
     """Evaluation results for one data source.
 
     ``per_category`` carries category metrics for single-subtask sources;
-    sources with several subtasks report ``per_subtask`` instead because the
-    curriculum maintains one category distribution per subtask.
+    sources with several subtasks report ``per_subtask`` instead, never both,
+    because the curriculum maintains one category distribution per subtask.
     """
 
     source: DataSourceId
@@ -92,10 +93,12 @@ class SourceMetrics:
     per_category: dict[str, MetricEntry] = field(default_factory=dict)
     per_subtask: dict[Task, dict[str, MetricEntry]] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if self.per_category and self.per_subtask:
+            raise ValueError(f"source {self.source.key!r} gives both per_category and per_subtask")
+
     def entries_for(self, subtask: Task) -> dict[str, MetricEntry]:
-        if self.per_subtask:
-            return self.per_subtask.get(subtask, {})
-        return self.per_category
+        return self.per_subtask.get(subtask, self.per_category)  # one of the two maps is empty
 
     def to_json(self) -> dict[str, Any]:
         obj = {**vars(self.source), **_present(self)}
@@ -114,14 +117,15 @@ class SourceMetrics:
         where = f"source {source.key!r}"
         if "per_category" in obj and "per_subtask" in obj:
             raise ValueError(f"{where} gives both per_category and per_subtask")
+        entry = _entry_from_json(obj, where, {*_METRICS, "name", "task", "per_category", "per_subtask"})
+        per_subtask = _object(obj.get("per_subtask", {}), f"{where} per_subtask")
+        if unknown := set(per_subtask) - {t.value for t in Task}:
+            raise ValueError(f"{where} per_subtask has unknown tasks {sorted(unknown)}")
         return cls(
             source=source,
-            **vars(_entry_from_json(obj, where, {*_METRICS, "name", "task", "per_category", "per_subtask"})),
+            **vars(entry),
             per_category=_entries_from_json(_object(obj.get("per_category", {}), f"{where} per_category"), where),
-            per_subtask={
-                Task(t): _entries_from_json(cats, f"{where} subtask {t!r}")
-                for t, cats in _object(obj.get("per_subtask", {}), f"{where} per_subtask").items()
-            },
+            per_subtask={Task(t): _entries_from_json(c, f"{where} subtask {t!r}") for t, c in per_subtask.items()},
         )
 
 
@@ -421,6 +425,9 @@ class CurriculumConfig:
 
     def __post_init__(self) -> None:
         check_fields(self, ConfigError)
+        for name in ("inter_strategy", "intra_strategy"):  # a document, flag or caller may give the value
+            value = expect(one_of(*(s.value for s in Strategy)), getattr(self, name), name, ConfigError)
+            object.__setattr__(self, name, Strategy(value))
         if self.total_steps < self.warmup_steps:
             raise ConfigError(f"total_steps must be >= warmup_steps, got {self.total_steps}")
 

@@ -1434,6 +1434,9 @@ def _miskeyed_plan():
         (["plan", "--records", "RECORDS", "--metrics", "BAD"],
          json.dumps([{**_GOOD_METRICS[0], "per_subtask": {"pg": _GOOD_METRICS[0]["per_category"]}},
                      _GOOD_METRICS[1]]), "FormatError"),
+        (["plan", "--records", "RECORDS", "--metrics", "BAD"],
+         json.dumps([{"name": "pgsrc", "task": "pg", "iou": 0.5, "per_subtask": {"bogus": {"a": {"iou": 0.4}}}},
+                     _GOOD_METRICS[1]]), "FormatError: line 0: bad document: ValueError"),
     ],
 )
 def test_malformed_input_names_the_domain_error(
@@ -1468,6 +1471,8 @@ _PG_SOURCE = {"name": "pgsrc", "task": "pg"}
     ({**_PG_SOURCE, "per_subtask": {"pg": [1]}}, "source 'pgsrc:pg' subtask 'pg' must be an object, got [1]"),
     ({**_PG_SOURCE, "per_subtask": {"pg": {"a": {"iou": 0.1, "text": 0.5}}}},
      "source 'pgsrc:pg' subtask 'pg' category 'a' has unknown keys ['text']"),
+    ({**_PG_SOURCE, "iou": 0.5, "per_subtask": {"bogus": {"a": {"iou": 0.4}}}},
+     "source 'pgsrc:pg' per_subtask has unknown tasks ['bogus']"),
 ])
 def test_a_metrics_document_holds_only_the_keys_it_defines(source, message, records_path, tmp_path, capsys):
     # An ignored key would drop a misspelt metric from the score without a word, and an
@@ -2261,6 +2266,30 @@ def test_only_core_builds_a_random_generator():
         and "Random" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
     ]
     assert callers == ["core.py"]
+
+
+def test_every_ruled_class_is_covered_by_the_config_rule_tests():
+    """A dataclass of ``src/radloop`` that declares a ``ruled`` field, or decodes
+    itself with ``config_from_json``, is in a table of ``test_config_rules``."""
+    from test_config_rules import _CHECKED_BY_CONTAINER, _REQUIRED
+
+    def calls(node, name):
+        return any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == name for n in ast.walk(node))
+
+    def is_ruled(cls):
+        if not any(getattr(getattr(d, "func", d), "id", None) == "dataclass" for d in cls.decorator_list):
+            return False
+        fields = (n.value for n in cls.body if isinstance(n, ast.AnnAssign) and n.value)
+        decoders = (n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "from_json")
+        return any(calls(v, "ruled") for v in fields) or any(calls(d, "config_from_json") for d in decoders)
+
+    src = Path(__file__).resolve().parents[1] / "src" / "radloop"
+    ruled = {
+        node.name for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef) and is_ruled(node)
+    }
+    assert ruled == {cls.__name__ for cls in [*_REQUIRED, *_CHECKED_BY_CONTAINER]}
 
 
 #: One valid raw row of each ingest format.

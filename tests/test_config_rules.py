@@ -2,19 +2,31 @@
 ``core.check_fields`` applies it: these tests derive their cases from the
 declarations, so a new rule is covered the moment it is declared."""
 
+import json
 from dataclasses import fields
 from enum import Enum
 from fractions import Fraction
 from threading import TIMEOUT_MAX
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from radloop.augment import MIN_CROP_SIDE, AugPolicy
 from radloop.cli import ToolConfig
-from radloop.curriculum import CurriculumConfig, DecayParams
+from radloop.curriculum import (
+    CurriculumConfig,
+    CurriculumState,
+    DecayParams,
+    SamplingPool,
+    SourceState,
+    Strategy,
+    SubtaskState,
+    advance_stage,
+    initial_state,
+    metrics_from_rows,
+)
 from radloop.errors import ConfigError
-from radloop.ingest import BenchmarkSubsetSpec
+from radloop.ingest import BenchmarkSubsetSpec, make_fixture_dataset
 from radloop.judge import EndpointConfig
 
 #: Each ruled class, with values for its required fields.
@@ -141,3 +153,83 @@ def test_an_enum_field_takes_exactly_its_member_values(cls, f, data):
         assert str(exc) == f"{f.name} must be one of {', '.join(map(repr, names))}, got {value!r:.60}"
     else:
         assert getattr(obj, f.name) is kind(value)
+
+
+#: The classes a config document holds; ``ToolConfig`` is drawn without its sections.
+_DECODED = (ToolConfig, CurriculumConfig, AugPolicy, EndpointConfig)
+
+
+@pytest.mark.parametrize("cls", _DECODED, ids=lambda cls: cls.__name__)
+@given(data=st.data())
+def test_a_config_built_in_python_equals_the_decoded_one(cls, data):
+    # Each config type converts its own values, so the same JSON values give
+    # the same config whether a document or a Python call supplies them.
+    doc = dict(_REQUIRED[cls])
+    for f in fields(cls):
+        if isinstance(f.default, Enum):
+            names = [m.value for m in type(f.default)]
+            value = data.draw(_json_values | st.sampled_from(names), label=f.name)
+            if value in names:
+                doc[f.name] = value
+        elif "rule" in f.metadata:
+            known_good = _as_json(_REQUIRED[cls].get(f.name, f.default))
+            value = data.draw(_json_values | st.just(known_good), label=f.name)
+            if f.metadata["rule"][0](value) or (value is None and f.default is None):
+                doc[f.name] = value
+    assume(_CROSS_FIELD.get(cls, lambda v: True)({g.name: g.default for g in fields(cls)} | doc))
+    decoded = cls.from_json(json.loads(json.dumps(doc)))
+    built = cls(**doc)
+    assert built == decoded
+    assert hash(built) == hash(decoded)
+    for f in fields(cls):
+        assert type(getattr(built, f.name)) is type(getattr(decoded, f.name)), f.name
+
+
+def test_a_strategy_value_plans_as_its_member():
+    records = make_fixture_dataset(4, {"p:pg": {"a": 3, "b": 5}, "g:grg": {"report": 4},
+                                       "r:agrg": {"spine": 2, "heart": 3}})
+    rows = [(r.source_id, r.task, r.category, (i % 7) / 8, (i % 5) / 6) for i, r in enumerate(records)]
+    state = initial_state(SamplingPool.from_records(records))
+    metrics = metrics_from_rows(rows)
+    for inter in Strategy:
+        for intra in Strategy:
+            members = CurriculumConfig(inter_strategy=inter, intra_strategy=intra)
+            values = CurriculumConfig(inter_strategy=inter.value, intra_strategy=intra.value)
+            assert advance_stage(values, state, metrics) == advance_stage(members, state, metrics)
+    message = "inter_strategy must be one of 'natural', 'uniform', 'curriculum', got 'bogus'"
+    with pytest.raises(ConfigError) as exc:
+        CurriculumConfig(inter_strategy="bogus")
+    assert str(exc.value) == message
+
+
+#: The ruled classes that only their container's decoder checks, with that decoder.
+_CHECKED_BY_CONTAINER = {SubtaskState: CurriculumState.from_json, SourceState: CurriculumState.from_json}
+
+_CONTAINED_FIELDS = [
+    pytest.param(cls, f, id=f"{cls.__name__}.{f.name}")
+    for cls in _CHECKED_BY_CONTAINER
+    for f in fields(cls)
+    if "rule" in f.metadata
+]
+
+
+@pytest.mark.parametrize("cls, f", _CONTAINED_FIELDS)
+@given(data=st.data())
+def test_a_contained_field_is_checked_by_its_container(cls, f, data):
+    # A plan of one PG source with two categories, one field of it redrawn: a
+    # value the field's rule rejects is named by that rule, and no other is.
+    state = initial_state(SamplingPool.from_records(make_fixture_dataset(1, {"p:pg": {"a": 1, "b": 1}})))
+    doc = json.loads(json.dumps(state.to_json()))
+    obj = doc["sources"]["p:pg"]
+    if cls is SubtaskState:
+        obj = obj["subtasks"]["pg"]
+    value = data.draw(_json_values | st.just(obj[f.name]), label="value")
+    obj[f.name] = value
+    check, what = f.metadata["rule"]
+    try:
+        _CHECKED_BY_CONTAINER[cls](doc)
+    except ValueError as exc:
+        named = str(exc).startswith(f"{f.name} must be {what}, got ")
+        assert named is not bool(check(value)), exc
+    else:
+        assert check(value)

@@ -639,14 +639,14 @@ class TestSourceMetricsJson:
         back = SourceMetrics.from_json(json.loads(json.dumps(m.to_json())))
         assert back == m
 
-    def test_entries_for_prefers_subtask(self):
-        m = SourceMetrics(
-            source=DataSourceId("cig", TaskFamily.AGRG),
-            per_category={"x": MetricEntry(iou=0.1)},
-            per_subtask={Task.AGRG_LOCATE: {"spine": MetricEntry(iou=0.3)}},
-        )
-        assert "spine" in m.entries_for(Task.AGRG_LOCATE)
-        assert m.entries_for(Task.AGRG_BOTH) == {}
+    def test_a_source_with_both_maps_is_refused(self):
+        # No document may give both, so neither may a source built in Python.
+        with pytest.raises(ValueError, match=r"^source 'cig:agrg' gives both per_category and per_subtask$"):
+            SourceMetrics(
+                source=DataSourceId("cig", TaskFamily.AGRG),
+                per_category={"x": MetricEntry(iou=0.1)},
+                per_subtask={Task.AGRG_LOCATE: {"spine": MetricEntry(iou=0.3)}},
+            )
 
 
 #: Metric values as the documents carry them: null, 0.0, or any finite number.
