@@ -208,37 +208,36 @@ def random_resized_crop(
 class IntensityGrid:
     """A single-channel integer image: row-major values in [0, max_level]."""
 
-    width: int
-    height: int
-    max_level: int
+    width: int = ruled(Rules.POSITIVE_INT)
+    height: int = ruled(Rules.POSITIVE_INT)
+    max_level: int = ruled((lambda v: is_int(v) and 1 <= v <= MAX_GRID_LEVEL,
+                            f"an integer in [1, {MAX_GRID_LEVEL}]"))
     values: np.ndarray
 
     def __post_init__(self) -> None:
         import numpy as np
-        if not is_int(self.max_level) or self.max_level > MAX_GRID_LEVEL:
-            raise ValueError(f"max_level must be an integer of at most {MAX_GRID_LEVEL}, "
-                             f"got {self.max_level!r}")
-        if self.max_level < 1:
-            raise ValueError("max_level must be at least 1")
-        self.values = np.asarray(self.values, dtype=np.int64).reshape(self.height, self.width)
+        check_fields(self, prefix="grid ")
+        self.values = np.asarray(self.values, dtype=np.int64)
+        if self.values.size != self.width * self.height:
+            raise ValueError(f"grid has {self.values.size} values, not width * height = {self.width * self.height}")
+        self.values = self.values.reshape(self.height, self.width)
         if self.values.min() < 0 or self.values.max() > self.max_level:
-            raise ValueError("values must lie in [0, max_level]")
+            raise ValueError("grid values must lie in [0, max_level]")
+
+    def __eq__(self, other: object) -> bool:
+        """Equal sizes and levels, then equal values as a whole; a grid stays unhashable."""
+        if not isinstance(other, IntensityGrid):
+            return NotImplemented
+        sizes = (self.width, self.height, self.max_level)
+        return sizes == (other.width, other.height, other.max_level) and bool((self.values == other.values).all())
 
     @classmethod
     def from_json(cls, obj: Mapping[str, Any]) -> "IntensityGrid":
-        """Decode a grid document; every number in it must be a JSON integer."""
+        """Decode a grid document: a flat array of JSON integers, then the grid's own rules."""
         import numpy as np
-        for key in ("width", "height", "max_level"):
-            if type(obj[key]) is not int or obj[key] < 1:
-                raise FormatError(0, f"grid {key} must be a positive JSON integer, got {obj[key]!r}")
-        if obj["max_level"] > MAX_GRID_LEVEL:
-            raise FormatError(0, f"grid max_level {obj['max_level']} exceeds {MAX_GRID_LEVEL}")
         values = obj["values"]
         if not isinstance(values, list):
             raise FormatError(0, "grid values must be a flat array of JSON integers")
-        if len(values) != obj["width"] * obj["height"]:
-            raise FormatError(0, f"grid has {len(values)} values, not width * height = "
-                                 f"{obj['width'] * obj['height']}")
         try:
             # array("q") takes ints and bools; floats, strings, nulls, arrays
             # and ints beyond 64 bits raise.
@@ -248,7 +247,10 @@ class IntensityGrid:
         # A true or false reads as 1 or 0, so only those positions need a look.
         if any(type(values[i]) is bool for i in np.flatnonzero(flat <= 1).tolist()):
             raise FormatError(0, "grid values must be JSON integers, not true or false")
-        return cls(obj["width"], obj["height"], obj["max_level"], flat)
+        try:
+            return cls(obj["width"], obj["height"], obj["max_level"], flat)
+        except ValueError as exc:
+            raise FormatError(0, str(exc)) from exc
 
     def to_json(self) -> dict[str, Any]:
         return {**vars(self), "values": self.values.ravel().tolist()}

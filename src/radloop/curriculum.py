@@ -96,6 +96,8 @@ class SourceMetrics:
     def __post_init__(self) -> None:
         if self.per_category and self.per_subtask:
             raise ValueError(f"source {self.source.key!r} gives both per_category and per_subtask")
+        if other := sorted(t.value for t in self.per_subtask if t.family is not self.source.task):
+            raise ValueError(f"source {self.source.key!r} per_subtask has tasks of another family {other}")
 
     def entries_for(self, subtask: Task) -> dict[str, MetricEntry]:
         return self.per_subtask.get(subtask, self.per_category)  # one of the two maps is empty

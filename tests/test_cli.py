@@ -1437,6 +1437,21 @@ def _miskeyed_plan():
         (["plan", "--records", "RECORDS", "--metrics", "BAD"],
          json.dumps([{"name": "pgsrc", "task": "pg", "iou": 0.5, "per_subtask": {"bogus": {"a": {"iou": 0.4}}}},
                      _GOOD_METRICS[1]]), "FormatError: line 0: bad document: ValueError"),
+        (["plan", "--records", "RECORDS", "--metrics", "BAD"],
+         json.dumps([{"name": "pgsrc", "task": "pg", "iou": 0.5,
+                      "per_subtask": {"agrg_locate": {"a": {"iou": 0.4}, "b": {"iou": 0.9}}}},
+                     _GOOD_METRICS[1]]),
+         "FormatError: line 0: bad document: ValueError: source 'pgsrc:pg' per_subtask has tasks of another "
+         "family ['agrg_locate']\n"),
+        # The grid's own rules, named as a grid built in Python names them.
+        *((["preprocess", "--in", "BAD"],
+           json.dumps({"width": 2, "height": 2, "max_level": 255, "values": [0, 1, 2, 3], **override}),
+           f"FormatError: line 0: grid {message}\n")
+          for override, message in (
+              ({"width": 2.0}, "width must be a positive integer, got 2.0"),
+              ({"max_level": 65536}, "max_level must be an integer in [1, 65535], got 65536"),
+              ({"values": [0, 1, 2]}, "has 3 values, not width * height = 4"),
+          )),
     ],
 )
 def test_malformed_input_names_the_domain_error(
@@ -1451,7 +1466,8 @@ def test_malformed_input_names_the_domain_error(
     paths = {**fuzz_inputs, "BAD": bad, "ENDPOINT": endpoint}
     rc = dispatch([str(paths.get(a, a)) for a in argv] + ["--out", str(tmp_path / "out")])
     assert rc == 1
-    assert f"ERROR radloop: {error}:" in capsys.readouterr().err
+    # A whole message ends in its newline; any other error is a prefix that a colon follows.
+    assert f"ERROR radloop: {error}" + ("" if error.endswith("\n") else ":") in capsys.readouterr().err
     assert hits == []
 
 
@@ -1473,6 +1489,8 @@ _PG_SOURCE = {"name": "pgsrc", "task": "pg"}
      "source 'pgsrc:pg' subtask 'pg' category 'a' has unknown keys ['text']"),
     ({**_PG_SOURCE, "iou": 0.5, "per_subtask": {"bogus": {"a": {"iou": 0.4}}}},
      "source 'pgsrc:pg' per_subtask has unknown tasks ['bogus']"),
+    ({**_PG_SOURCE, "iou": 0.5, "per_subtask": {"agrg_locate": {"a": {"iou": 0.4}, "b": {"iou": 0.9}}}},
+     "source 'pgsrc:pg' per_subtask has tasks of another family ['agrg_locate']"),
 ])
 def test_a_metrics_document_holds_only_the_keys_it_defines(source, message, records_path, tmp_path, capsys):
     # An ignored key would drop a misspelt metric from the score without a word, and an
@@ -2270,8 +2288,10 @@ def test_only_core_builds_a_random_generator():
 
 def test_every_ruled_class_is_covered_by_the_config_rule_tests():
     """A dataclass of ``src/radloop`` that declares a ``ruled`` field, or decodes
-    itself with ``config_from_json``, is in a table of ``test_config_rules``."""
-    from test_config_rules import _CHECKED_BY_CONTAINER, _REQUIRED
+    itself with ``config_from_json``, is in a table of ``test_config_rules``: a
+    config in ``_CONFIGS``, any other type (the intensity grid) in ``_REQUIRED``
+    alone, and a plan state in ``_CHECKED_BY_CONTAINER``."""
+    from test_config_rules import _CHECKED_BY_CONTAINER, _CONFIGS, _REQUIRED
 
     def calls(node, name):
         return any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == name for n in ast.walk(node))
@@ -2290,6 +2310,7 @@ def test_every_ruled_class_is_covered_by_the_config_rule_tests():
         if isinstance(node, ast.ClassDef) and is_ruled(node)
     }
     assert ruled == {cls.__name__ for cls in [*_REQUIRED, *_CHECKED_BY_CONTAINER]}
+    assert [cls for cls in _REQUIRED if cls not in _CONFIGS] == [IntensityGrid]
 
 
 #: One valid raw row of each ingest format.

@@ -1,6 +1,7 @@
-"""Each config field states its rule once, on the field (``core.ruled``), and
-``core.check_fields`` applies it: these tests derive their cases from the
-declarations, so a new rule is covered the moment it is declared."""
+"""Each config field, and each field of an intensity grid, states its rule once,
+on the field (``core.ruled``), and ``core.check_fields`` applies it: these tests
+derive their cases from the declarations, so a new rule is covered the moment
+it is declared."""
 
 import json
 from dataclasses import fields
@@ -11,7 +12,7 @@ from threading import TIMEOUT_MAX
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from radloop.augment import MIN_CROP_SIDE, AugPolicy
+from radloop.augment import MIN_CROP_SIDE, AugPolicy, IntensityGrid
 from radloop.cli import ToolConfig
 from radloop.curriculum import (
     CurriculumConfig,
@@ -29,8 +30,8 @@ from radloop.errors import ConfigError
 from radloop.ingest import BenchmarkSubsetSpec, make_fixture_dataset
 from radloop.judge import EndpointConfig
 
-#: Each ruled class, with values for its required fields.
-_REQUIRED = {
+#: Each ruled config class, with values for its required fields.
+_CONFIGS = {
     EndpointConfig: {"url": "http://127.0.0.1:1/v1", "model": "m"},
     CurriculumConfig: {},
     AugPolicy: {},
@@ -39,8 +40,15 @@ _REQUIRED = {
     BenchmarkSubsetSpec: {},
 }
 
-#: The ruled classes built in Python, from flags or a library call, never from a document.
-_BUILT_IN_PYTHON = (DecayParams, BenchmarkSubsetSpec)
+#: Each ruled class, configs and the data types whose fields carry rules too.
+_REQUIRED = {
+    **_CONFIGS,
+    IntensityGrid: {"width": 2, "height": 2, "max_level": 255, "values": [0, 1, 2, 3]},
+}
+
+#: The ruled classes checked as built in Python (``ValueError``); the grid's
+#: decoder adds only the JSON rules for its values.
+_BUILT_IN_PYTHON = (DecayParams, BenchmarkSubsetSpec, IntensityGrid)
 
 #: The rules that relate two fields, over a class's full set of field values.
 _CROSS_FIELD = {
@@ -53,6 +61,7 @@ _CROSS_FIELD = {
     EndpointConfig: lambda v: v["max_retries"] == 0 or v["backoff"] == 0 or (
         v["max_retries"] < 1200 and Fraction(v["backoff"]) * 2 ** (v["max_retries"] - 1) <= TIMEOUT_MAX
     ),
+    IntensityGrid: lambda v: v["width"] * v["height"] == len(v["values"]) and max(v["values"]) <= v["max_level"],
 }
 
 #: Any JSON value: ints past float range, NaN and infinities included. Scalars
@@ -116,7 +125,7 @@ def test_a_field_takes_exactly_the_values_its_rule_takes(cls, f, data):
 def test_every_config_field_declares_a_rule_or_is_converted():
     sections = {"curriculum": {"alpha": 0.5}, "policy": {"p_crop": 0.5},
                 "endpoint": _REQUIRED[EndpointConfig]}
-    for cls in _REQUIRED:
+    for cls in _CONFIGS:
         for f in fields(cls):
             if "rule" in f.metadata:
                 continue
@@ -133,7 +142,7 @@ def test_every_config_field_declares_a_rule_or_is_converted():
 
 _ENUM_FIELDS = [
     pytest.param(cls, f, id=f"{cls.__name__}.{f.name}")
-    for cls in _REQUIRED
+    for cls in _CONFIGS
     for f in fields(cls)
     if isinstance(f.default, Enum)
 ]

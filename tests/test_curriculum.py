@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from radloop.core import (
     AGRG_SUBTASKS,
@@ -662,17 +662,37 @@ _entries = st.dictionaries(
 )
 
 
+_sources = st.builds(DataSourceId, st.text(max_size=4), st.sampled_from(TaskFamily))
+
+
 @given(
-    source=st.builds(DataSourceId, st.text(max_size=4), st.sampled_from(TaskFamily)),
+    source=_sources,
     iou=_unit_metrics,
     text_score=_unit_metrics,
     per_category=_entries,
-    per_subtask=st.dictionaries(st.sampled_from(Task), _entries, max_size=3),
+    data=st.data(),
 )
-def test_any_source_metrics_round_trip(source, iou, text_score, per_category, per_subtask):
-    # A document gives per_category or per_subtask, never both.
+def test_any_source_metrics_round_trip(source, iou, text_score, per_category, data):
+    # A document gives per_category or per_subtask, never both, and its subtasks
+    # are tasks of the source's family.
+    family = [t for t in Task if t.family is source.task]
+    per_subtask = data.draw(st.dictionaries(st.sampled_from(family), _entries, max_size=3), label="per_subtask")
     m = SourceMetrics(source, iou, text_score, per_category, {} if per_category else per_subtask)
     assert SourceMetrics.from_json(json.loads(json.dumps(m.to_json()))) == m
+
+
+@given(source=_sources, task=st.sampled_from(Task), entries=_entries)
+def test_a_subtask_of_another_family_is_refused(source, task, entries):
+    # Such entries were ignored, so a category the file gave lacked metrics.
+    assume(task.family is not source.task)
+    message = f"source {source.key!r} per_subtask has tasks of another family [{task.value!r}]"
+    with pytest.raises(ValueError) as built:
+        SourceMetrics(source, per_subtask={task: entries})
+    doc = {"name": source.name, "task": source.task.value,
+           "per_subtask": {task.value: {c: vars(e) for c, e in entries.items()}}}
+    with pytest.raises(ValueError) as decoded:
+        SourceMetrics.from_json(doc)
+    assert str(built.value) == str(decoded.value) == message
 
 
 @given(
