@@ -767,9 +767,14 @@ class SimulatedLearner:
         self.counts: dict[tuple[str, Task, str], int] = {k: 0 for k in self.params}
 
     def observe(self, counts: Mapping[tuple[str, Task, str], int]) -> None:
+        """Add a stage's tally. A leaf without parameters is a ValueError, and
+        then no leaf of the tally is counted."""
+        for key in counts:
+            if key not in self.counts:
+                raise ValueError(f"no decay parameters for leaf {key!r}; leaves are keyed "
+                                 "(source key, task, category)")
         for key, c in counts.items():
-            if key in self.counts:
-                self.counts[key] += c
+            self.counts[key] += c
 
     def category_error(self, key: tuple[str, Task, str]) -> float:
         return decayed_error(self.params[key], self.counts[key])

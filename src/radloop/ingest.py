@@ -1,30 +1,31 @@
 """Converters from raw annotation formats into the common record schema.
 
-Four input formats are supported, all JSONL, one object per line:
+Four input formats are supported, all JSONL, one object per line. Every row
+holds ``image_id`` and may hold ``source_id`` and ``split``; these are read
+first, with the defaults ``_FORMATS`` states per format, then its own fields:
 
 ``scene_graph``
-    ``{"image_id", "location", "box"?, "sentence"?, "source_id"?, "split"?}``
+    ``{"location", "box"?, "sentence"?}``
     One annotated anatomical location. A row with both a box and a sentence
     yields three records (locate-and-describe, locate, describe); a row with
     only one annotation yields the matching single record.
 
 ``phrase_boxes``
-    ``{"image_id", "phrase", "boxes", "category"?, "label"?, "source_id"?,
-    "split"?}``  One grounded phrase, emitted as a phrase-grounding record.
-    A ``label`` rides along in record ``meta`` for later label expansion.
+    ``{"phrase", "boxes", "category"?, "label"?}``  One grounded phrase,
+    emitted as a phrase-grounding record. A ``label`` rides along in record
+    ``meta`` for later label expansion.
 
 ``grounded_report``
-    ``{"image_id", "findings": [{"text", "boxes"?}, ...], "source_id"?,
-    "split"?}``  One grounded report per image.
+    ``{"findings": [{"text", "boxes"?}, ...]}``  One grounded report per image.
 
 ``detection``
-    ``{"image_id", "findings": [{"label", "boxes"?}, ...], "source_id"?,
-    "split"?}``  Structured detector output. Localizable findings become
-    phrase-grounding records with the label expanded to a natural phrase;
-    the whole image additionally becomes one pseudo-report record whose
-    findings list the expanded labels with their boxes (global, box-free
-    labels become text-only findings). The emitted source ids get ``-pg``
-    and ``-grg`` suffixes so the two derived tasks stay separate sources.
+    ``{"findings": [{"label", "boxes"?}, ...]}``  Structured detector output.
+    Localizable findings become phrase-grounding records with the label
+    expanded to a natural phrase; the whole image additionally becomes one
+    pseudo-report record whose findings list the expanded labels with their
+    boxes (global, box-free labels become text-only findings). The emitted
+    source ids get ``-pg`` and ``-grg`` suffixes so the two derived tasks stay
+    separate sources.
 
 String fields are non-empty JSON strings, never coerced. An absent optional
 field takes its default; ``null`` means none for ``box``, ``boxes``,
@@ -37,7 +38,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from .core import (
     AGRG_SUBTASKS,
@@ -123,114 +124,92 @@ def _clamped(boxes: tuple[NormBox, ...], line: int) -> tuple[NormBox, ...]:
         raise FormatError(line, str(exc)) from exc
 
 
-def _scene_graph_records(obj: Mapping[str, Any], line: int) -> list[AnnotationRecord]:
-    image_id = get_str(obj, "image_id", line)
-    location = get_str(obj, "location", line)
-    source_id = get_str(obj, "source_id", line, "cig")
-    split = enum_from_json(Split, obj, "split", line, Split.TRAIN)
+def _scene_graph_records(
+    obj: Mapping[str, Any], line: int, **common: Any
+) -> Iterator[AnnotationRecord]:
+    common["category"] = get_str(obj, "location", line)
     raw_box = obj.get("box")
     box = None if raw_box is None else _clamped(boxes_from_json([raw_box], line), line)[0]
     sentence = get_str(obj, "sentence", line, None)
     if box is None and sentence is None:
         raise FormatError(line, "a scene_graph row needs a box, a sentence, or both")
 
-    common = dict(image_id=image_id, source_id=source_id, category=location, split=split)
-    records = []
     if box is not None and sentence is not None:
-        records.append(
-            AnnotationRecord(task=Task.AGRG_BOTH, text=sentence, boxes=(box,), **common)
-        )
+        yield AnnotationRecord(task=Task.AGRG_BOTH, text=sentence, boxes=(box,), **common)
     if box is not None:
-        records.append(AnnotationRecord(task=Task.AGRG_LOCATE, boxes=(box,), **common))
+        yield AnnotationRecord(task=Task.AGRG_LOCATE, boxes=(box,), **common)
     if sentence is not None:
-        records.append(AnnotationRecord(task=Task.AGRG_DESCRIBE, text=sentence, **common))
-    return records
+        yield AnnotationRecord(task=Task.AGRG_DESCRIBE, text=sentence, **common)
 
 
-def _phrase_boxes_records(obj: Mapping[str, Any], line: int) -> list[AnnotationRecord]:
-    image_id = get_str(obj, "image_id", line)
+def _phrase_boxes_records(
+    obj: Mapping[str, Any], line: int, **common: Any
+) -> Iterator[AnnotationRecord]:
     phrase = get_str(obj, "phrase", line)
     boxes = _clamped(boxes_from_json(obj.get("boxes"), line), line)
     if not boxes:
         raise FormatError(line, "a phrase_boxes row needs at least one box")
     label = get_str(obj, "label", line, None)
-    return [
-        AnnotationRecord(
-            image_id=image_id,
-            source_id=get_str(obj, "source_id", line, "pg"),
-            task=Task.PG,
-            category=get_str(obj, "category", line, phrase),
-            text=phrase,
-            boxes=boxes,
-            split=enum_from_json(Split, obj, "split", line, Split.TRAIN),
-            meta={} if label is None else {"label": label},
-        )
-    ]
+    yield AnnotationRecord(
+        task=Task.PG,
+        category=get_str(obj, "category", line, phrase),
+        text=phrase,
+        boxes=boxes,
+        meta={} if label is None else {"label": label},
+        **common,
+    )
 
 
-def _grounded_report_records(obj: Mapping[str, Any], line: int) -> list[AnnotationRecord]:
-    image_id = get_str(obj, "image_id", line)
+def _grounded_report_records(
+    obj: Mapping[str, Any], line: int, **common: Any
+) -> Iterator[AnnotationRecord]:
     findings = tuple(
         Finding(f.text, _clamped(f.boxes, line))
         for f in (finding_from_json(raw, line) for raw in _findings(obj, line))
     )
-    return [
-        AnnotationRecord(
-            image_id=image_id,
-            source_id=get_str(obj, "source_id", line, "grg"),
-            task=Task.GRG,
-            category="report",
-            findings=findings,
-            split=enum_from_json(Split, obj, "split", line, Split.TRAIN),
-        )
-    ]
+    yield AnnotationRecord(
+        task=Task.GRG,
+        category="report",
+        findings=findings,
+        **common,
+    )
 
 
-def _detection_records(obj: Mapping[str, Any], line: int) -> list[AnnotationRecord]:
-    image_id = get_str(obj, "image_id", line)
-    raw_findings = _findings(obj, line)
-    source = get_str(obj, "source_id", line, "detection")
-    split = enum_from_json(Split, obj, "split", line, Split.TEST)
-
-    records = []
+def _detection_records(
+    obj: Mapping[str, Any], line: int, source_id: str, **common: Any
+) -> Iterator[AnnotationRecord]:
     report_findings = []
-    for raw in raw_findings:
+    for raw in _findings(obj, line):
         if not isinstance(raw, dict):
             raise FormatError(line, "each finding must be an object")
         label = get_str(raw, "label", line)
         phrase = expand_label(label)
         boxes = _clamped(boxes_from_json(raw.get("boxes"), line), line)
         if boxes:
-            records.append(
-                AnnotationRecord(
-                    image_id=image_id,
-                    source_id=f"{source}-pg",
-                    task=Task.PG,
-                    category=label,
-                    text=phrase,
-                    boxes=boxes,
-                    split=split,
-                )
+            yield AnnotationRecord(
+                source_id=f"{source_id}-pg",
+                task=Task.PG,
+                category=label,
+                text=phrase,
+                boxes=boxes,
+                **common,
             )
         report_findings.append(Finding(phrase, boxes))
-    records.append(
-        AnnotationRecord(
-            image_id=image_id,
-            source_id=f"{source}-grg",
-            task=Task.GRG,
-            category="report",
-            findings=tuple(report_findings),
-            split=split,
-        )
+    yield AnnotationRecord(
+        source_id=f"{source_id}-grg",
+        task=Task.GRG,
+        category="report",
+        findings=tuple(report_findings),
+        **common,
     )
-    return records
 
 
+#: Each raw format: its converter, then its ``source_id`` and ``split`` defaults.
 _FORMATS = {
-    "scene_graph": _scene_graph_records,
-    "phrase_boxes": _phrase_boxes_records,
-    "grounded_report": _grounded_report_records,
-    "detection": _detection_records,
+    "scene_graph": (_scene_graph_records, "cig", Split.TRAIN),
+    "phrase_boxes": (_phrase_boxes_records, "pg", Split.TRAIN),
+    "grounded_report": (_grounded_report_records, "grg", Split.TRAIN),
+    "detection": (_detection_records, "detection", Split.TEST),
 }
 
 
@@ -238,8 +217,13 @@ def load_records(path: str | Path, format: str) -> list[AnnotationRecord]:
     """Read a raw annotation file and convert it to annotation records."""
     if format not in _FORMATS:
         raise ValueError(f"unknown format {format!r}; supported: {sorted(_FORMATS)}")
-    convert = _FORMATS[format]
-    return [rec for line_no, obj in iter_jsonl(path) for rec in convert(obj, line_no)]
+    convert, default_source, default_split = _FORMATS[format]
+    records = []
+    for line, obj in iter_jsonl(path):
+        records += convert(obj, line, image_id=get_str(obj, "image_id", line),
+                           source_id=get_str(obj, "source_id", line, default_source),
+                           split=enum_from_json(Split, obj, "split", line, default_split))
+    return records
 
 
 # ---------------------------------------------------------------------------

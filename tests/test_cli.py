@@ -2273,6 +2273,17 @@ def test_every_flag_and_config_field_is_named_in_the_readme():
     assert sorted(k for k in knobs if not re.search(rf"(?<![\w-]){re.escape(k)}(?![\w-])", readme)) == []
 
 
+def test_the_readme_states_each_raw_formats_defaults_as_ingest_does():
+    """The README "Input rows" table and ``ingest._FORMATS`` give each raw
+    format the same ``source_id`` and ``split`` defaults."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.finditer(r"^\| (\w+) \| `ingest` \| .*`source_id`\?: text \(`([^`]+)`\); "
+                       r"`split`\? \(`([^`]+)`\) \|$", readme, re.M)
+    assert {m[1]: (m[2], m[3]) for m in rows} == {
+        fmt: (source, split.value) for fmt, (_, source, split) in ingest._FORMATS.items()
+    }
+
+
 def test_only_core_builds_a_random_generator():
     """Every seeded generator comes from ``core.seeded``, which checks the seed:
     no other module of ``src/radloop`` calls ``random.Random``."""

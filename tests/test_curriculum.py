@@ -874,6 +874,28 @@ class TestSimulatedLearner:
         assert sum(ious) != math.fsum(ious)  # the case tells the two sums apart
         assert metrics.iou == math.fsum(ious) / len(ious)
 
+    def test_a_leaf_keyed_by_source_name_is_refused(self):
+        # Sample rows and metrics rows name a leaf's source by name; the
+        # learner's leaves are keyed by source key, so these params match none.
+        records = make_fixture_dataset(0, {"src:pg": {"hard": 50, "easy": 50}})
+        params = {("src", Task.PG, c): DecayParams(0.8, 0.001, 0.05) for c in ("hard", "easy")}
+        learner = SimulatedLearner(params)
+        cfg = CurriculumConfig(warmup_steps=1000, reweight_interval=1000, total_steps=4000)
+        message = (r"^no decay parameters for leaf \('src:pg', <Task\.PG: 'pg'>, '(hard|easy)'\); "
+                   r"leaves are keyed \(source key, task, category\)$")
+        with pytest.raises(ValueError, match=message):
+            run_curriculum(cfg, SamplingPool.from_records(records), learner, seed=0)
+        assert learner.counts == dict.fromkeys(params, 0)
+
+    def test_a_tally_with_an_unknown_leaf_counts_nothing(self):
+        known, unknown = ("s:pg", Task.PG, "a"), ("s:pg", Task.PG, "b")
+        learner = SimulatedLearner({known: DecayParams(0.5, 0.1)})
+        with pytest.raises(ValueError, match=r"\('s:pg', <Task\.PG: 'pg'>, 'b'\)"):
+            learner.observe({known: 7, unknown: 1})
+        assert learner.counts == {known: 0}
+        learner.observe({known: 7})
+        assert learner.counts == {known: 7}
+
 
 class TestRunCurriculum:
     def _setup(self, inter=Strategy.CURRICULUM, intra=Strategy.CURRICULUM):

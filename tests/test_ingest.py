@@ -239,6 +239,14 @@ class TestDetection:
 
 _BOX = [0.5, 0.5, 0.2, 0.2]
 
+#: One valid set of each format's own fields: every field but the shared three.
+_OWN_FIELDS = {
+    "scene_graph": {"location": "spine", "box": _BOX, "sentence": "s"},
+    "phrase_boxes": {"phrase": "p", "boxes": [_BOX]},
+    "grounded_report": {"findings": [{"text": "t", "boxes": [_BOX]}]},
+    "detection": {"findings": [{"label": "x", "boxes": [_BOX]}]},
+}
+
 
 class TestFieldTypes:
     """Raw rows are decoded by one field check: nothing is coerced."""
@@ -272,6 +280,50 @@ class TestFieldTypes:
         path = write_jsonl(tmp_path / "pb.jsonl", [{"image_id": "i", "phrase": "p", "boxes": [_BOX]}])
         (rec,) = load_records(path, "phrase_boxes")
         assert (rec.source_id, rec.category, rec.meta) == ("pg", "p", {})
+        assert rec.split is Split.TRAIN
+        path = write_jsonl(tmp_path / "sg.jsonl", [{"image_id": "i", **_OWN_FIELDS["scene_graph"]}])
+        records = load_records(path, "scene_graph")
+        assert [(r.source_id, r.split) for r in records] == [("cig", Split.TRAIN)] * 3
+        path = write_jsonl(tmp_path / "grg.jsonl", [{"image_id": "i", **_OWN_FIELDS["grounded_report"]}])
+        (rec,) = load_records(path, "grounded_report")
+        assert (rec.source_id, rec.split) == ("grg", Split.TRAIN)
+        path = write_jsonl(tmp_path / "det2.jsonl", [{"image_id": "i", **_OWN_FIELDS["detection"]}])
+        records = load_records(path, "detection")
+        assert [(r.source_id, r.split) for r in records] == [
+            ("detection-pg", Split.TEST), ("detection-grg", Split.TEST)
+        ]
+
+    @pytest.mark.parametrize("fmt", list(_OWN_FIELDS))
+    def test_a_given_source_id_and_split_override_the_defaults(self, fmt, tmp_path):
+        row = {"image_id": "i", "source_id": "mine", "split": "val", **_OWN_FIELDS[fmt]}
+        records = load_records(write_jsonl(tmp_path / "raw.jsonl", [row]), fmt)
+        sources = ["mine-pg", "mine-grg"] if fmt == "detection" else ["mine"] * len(records)
+        assert [(r.image_id, r.source_id, r.split) for r in records] == [
+            ("i", source, Split.VAL) for source in sources
+        ]
+
+    @pytest.mark.parametrize(
+        "fmt, own, reason",
+        [
+            ("scene_graph", "location", "missing field 'location'"),
+            ("phrase_boxes", "phrase", "missing field 'phrase'"),
+            ("grounded_report", "findings", "field 'findings' must be a non-empty list"),
+            ("detection", "findings", "field 'findings' must be a non-empty list"),
+        ],
+        ids=list(_OWN_FIELDS),
+    )
+    def test_a_bad_shared_field_is_named_before_the_rows_own_fields(self, fmt, own, reason, tmp_path):
+        # The shared fields are read before the row's own, so of this row's
+        # two faults the split is named.
+        row = {"image_id": "i", **_OWN_FIELDS[fmt], "split": "dev"}
+        del row[own]
+        with pytest.raises(FormatError) as err:
+            load_records(write_jsonl(tmp_path / "bad.jsonl", [row]), fmt)
+        assert (err.value.line, err.value.reason) == (1, "unknown split 'dev'")
+        del row["split"]
+        with pytest.raises(FormatError) as err:
+            load_records(write_jsonl(tmp_path / "own.jsonl", [row]), fmt)
+        assert (err.value.line, err.value.reason) == (1, reason)
 
     def test_null_means_none(self, tmp_path):
         row = {"image_id": "i", "phrase": "p", "boxes": [_BOX], "label": None}
