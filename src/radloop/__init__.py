@@ -6,7 +6,7 @@ The names below load their module at first use (PEP 562), not at import.
 
 import importlib
 
-__version__ = "0.23.0"
+__version__ = "0.24.0"
 
 _EXPORTS = {
     **dict.fromkeys(("AnnotationRecord", "DataSourceId", "Finding", "InstructionInstance",

@@ -16,9 +16,10 @@ import array
 import hashlib
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import partial
 from itertools import accumulate
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from .core import (
     AnnotationRecord,
@@ -31,6 +32,7 @@ from .core import (
     config_from_json,
     intersection,
     is_int,
+    json_object,
     positive_range,
     ruled,
     seeded,
@@ -232,10 +234,11 @@ class IntensityGrid:
         return sizes == (other.width, other.height, other.max_level) and bool((self.values == other.values).all())
 
     @classmethod
-    def from_json(cls, obj: Mapping[str, Any]) -> "IntensityGrid":
-        """Decode a grid document: a flat array of JSON integers, then the grid's own rules."""
+    def from_json(cls, obj: Any) -> "IntensityGrid":
+        """Decode a grid document: an object of the grid's fields alone, its values a flat
+        array of JSON integers, then the grid's own rules."""
         import numpy as np
-        values = obj["values"]
+        values = json_object(obj, "grid", [f.name for f in fields(cls)], partial(FormatError, 0))["values"]
         if not isinstance(values, list):
             raise FormatError(0, "grid values must be a flat array of JSON integers")
         try:

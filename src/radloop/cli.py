@@ -148,7 +148,6 @@ from .core import (
     config_from_json,
     expect,
     instance_to_json,
-    is_int,
     iter_jsonl,
     jsonl_lines,
     judge_gold_from_json,
@@ -164,7 +163,6 @@ from .core import (
 )
 from .curriculum import (
     CurriculumConfig,
-    CurriculumState,
     DecayParams,
     SamplingPool,
     SimulatedLearner,
@@ -172,6 +170,7 @@ from .curriculum import (
     draw_samples,
     initial_state,
     metrics_from_json,
+    plan_from_json,
     run_curriculum,
 )
 from .errors import ConfigError, FormatError, RadloopError
@@ -197,7 +196,7 @@ log = logging.getLogger("radloop")
 class ToolConfig:
     """Parsed ``--config`` document. Flags override individual fields."""
 
-    version: int = ruled((lambda v: is_int(v) and v == 1, "1"), 1)
+    version: int = ruled(Rules.VERSION, 1)
     seed: int | None = ruled(Rules.NON_NEGATIVE_INT, None)
     parse_mode: str = ruled((lambda v: v in ("strict", "lenient"), "'strict' or 'lenient'"), "strict")
     curriculum: CurriculumConfig | None = None
@@ -333,7 +332,7 @@ def _cmd_plan(args, config) -> Iterable[str]:
 def _cmd_sample(args, config) -> Iterable[str]:
     seed = _require_seed(args, config)
     pool = SamplingPool.from_records(_records(args.records))
-    state = load_json(args.plan, lambda doc: CurriculumState.from_json(doc["state"]))
+    state = load_json(args.plan, plan_from_json)
     draws = draw_samples(state, pool, args.n, seeded(seed))
     return jsonl_lines({**draw._asdict(), "task": draw.task.value} for draw in draws)
 

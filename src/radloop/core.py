@@ -396,6 +396,7 @@ class Rules:
     NON_NEGATIVE: Rule = (lambda v: is_number(v) and v >= 0, "a finite number >= 0")
     NON_NEGATIVE_INT: Rule = (lambda v: is_int(v) and v >= 0, "a non-negative integer")
     POSITIVE_INT: Rule = (lambda v: is_int(v) and v > 0, "a positive integer")
+    VERSION: Rule = (lambda v: is_int(v) and v == 1, "1")
 
 
 def list_of(rule: Rule) -> Rule:
@@ -453,6 +454,18 @@ def config_from_json(cls: type, obj: Any, what: str, **convert: Callable[[Any], 
         return cls(**{k: convert[k](v) if k in convert else v for k, v in obj.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {what}: {exc}") from exc
+
+
+def json_object(obj: Any, where: str, keys: Iterable[str] | None = None,
+                error: Callable[[str], Exception] = ValueError) -> dict[str, Any]:
+    """``obj``, if it is a JSON object with no key outside ``keys`` (any key when None):
+    the one key check of the metrics, plan and grid decoders. Else ``error`` says
+    ``<where> must be an object`` or ``<where> has unknown keys [...]``."""
+    if not isinstance(obj, dict):
+        raise error(f"{where} must be an object, got {obj!r:.60}")
+    if keys is not None and (unknown := set(obj).difference(keys)):
+        raise error(f"{where} has unknown keys {sorted(unknown)}")
+    return obj
 
 
 #: The ``default`` of a required :func:`get_str` or :func:`enum_from_json` field.
@@ -585,11 +598,16 @@ def instance_from_json(obj: Any, line: int = 0) -> InstructionInstance:
     if "structured" not in obj:
         raise FormatError(line, "missing field 'structured'")
     texts = ("image_id", "source_id", "category", "instruction", "response")
-    return InstructionInstance(
+    inst = InstructionInstance(
         task=task,
         structured=record_from_json(obj["structured"], line),
         **{name: get_str(obj, name, line, empty=True) for name in texts},
     )
+    for name in ("image_id", "source_id", "task", "category"):  # each a field of the record too
+        if obj[name] != obj["structured"][name]:
+            raise FormatError(line, f"field {name!r} is {obj[name]!r:.60}, but its record's is "
+                                    f"{obj['structured'][name]!r:.60}")
+    return inst
 
 
 def prediction_from_json(obj: Mapping[str, Any], line: int) -> tuple[str, str]:

@@ -46,6 +46,7 @@ from .core import (
     enum_from_json,
     expect,
     group_means,
+    json_object,
     list_of,
     one_of,
     pick,
@@ -119,14 +120,14 @@ class SourceMetrics:
         where = f"source {source.key!r}"
         if "per_category" in obj and "per_subtask" in obj:
             raise ValueError(f"{where} gives both per_category and per_subtask")
-        entry = _entry_from_json(obj, where, {*_METRICS, "name", "task", "per_category", "per_subtask"})
-        per_subtask = _object(obj.get("per_subtask", {}), f"{where} per_subtask")
+        entry = _entry_from_json(obj, where, [*_METRICS, "name", "task", "per_category", "per_subtask"])
+        per_subtask = json_object(obj.get("per_subtask", {}), f"{where} per_subtask")
         if unknown := set(per_subtask) - {t.value for t in Task}:
             raise ValueError(f"{where} per_subtask has unknown tasks {sorted(unknown)}")
         return cls(
             source=source,
             **vars(entry),
-            per_category=_entries_from_json(_object(obj.get("per_category", {}), f"{where} per_category"), where),
+            per_category=_entries_from_json(json_object(obj.get("per_category", {}), f"{where} per_category"), where),
             per_subtask={Task(t): _entries_from_json(c, f"{where} subtask {t!r}") for t, c in per_subtask.items()},
         )
 
@@ -158,9 +159,7 @@ def metrics_from_json(doc: Any) -> dict[str, SourceMetrics]:
         raise FormatError(0, "a metrics file holds a JSON array of source metrics")
     metrics = {}
     for index, obj in enumerate(doc):
-        if not isinstance(obj, dict):
-            raise FormatError(0, f"metrics entry {index} must be an object")
-        m = SourceMetrics.from_json(obj)
+        m = SourceMetrics.from_json(json_object(obj, f"metrics entry {index}"))
         if m.source.key in metrics:
             raise FormatError(0, f"metrics entry {index} repeats source {m.source.key!r}")
         metrics[m.source.key] = m
@@ -206,21 +205,14 @@ def _source_id(obj: Mapping[str, Any]) -> DataSourceId:
 _METRICS = [f.name for f in fields(MetricEntry)]
 
 
-def _object(obj: Any, where: str) -> dict[str, Any]:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where} must be an object, got {obj!r:.60}")
-    return obj
-
-
-def _entry_from_json(obj: Any, where: str, keys: set[str]) -> MetricEntry:
+def _entry_from_json(obj: Any, where: str, keys: Iterable[str]) -> MetricEntry:
     """The metrics of object ``obj``, which holds no key outside ``keys``."""
-    if unknown := set(_object(obj, where)) - keys:
-        raise ValueError(f"{where} has unknown keys {sorted(unknown)}")
+    json_object(obj, where, keys)
     return MetricEntry(**{n: expect(Rules.UNIT_METRIC, obj.get(n), f"{where}: {n}") for n in _METRICS})
 
 
 def _entries_from_json(obj: Any, where: str) -> dict[str, MetricEntry]:
-    return {c: _entry_from_json(e, f"{where} category {c!r}", {*_METRICS}) for c, e in _object(obj, where).items()}
+    return {c: _entry_from_json(e, f"{where} category {c!r}", _METRICS) for c, e in json_object(obj, where).items()}
 
 
 def aggregate_score(entry: MetricEntry | SourceMetrics, alpha: float = DEFAULT_ALPHA) -> float:
@@ -373,6 +365,11 @@ class SourceState:
     subtasks: dict[Task, SubtaskState]
 
 
+#: The keys of a plan's source and subtask objects: their fields, a source's id as ``name`` and ``task``.
+_SOURCE_KEYS = ["name", "task", *(f.name for f in fields(SourceState) if f.name != "source")]
+_SUBTASK_KEYS = [f.name for f in fields(SubtaskState) if f.name != "task"]
+
+
 @dataclass
 class CurriculumState:
     """Stage index plus the full two-level sampling distribution."""
@@ -394,12 +391,16 @@ class CurriculumState:
 
     @classmethod
     def from_json(cls, obj: Mapping[str, Any]) -> "CurriculumState":
+        """Decode a plan's ``state``, whose objects hold only the keys :meth:`to_json` writes."""
+        json_object(obj, "the plan state", [f.name for f in fields(cls)])
         sources: dict[str, SourceState] = {}
-        for key, s in obj["sources"].items():
+        for key, s in json_object(obj["sources"], "the plan sources").items():
+            json_object(s, f"source {key!r}", _SOURCE_KEYS)
             subtasks = {}
-            for task_value, st in s["subtasks"].items():
+            for task_value, st in json_object(s["subtasks"], f"source {key!r} subtasks").items():
                 task = Task(task_value)
                 subtask = f"subtask {task_value!r} of {key!r}"
+                json_object(st, subtask, _SUBTASK_KEYS)
                 sub = subtasks[task] = SubtaskState(task, st["categories"], st["sizes"], st["probs"])
                 check_fields(sub)
                 if not len(sub.categories) == len(sub.sizes) == len(sub.probs):
@@ -414,6 +415,13 @@ class CurriculumState:
             check_fields(sources[key])
         _check_level(list(sources), [s.prob for s in sources.values()], "the sources")
         return cls(stage_index=expect(Rules.INT, obj["stage_index"], "stage_index"), sources=sources)
+
+
+def plan_from_json(doc: Any) -> CurriculumState:
+    """Decode a plan file, ``{"schema_version"?: 1, "state": {...}}`` as ``plan`` writes it."""
+    json_object(doc, "the plan", ["schema_version", "state"])
+    expect(Rules.VERSION, doc.get("schema_version", 1), "the plan schema_version")
+    return CurriculumState.from_json(doc["state"])
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,12 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, fields
-from operator import attrgetter
 from pathlib import Path
 from threading import TIMEOUT_MAX
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .core import (Rules, atomic_write, check_fields, config_from_json, decode_json, get_str,
-                   is_int, is_number, mean, ruled)
+                   group_means, is_int, is_number, mean, ruled)
 from .errors import (
     EmptyInput,
     FormatError,
@@ -320,24 +319,19 @@ def aggregate_verdicts(
 ) -> tuple[list[AnatomyStats], AnatomyStats]:
     """Reduce (anatomy, verdict) rows to per-anatomy rates plus a mean row.
 
-    Rates are percentages of each anatomy's row count; the mean row is the
-    unweighted :func:`radloop.core.mean` of the per-anatomy rates, so it is
-    invariant to per-anatomy sample counts and to row order. Anatomies
-    appear in first-seen order.
+    A rate is the :func:`radloop.core.group_means` of a 100/0 column, one value
+    per row; the mean row is the unweighted :func:`radloop.core.mean` of the
+    per-anatomy rates, so it is invariant to per-anatomy sample counts and to
+    row order. Anatomies appear in first-seen order.
     """
-    by_anatomy: dict[str, list[JudgeVerdict]] = {}
-    for anatomy, verdict in rows:
-        by_anatomy.setdefault(anatomy, []).append(verdict)
-    if not by_anatomy:
+    rows = list(rows)
+    if not rows:
         raise EmptyInput("no verdicts to aggregate")
-
-    stats = []
-    for anatomy, verdicts in by_anatomy.items():
-        n = len(verdicts)
-        hits = (list(map(attrgetter(f), verdicts)).count(value) for f, value in _RATES.values())
-        stats.append(AnatomyStats(anatomy, n, *(100.0 * h / n for h in hits)))
+    columns = {r: [100.0 if getattr(v, f) == value else 0.0 for _, v in rows] for r, (f, value) in _RATES.items()}
+    groups = group_means([anatomy for anatomy, _ in rows], **columns)
+    stats = [AnatomyStats(anatomy, **group) for anatomy, group in groups.items()]
     means = (mean([getattr(s, r) for s in stats]) for r in _RATES)
-    return stats, AnatomyStats("mean", sum(s.n for s in stats), *means)
+    return stats, AnatomyStats("mean", len(rows), *means)
 
 
 def aggregation_table(

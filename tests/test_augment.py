@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -313,6 +314,14 @@ class TestIntensityGrid:
             assert isinstance(load_json(path, IntensityGrid.from_json), IntensityGrid)
         except FormatError:
             pass
+
+    @given(data=st.data())
+    def test_a_grid_document_with_an_unknown_key_is_rejected(self, data):
+        doc = data.draw(_grid_docs(), label="doc")
+        key = data.draw(st.text(max_size=10).filter(lambda k: k not in doc), label="key")
+        doc[key] = data.draw(_json_values, label="value")
+        with pytest.raises(FormatError, match=re.escape(f"line 0: grid has unknown keys [{key!r}]")):
+            IntensityGrid.from_json(doc)
 
 
 class TestClahe:

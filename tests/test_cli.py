@@ -1452,6 +1452,22 @@ def _miskeyed_plan():
               ({"max_level": 65536}, "max_level must be an integer in [1, 65535], got 65536"),
               ({"values": [0, 1, 2]}, "has 3 values, not width * height = 4"),
           )),
+        # A plan holds only the keys `plan` writes, and a given schema_version is 1.
+        *((_SAMPLE_BAD_PLAN, json.dumps(plan), f"FormatError: line 0: bad document: ValueError: {message}\n")
+          for plan, message in (
+              (_plan_source_doc(prbo=0.3), "source 'pgsrc:pg' has unknown keys ['prbo']"),
+              (_plan_doc(categories=["a"], sizes=[6], probs=[1.0], prob=[0.9, 0.1]),
+               "subtask 'pg' of 'pgsrc:pg' has unknown keys ['prob']"),
+              ({"state": {**_plan_source_doc()["state"], "extra": 1}}, "the plan state has unknown keys ['extra']"),
+              ({**_plan_source_doc(), "foo": 1}, "the plan has unknown keys ['foo']"),
+              ({**_plan_source_doc(), "schema_version": 7}, "the plan schema_version must be 1, got 7"),
+              ({"state": {"stage_index": 0, "sources": []}}, "the plan sources must be an object, got []"),
+              (_plan_source_doc(subtasks=[1]), "source 'pgsrc:pg' subtasks must be an object, got [1]"),
+          )),
+        # A grid document holds only the grid's four fields.
+        (["preprocess", "--in", "BAD"],
+         json.dumps({"width": 2, "height": 1, "max_level": 3, "values": [0, 1], "maxlevel": 9000}),
+         "FormatError: line 0: grid has unknown keys ['maxlevel']\n"),
     ],
 )
 def test_malformed_input_names_the_domain_error(

@@ -649,6 +649,22 @@ class TestInstanceJson:
             instance_from_json(obj, line=6)
         assert err.value.line == 6
 
+    @pytest.mark.parametrize("row, record, reason", [
+        # A grg row whose record is another image's pg record: the first field that differs is named.
+        ({"image_id": "img-a", "task": "grg"}, {"image_id": "img-b"},
+         "field 'image_id' is 'img-a', but its record's is 'img-b'"),
+        ({"source_id": "padchest"}, {}, "field 'source_id' is 'padchest', but its record's is 'ms-cxr'"),
+        ({"task": "grg"}, {}, "field 'task' is 'grg', but its record's is 'pg'"),
+        ({"category": "report"}, {}, "field 'category' is 'report', but its record's is 'pneumonia'"),
+    ])
+    def test_a_row_that_contradicts_its_record_is_rejected(self, row, record, reason):
+        obj = instance_to_json(render_instruction(_sample_records()[0]))
+        obj.update(row)
+        obj["structured"].update(record)
+        with pytest.raises(FormatError) as err:
+            instance_from_json(obj, line=7)
+        assert (err.value.line, err.value.reason) == (7, reason)
+
 
 def _is_json_number(value):
     """A JSON number as the box decoder takes it: finite, not a bool, within float range."""
@@ -724,6 +740,14 @@ def _draw_row(data, base, schema):
 
 _INSTANCE_TEXTS = ("image_id", "source_id", "category", "instruction", "response")
 
+
+def _instance_from_agreeing_json(obj, line):
+    """Decode an instance row whose record takes the row's string ``image_id``, ``source_id``
+    and ``category``: a row must agree with its record, which the schema test does not vary."""
+    shared = {name: obj[name] for name in _INSTANCE_TEXTS[:3] if isinstance(obj.get(name), str)}
+    return instance_from_json({**obj, "structured": {**obj["structured"], **shared}}, line)
+
+
 #: Row kind: its decoder, a valid row the drawn fields replace, and the schema of those fields.
 _ROW_KINDS = {
     "record": (
@@ -733,7 +757,7 @@ _ROW_KINDS = {
          "text": "any text|null"},
     ),
     "instance": (
-        instance_from_json,
+        _instance_from_agreeing_json,
         instance_to_json(render_instruction(_sample_records()[0])),
         dict.fromkeys(_INSTANCE_TEXTS, "any text"),
     ),

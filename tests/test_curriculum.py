@@ -44,6 +44,7 @@ from radloop.curriculum import (
     initial_state,
     metrics_from_rows,
     normalize_errors,
+    plan_from_json,
     run_curriculum,
     select_eval_subset,
     stage_lengths,
@@ -742,6 +743,20 @@ def curriculum_states(draw):
 @given(state=curriculum_states())
 def test_any_curriculum_state_round_trips(state):
     assert CurriculumState.from_json(json.loads(json.dumps(state.to_json()))) == state
+
+
+@given(state=curriculum_states(), data=st.data())
+def test_a_plan_with_an_unknown_key_at_any_level_is_rejected(state, data):
+    doc = json.loads(json.dumps({"schema_version": 1, "state": state.to_json()}))
+    assert plan_from_json(doc) == state
+    levels = [doc, doc["state"]]
+    for source in doc["state"]["sources"].values():
+        levels += [source, *source["subtasks"].values()]
+    level = data.draw(st.sampled_from(levels), label="level")
+    key = data.draw(st.text(max_size=10).filter(lambda k: k not in level), label="key")
+    level[key] = data.draw(st.none() | st.integers() | st.text(max_size=3), label="value")
+    with pytest.raises(ValueError, match=re.escape(f" has unknown keys [{key!r}]")):
+        plan_from_json(doc)
 
 
 class TestStateJson:
